@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .experiments import (
+    ConfigError,
     SimulationRecord,
     run_cost_model,
     run_derivative_error,
@@ -33,10 +34,6 @@ __all__ = ["ExperimentConfig", "emit_csv", "run_experiment", "main"]
 EXPERIMENTS = ("derivative-error", "order-study", "diffusion", "kelvin-voigt", "cost-model")
 
 _POLICY_NAMES = {k.value: k for k in PolicyKind}
-
-
-class ConfigError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -65,26 +62,27 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.policy not in _POLICY_NAMES:
             raise ConfigError(f"unknown policy {self.policy!r}; choose from {sorted(_POLICY_NAMES)}")
-        numeric = {
-            "memory_length": self.memory_length,
-            "t_end": self.t_end,
-            "length": self.length,
-            "dx": self.dx,
-            "eta": self.eta,
-            "k": self.k,
-            "load": self.load,
-        }
-        for name, value in numeric.items():
-            if value <= 0.0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+        numeric = [
+            ("memory_length", self.memory_length),
+            ("t_end", self.t_end),
+            ("length", self.length),
+            ("dx", self.dx),
+            ("eta", self.eta),
+            ("k", self.k),
+            ("load", self.load),
+            *(("dt", dt) for dt in self.dts),
+        ]
+        if self.mu is not None:
+            numeric.append(("mu", self.mu))
+        for name, value in numeric:
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise ConfigError(f"alpha must lie in (0, 1), got {a}")
         for dt in self.dts:
-            if dt <= 0.0:
-                raise ConfigError(f"dt must be positive, got {dt}")
             steps = self.t_end / dt
-            if abs(steps - round(steps)) > 1e-9:
+            if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
                 raise ConfigError(f"t_end={self.t_end} is not a multiple of dt={dt}")
         if self.n_records < 1 or self.m < 1 or any(l < 0 for l in self.levels):
             raise ConfigError("n_records, m must be >= 1 and levels >= 0")

@@ -29,6 +29,7 @@ from .solvers import (
 )
 
 __all__ = [
+    "ConfigError",
     "SimulationRecord",
     "run_derivative_error",
     "run_order_study",
@@ -39,6 +40,10 @@ __all__ = [
     "matched_fixed_policy",
     "accumulated_conv_terms",
 ]
+
+
+class ConfigError(Exception):
+    """Invalid run configuration; the CLI maps it to exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,15 @@ def _final_error(args) -> SimulationRecord:
 
 def _max_workers(n_tasks: int) -> int:
     cap = os.environ.get("FRACMEM_THREADS")
-    limit = int(cap) if cap else min(os.cpu_count() or 1, 4)
+    if cap:
+        try:
+            limit = int(cap)
+        except ValueError:
+            limit = 0
+        if limit < 1:
+            raise ConfigError(f"FRACMEM_THREADS must be a positive integer, got {cap!r}")
+    else:
+        limit = min(os.cpu_count() or 1, 4)
     return max(1, min(limit, n_tasks))
 
 

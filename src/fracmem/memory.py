@@ -47,8 +47,8 @@ class MemoryPolicy:
     def __post_init__(self) -> None:
         if self.kind is PolicyKind.FULL:
             return
-        if self.T is None or self.T <= 0.0:
-            raise ValueError(f"{self.kind.value} policy requires a memory length T > 0")
+        if self.T is None or not (math.isfinite(self.T) and self.T > 0.0):
+            raise ValueError(f"{self.kind.value} policy requires a finite memory length T > 0")
 
     @classmethod
     def full(cls) -> "MemoryPolicy":

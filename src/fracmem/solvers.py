@@ -5,7 +5,11 @@ The diffusion problem is the 1D sub-diffusion equation on [0, L] with
 homogeneous Dirichlet boundaries and a half-sine initial condition,
 discretized with central differences in space and either the implicit L1
 scheme (exact non-uniform weights) or the implicit GL scheme (rescaled
-binomial weights) in time.  Each step solves one tridiagonal system.
+binomial weights) in time.  Each step contracts the stored history with one
+matrix-vector product and solves one symmetric positive-definite tridiagonal
+system with LAPACK ``dptsv`` (an LDL^T elimination without pivoting).
+``thomas_solve`` is the general non-pivoting tridiagonal solver, kept as the
+pure-Python reference for that solve.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dptsv
 
 from .core import caputo_weight, caputo_weights, order_value
 from .memory import HistoryBuffer, MemoryPolicy, PolicyKind, gl_weights
@@ -33,11 +38,12 @@ __all__ = [
 def thomas_solve(
     lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """Thomas elimination for a tridiagonal system.
+    """Thomas elimination for a general tridiagonal system.
 
-    ``lower`` and ``upper`` hold the n-1 sub/super-diagonal entries.  The
-    assembled systems here are strictly diagonally dominant, so no pivoting
-    is needed; a vanishing pivot raises.
+    ``lower`` and ``upper`` hold the n-1 sub/super-diagonal entries.  There
+    is no pivoting, so the system should be diagonally dominant; a vanishing
+    pivot raises.  The simulations solve their symmetric positive-definite
+    systems with LAPACK ``dptsv`` instead; this is the reference solver.
     """
     diag = np.asarray(diag, dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -68,6 +74,10 @@ def thomas_solve(
     return x
 
 
+def _positive_finite(x: float) -> bool:
+    return math.isfinite(x) and x > 0.0
+
+
 @dataclass(frozen=True)
 class DiffusionConfig:
     """Sub-diffusion problem setup: half-sine initial condition, zero
@@ -82,8 +92,8 @@ class DiffusionConfig:
 
     def __post_init__(self) -> None:
         order_value(self.alpha)
-        if self.length <= 0.0 or self.dx <= 0.0 or self.dt <= 0.0 or self.mu <= 0.0:
-            raise ValueError("diffusion parameters must be positive")
+        if not all(_positive_finite(v) for v in (self.length, self.dx, self.dt, self.mu)):
+            raise ValueError("diffusion parameters must be positive and finite")
         n = self.length / self.dx
         if abs(n - round(n)) > 1e-9:
             raise ValueError(f"domain length {self.length} must be a multiple of dx={self.dx}")
@@ -121,6 +131,7 @@ class DiffusionSimulation:
         self.buffer = HistoryBuffer(config.policy, base_dt=base_dt)
         self.t = 0.0
         self.field = config.initial_field()
+        self._f0 = self.field[1:-1].copy()
         self.buffer.push(0.0, self.field.copy())
         self._step_index = 0
 
@@ -129,23 +140,35 @@ class DiffusionSimulation:
         return float(self.field[(self.config.n_nodes - 1) // 2])
 
     def step(self) -> np.ndarray:
-        """Advance one time step, solve the tridiagonal system, push the new
+        """Advance one time step, solve the tridiagonal system (diagonal
+        ``diag``, off-diagonals ``-r``) with LAPACK ``dptsv``, push the new
         field into the history buffer."""
         cfg = self.config
-        self._step_index += 1
-        t_new = self._step_index * cfg.dt
+        step_index = self._step_index + 1
+        t_new = step_index * cfg.dt
         if cfg.policy.kind is PolicyKind.ADAPTIVE_GL:
-            interior = self._assemble_gl(t_new)
+            diag, r, rhs = self._assemble_gl(t_new)
         else:
-            interior = self._assemble_l1(t_new)
+            diag, r, rhs = self._assemble_l1(t_new)
+        n = rhs.size
+        _, _, interior, info = dptsv(
+            np.full(n, diag), np.full(max(n - 1, 1), -r), rhs,  # the wrapper rejects an empty e
+            overwrite_d=1, overwrite_e=1, overwrite_b=1,
+        )
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"tridiagonal solve failed at step {step_index} (t={t_new!r}): "
+                f"LAPACK dptsv returned info={info}"
+            )
         new_field = np.zeros_like(self.field)
         new_field[1:-1] = interior
+        self._step_index = step_index
         self.t = t_new
         self.field = new_field
         self.buffer.push(t_new, new_field.copy())
         return new_field
 
-    def _assemble_l1(self, t_new: float) -> np.ndarray:
+    def _assemble_l1(self, t_new: float) -> tuple[float, float, np.ndarray]:
         cfg = self.config
         a = self.alpha
         times = self.buffer.times()
@@ -155,22 +178,24 @@ class DiffusionSimulation:
         r = cfg.mu * dt_n / cfg.dx**2
         if times.size > 1:
             w_hist = caputo_weights(t_new, times[:-1], times[1:], a)
-            coeff = w_hist / np.diff(times)
-            hist = coeff @ np.diff(vals, axis=0) / self._gamma
+            c = w_hist / np.diff(times)
+            # summation by parts: sum_j c_j (v_(j+1) - v_j) = g @ v
+            g = np.empty(times.size)
+            g[0] = -c[0]
+            g[1:-1] = c[:-1] - c[1:]
+            g[-1] = c[-1]
+            hist = g @ vals / self._gamma
         else:
             hist = 0.0
         rhs = w_new / self._gamma * vals[-1] - dt_n * hist
-        n = vals.shape[1]
-        diag = np.full(n, w_new / self._gamma + 2.0 * r)
-        off = np.full(n - 1, -r)
-        return thomas_solve(off, diag, off, rhs)
+        return w_new / self._gamma + 2.0 * r, r, rhs
 
-    def _assemble_gl(self, t_new: float) -> np.ndarray:
+    def _assemble_gl(self, t_new: float) -> tuple[float, float, np.ndarray]:
         cfg = self.config
         a = self.alpha
         times = self.buffer.times()
         vals = self.buffer.values()[:, 1:-1]
-        f0 = cfg.initial_field()[1:-1]
+        f0 = self._f0
         r = cfg.mu * cfg.dt**a / cfg.dx**2
         n_new = round(t_new / cfg.dt)
         rhs = f0.copy()  # newest weight is 1 and multiplies f^0 on the right
@@ -178,11 +203,8 @@ class DiffusionSimulation:
             lags = n_new - np.rint(times[1:] / cfg.dt).astype(int)
             w = gl_weights(int(lags.max()), a)[lags]
             scaled = w * np.diff(times) / cfg.dt
-            rhs -= scaled @ (vals[1:] - f0)
-        n = vals.shape[1]
-        diag = np.full(n, 1.0 + 2.0 * r)
-        off = np.full(n - 1, -r)
-        return thomas_solve(off, diag, off, rhs)
+            rhs -= scaled @ vals[1:] - scaled.sum() * f0
+        return 1.0 + 2.0 * r, r, rhs
 
 
 @dataclass(frozen=True)
@@ -198,8 +220,8 @@ class KelvinVoigtConfig:
 
     def __post_init__(self) -> None:
         order_value(self.alpha)
-        if min(self.eta, self.k, self.load, self.dt) <= 0.0:
-            raise ValueError("Kelvin-Voigt parameters must be positive")
+        if not all(_positive_finite(v) for v in (self.eta, self.k, self.load, self.dt)):
+            raise ValueError("Kelvin-Voigt parameters must be positive and finite")
 
     @property
     def tau_alpha(self) -> float:

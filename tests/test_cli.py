@@ -124,6 +124,40 @@ class TestMainExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("args, name", [
+        (["diffusion", "--dt", "nan", "--t-end", "1"], "dt"),
+        (["diffusion", "--t-end", "inf"], "t_end"),
+        (["kelvin-voigt", "--t-end", "1", "--memory-length", "nan"], "memory_length"),
+        (["diffusion", "--t-end", "1", "--length", "inf"], "length"),
+        (["diffusion", "--t-end", "1", "--dx", "nan"], "dx"),
+        (["diffusion", "--t-end", "1", "--mu", "nan"], "mu"),
+        (["kelvin-voigt", "--t-end", "1", "--eta", "inf"], "eta"),
+        (["kelvin-voigt", "--t-end", "1", "--k", "nan"], "k"),
+        (["kelvin-voigt", "--t-end", "1", "--load=-inf"], "load"),
+    ], ids=["dt", "t_end", "memory_length", "length", "dx", "mu", "eta", "k", "load"])
+    def test_non_finite_value_is_two(self, tmp_path, capsys, args, name):
+        rc = main(args + ["--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {name} must be positive and finite" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3", "1.5"])
+    def test_malformed_thread_cap_is_two(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("FRACMEM_THREADS", threads)
+        rc = main(["order-study", "--policy", "full", "--dt", "0.1,0.05,0.025",
+                   "--t-end", "1", "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"FRACMEM_THREADS must be a positive integer, got {threads!r}" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_thread_cap_of_one_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRACMEM_THREADS", "1")
+        rc = main(["order-study", "--policy", "full", "--dt", "0.1,0.05,0.025",
+                   "--t-end", "1", "--out", str(tmp_path / "o.csv")])
+        assert rc == 0
+
     def test_missing_config_file_is_two(self, tmp_path):
         rc = main(["diffusion", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2

@@ -27,6 +27,12 @@ class TestPolicyConstruction:
         with pytest.raises(ValueError):
             getattr(MemoryPolicy, maker)(0.0)
 
+    @pytest.mark.parametrize("maker", ["fixed", "adaptive_present", "adaptive_gl"])
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_truncating_policies_require_finite_length(self, maker, T):
+        with pytest.raises(ValueError, match="finite"):
+            getattr(MemoryPolicy, maker)(T)
+
     def test_gl_buffer_requires_base_dt(self):
         with pytest.raises(ValueError):
             HistoryBuffer(MemoryPolicy.adaptive_gl(1.0))

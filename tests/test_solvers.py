@@ -10,14 +10,20 @@ from hypothesis import strategies as st
 from fracmem import (
     DiffusionConfig,
     DiffusionSimulation,
+    HistoryBuffer,
     KelvinVoigtConfig,
     KelvinVoigtSimulation,
     MemoryPolicy,
+    PolicyKind,
     analytic_creep,
     analytic_diffusion,
+    caputo_weight,
     mittag_leffler,
     thomas_solve,
 )
+from fracmem import solvers
+from fracmem.core import caputo_weights
+from fracmem.memory import gl_weights
 
 
 def dense_solve(lower, diag, upper, rhs):
@@ -69,6 +75,14 @@ class TestDiffusionSetup:
         assert f0[0] == pytest.approx(0.0)
         assert f0[-1] == pytest.approx(0.0, abs=1e-15)
         assert f0[50] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("field", ["length", "dx", "dt", "mu"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, field, bad):
+        kwargs = dict(length=10.0, dx=0.1, dt=0.01, mu=1.0, alpha=0.5, policy=MemoryPolicy.full())
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DiffusionConfig(**kwargs)
 
     def test_rejects_incommensurate_grid(self):
         with pytest.raises(ValueError):
@@ -154,6 +168,84 @@ class TestDiffusionStepping:
         assert gl.midpoint_value == pytest.approx(l1.midpoint_value, abs=1e-2)
 
 
+class ReferenceDiffusion:
+    """Oracle stepper: the Thomas solve and the difference-form history
+    contractions, on its own buffer."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.gamma = math.gamma(1.0 - cfg.alpha)
+        base_dt = cfg.dt if cfg.policy.kind is PolicyKind.ADAPTIVE_GL else None
+        self.buffer = HistoryBuffer(cfg.policy, base_dt=base_dt)
+        self.field = cfg.initial_field()
+        self.buffer.push(0.0, self.field.copy())
+        self.steps = 0
+
+    def step(self):
+        cfg, a = self.cfg, self.cfg.alpha
+        self.steps += 1
+        t_new = self.steps * cfg.dt
+        times = self.buffer.times()
+        vals = self.buffer.values()[:, 1:-1]
+        if cfg.policy.kind is PolicyKind.ADAPTIVE_GL:
+            f0 = cfg.initial_field()[1:-1]
+            r = cfg.mu * cfg.dt**a / cfg.dx**2
+            rhs = f0.copy()
+            if times.size > 1:
+                lags = self.steps - np.rint(times[1:] / cfg.dt).astype(int)
+                w = gl_weights(int(lags.max()), a)[lags]
+                rhs -= (w * np.diff(times) / cfg.dt) @ (vals[1:] - f0)
+            diag = 1.0 + 2.0 * r
+        else:
+            w_new = caputo_weight(t_new, times[-1], t_new, a)
+            dt_n = t_new - times[-1]
+            r = cfg.mu * dt_n / cfg.dx**2
+            hist = 0.0
+            if times.size > 1:
+                coeff = caputo_weights(t_new, times[:-1], times[1:], a) / np.diff(times)
+                hist = coeff @ np.diff(vals, axis=0) / self.gamma
+            rhs = w_new / self.gamma * vals[-1] - dt_n * hist
+            diag = w_new / self.gamma + 2.0 * r
+        n = rhs.size
+        off = np.full(n - 1, -r)
+        self.field = np.zeros_like(self.field)
+        self.field[1:-1] = thomas_solve(off, np.full(n, diag), off, rhs)
+        self.buffer.push(t_new, self.field.copy())
+
+
+class TestDiffusionAgainstReference:
+    @pytest.mark.parametrize("policy", [
+        MemoryPolicy.full(),
+        MemoryPolicy.fixed(0.1),
+        MemoryPolicy.adaptive_present(0.1),
+        MemoryPolicy.adaptive_gl(0.1),
+    ], ids=["full", "fixed", "present", "gl"])
+    def test_every_field_matches_thomas_reference(self, policy):
+        cfg = DiffusionConfig(length=10.0, dx=0.1, dt=0.01, mu=(10.0 / math.pi) ** 2,
+                              alpha=0.5, policy=policy)
+        sim = DiffusionSimulation(cfg)
+        ref = ReferenceDiffusion(cfg)
+        for _ in range(300):
+            sim.step()
+            ref.step()
+            np.testing.assert_allclose(sim.field, ref.field, rtol=1e-12, atol=0.0)
+        assert sim.buffer.count_stored() == ref.buffer.count_stored()
+        if policy.kind is not PolicyKind.FULL:
+            assert sim.buffer.count_stored() < 301
+
+    def test_failed_solve_names_step_and_time(self, monkeypatch):
+        # a negated diagonal is not positive definite, so LAPACK rejects it
+        real = solvers.dptsv
+        monkeypatch.setattr(solvers, "dptsv", lambda d, e, b, **kw: real(-d, e, b, **kw))
+        cfg = DiffusionConfig(length=10.0, dx=0.1, dt=0.01, mu=1.0, alpha=0.5,
+                              policy=MemoryPolicy.full())
+        sim = DiffusionSimulation(cfg)
+        with pytest.raises(np.linalg.LinAlgError, match=r"step 1 \(t=0\.01\).*info=1"):
+            sim.step()
+        assert sim.t == 0.0
+        assert sim.buffer.count_stored() == 1
+
+
 class TestKelvinVoigt:
     def make_cfg(self, policy, alpha=0.5, dt=0.01):
         return KelvinVoigtConfig(eta=1.0, k=1.0, load=1.0, alpha=alpha, dt=dt, policy=policy)
@@ -200,3 +292,11 @@ class TestKelvinVoigt:
         with pytest.raises(ValueError):
             KelvinVoigtConfig(eta=0.0, k=1.0, load=1.0, alpha=0.5, dt=0.01,
                               policy=MemoryPolicy.full())
+
+    @pytest.mark.parametrize("field", ["eta", "k", "load", "dt"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, field, bad):
+        kwargs = dict(eta=1.0, k=1.0, load=1.0, alpha=0.5, dt=0.01, policy=MemoryPolicy.full())
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            KelvinVoigtConfig(**kwargs)
