@@ -19,7 +19,6 @@ from .analysis import (
 )
 from .core import (
     FractionalOrder,
-    TimePoint,
     WeightTriple,
     caputo_weight,
     evaluate_caputo,
@@ -30,8 +29,6 @@ from .memory import (
     MemoryPolicy,
     PolicyKind,
     evaluate_gl,
-    gl_weight,
-    scaled_gl_weight,
 )
 from .solvers import (
     DiffusionConfig,

@@ -1,8 +1,17 @@
-"""Exact L1 convolution weights and Caputo-derivative evaluation.
+"""Exact L1 convolution weights, the L1 history operator and
+Caputo-derivative evaluation.
 
 The weights are computed in closed form from the antiderivative of the
 power-law kernel, so they are exact on non-uniform time grids.  Quadrature
 is used only as an independent oracle in the test suite.
+
+``l1_history`` is the L1 history operator.  Given stored times and values
+and a new time ``t_n > times[-1]``, it returns ``(c, h)`` with
+
+    D f(t_n) ~= c * (f(t_n) - values[-1]) + h,
+
+``c`` the implicit coefficient of the newest interval and ``h`` the explicit
+sum over the stored intervals.  Rows of ``values`` are scalars or vectors.
 """
 
 from __future__ import annotations
@@ -14,11 +23,11 @@ import numpy as np
 
 __all__ = [
     "FractionalOrder",
-    "TimePoint",
     "WeightTriple",
     "caputo_weight",
     "caputo_weights",
     "evaluate_caputo",
+    "l1_history",
     "weight_sum",
 ]
 
@@ -39,22 +48,6 @@ def order_value(alpha: float | FractionalOrder) -> float:
     if isinstance(alpha, FractionalOrder):
         return alpha.alpha
     return FractionalOrder(float(alpha)).alpha
-
-
-@dataclass(frozen=True)
-class TimePoint:
-    """One stored sample (time, value) of the function being differentiated.
-
-    ``value`` is a scalar for ODE problems or a 1D array (one entry per
-    spatial node) for the PDE case.
-    """
-
-    t: float
-    value: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.t < 0.0:
-            raise ValueError(f"time must be non-negative, got {self.t}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +107,36 @@ def _check_times(times: np.ndarray, t_n: float | None) -> np.ndarray:
     return times
 
 
+def l1_history(
+    times: np.ndarray,
+    values: np.ndarray,
+    t_n: float,
+    alpha: float | FractionalOrder,
+) -> tuple[float, float | np.ndarray]:
+    """L1 history operator: ``(c, h)`` with D f(t_n) ~= c * (f(t_n) - values[-1]) + h.
+
+    ``times`` is strictly increasing with ``times[-1] < t_n``; ``values`` is
+    an array with one row per time, 1-D for scalar rows, 2-D for vector
+    rows.  ``h`` is a float for scalar rows and an array for vector rows.
+    """
+    a = order_value(alpha)
+    gamma = math.gamma(1.0 - a)
+    c = caputo_weight(t_n, times[-1], t_n, a) / (gamma * (t_n - times[-1]))
+    if times.size < 2:
+        return c, 0.0
+    coeff = caputo_weights(t_n, times[:-1], times[1:], a) / np.diff(times)
+    if values.ndim == 1:
+        # this order of operations is what the frozen creep output repeats
+        return c, float(coeff @ np.diff(values)) / gamma
+    # summation by parts, sum_j coeff_j (v_(j+1) - v_j) = g @ v: a matvec on
+    # the (possibly strided) rows, with no history-sized difference array
+    g = np.empty(times.size)
+    g[0] = -coeff[0]
+    g[1:-1] = coeff[:-1] - coeff[1:]
+    g[-1] = coeff[-1]
+    return c, g @ values / gamma
+
+
 def evaluate_caputo(
     times: np.ndarray,
     values: np.ndarray,
@@ -124,21 +147,17 @@ def evaluate_caputo(
 
     ``values`` has one row per time point; rows may be scalars or vectors
     (one entry per spatial node).  Works identically on uniform and
-    non-uniform spacings since the weights are exact.
+    non-uniform spacings since the weights are exact.  This is
+    ``l1_history`` on ``times[:-1]`` evaluated at ``t_n = times[-1]``.
     """
     a = order_value(alpha)
     times = _check_times(times, t_n)
     values = np.asarray(values, dtype=float)
     if values.shape[0] != times.size:
         raise ValueError("values must have one row per time point")
-    w = caputo_weights(times[-1], times[:-1], times[1:], a)
-    slopes = np.diff(values, axis=0)
-    dts = np.diff(times)
-    if slopes.ndim > 1:
-        dts = dts.reshape((-1,) + (1,) * (slopes.ndim - 1))
-    slopes = slopes / dts
-    result = np.tensordot(w, slopes, axes=(0, 0)) / math.gamma(1.0 - a)
-    if result.ndim == 0:
+    c, h = l1_history(times[:-1], values[:-1], times[-1], a)
+    result = c * (values[-1] - values[-2]) + h
+    if np.ndim(result) == 0:
         return float(result)
     return result
 

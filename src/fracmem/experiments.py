@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import fit_loglog_slope, op_count
-from .core import evaluate_caputo, order_value
-from .memory import HistoryBuffer, MemoryPolicy, PolicyKind, evaluate_gl
+from .core import order_value
+from .memory import HistoryBuffer, MemoryPolicy, PolicyKind
 from .solvers import (
     DiffusionConfig,
     DiffusionSimulation,
@@ -71,7 +71,7 @@ def _record_steps(n_total: int, n_records: int) -> set[int]:
 def retention_count(policy: MemoryPolicy, dt: float, t_end: float) -> int:
     """Stored-point count of a policy after stepping to t_end; depends only
     on the time sequence, not on values."""
-    buf = HistoryBuffer(policy, base_dt=dt if policy.kind is PolicyKind.ADAPTIVE_GL else None)
+    buf = HistoryBuffer(policy)
     n_total = round(t_end / dt)
     for i in range(n_total + 1):
         buf.push(i * dt, 0.0)
@@ -118,7 +118,7 @@ def run_derivative_error(
     func = func or _test_function(policy)
     n_total = round(t_end / dt)
     record_at = _record_steps(n_total, n_records)
-    buf = HistoryBuffer(policy, base_dt=dt if policy.kind is PolicyKind.ADAPTIVE_GL else None)
+    buf = HistoryBuffer(policy)
     buf.push(0.0, _sample(func, 0.0))
     records: list[SimulationRecord] = []
     elapsed = 0.0
@@ -128,10 +128,12 @@ def run_derivative_error(
         buf.push(t, _sample(func, t))
         if i in record_at:
             elapsed += time.perf_counter() - tic
-            if policy.kind is PolicyKind.ADAPTIVE_GL:
-                value = evaluate_gl(buf.times(), buf.values(), buf.initial_value, a, dt)
-            else:
-                value = evaluate_caputo(buf.times(), buf.values(), a)
+            times, values = buf.times(), buf.values()
+            if times.size < 2:
+                raise ValueError("history must contain at least 2 time points")
+            # the operator at the newest stored time, from the points before it
+            c, h = policy.history(times[:-1], values[:-1], times[-1], a, dt)
+            value = c * (values[-1] - values[-2]) + h
             exact = _exact_derivative(func, t, a)
             records.append(
                 SimulationRecord(
@@ -305,7 +307,7 @@ def run_cost_model(m: int, levels) -> list[dict]:
 def accumulated_conv_terms(policy: MemoryPolicy, dt: float, t_end: float) -> int:
     """Instrumented total of convolution terms over a run, one evaluation per
     step; the instrumented counterpart of the closed-form operation counts."""
-    buf = HistoryBuffer(policy, base_dt=dt if policy.kind is PolicyKind.ADAPTIVE_GL else None)
+    buf = HistoryBuffer(policy)
     buf.push(0.0, 0.0)
     total = 0
     for i in range(1, round(t_end / dt) + 1):

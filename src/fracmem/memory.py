@@ -1,9 +1,16 @@
-"""History buffers and the four memory-maintenance policies.
+"""History buffers, the four memory-maintenance policies and the rescaled
+Grunwald-Letnikov (GL) history operator.
 
 The buffer keeps time points grouped into subsets U_0..U_L, newest subset
 first.  U_0 spans at most the memory length T after maintenance; U_l spans
 at most 2^(l-1) * T.  Interval comparisons are strict: a span exactly equal
 to the threshold does not trigger maintenance.
+
+Each policy owns one history operator, ``MemoryPolicy.history``: given the
+stored times and values and a new time ``t_n > times[-1]`` it returns
+``(c, h)`` with D f(t_n) ~= c * (f(t_n) - values[-1]) + h.  The adaptive GL
+policy uses ``gl_history`` below; the others use the exact L1 weights of
+``core.l1_history``.
 """
 
 from __future__ import annotations
@@ -15,17 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FractionalOrder, TimePoint, order_value
+from .core import FractionalOrder, l1_history, order_value
 
 __all__ = [
     "PolicyKind",
     "MemoryPolicy",
     "HistoryBuffer",
-    "count_stored",
-    "count_conv_terms",
-    "gl_weight",
     "gl_weights",
-    "scaled_gl_weight",
+    "gl_history",
     "evaluate_gl",
 ]
 
@@ -66,31 +70,34 @@ class MemoryPolicy:
     def adaptive_gl(cls, T: float) -> "MemoryPolicy":
         return cls(PolicyKind.ADAPTIVE_GL, T)
 
+    def history(
+        self,
+        times: np.ndarray,
+        values: np.ndarray,
+        t_n: float,
+        alpha: float | FractionalOrder,
+        dt: float,
+    ) -> tuple[float, float | np.ndarray]:
+        """The policy's history operator (see the module docstring); ``dt``
+        is the base step, which only the GL weights use."""
+        if self.kind is PolicyKind.ADAPTIVE_GL:
+            return gl_history(times, values, t_n, alpha, dt)
+        return l1_history(times, values, t_n, alpha)
+
 
 class HistoryBuffer:
     """Ordered time-point storage maintained by a MemoryPolicy.
 
     Single-writer: pushes and reads must not overlap.  Distinct buffers are
-    independent.  ``base_dt`` is required only for the adaptive GL policy,
-    whose weights are indexed on the underlying uniform grid.
+    independent.
     """
 
-    def __init__(self, policy: MemoryPolicy, base_dt: float | None = None):
+    def __init__(self, policy: MemoryPolicy):
         self.policy = policy
-        self.base_dt = base_dt
-        if policy.kind is PolicyKind.ADAPTIVE_GL and (base_dt is None or base_dt <= 0.0):
-            raise ValueError("adaptive GL policy requires a positive base_dt")
         # subsets[l] = U_l, each deque ordered oldest-first
         self._subsets: list[deque] = [deque()]
-        self._initial_value = None
 
     # -- queries ----------------------------------------------------------
-
-    @property
-    def initial_value(self):
-        """Value of the very first pushed point (retained by all policies
-        except FIXED, which may drop it)."""
-        return self._initial_value
 
     @property
     def num_subsets(self) -> int:
@@ -130,23 +137,22 @@ class HistoryBuffer:
             out.extend(v for _, v in s)
         return np.asarray(out, dtype=float)
 
-    def points(self) -> list[TimePoint]:
-        out = []
-        for s in reversed(self._subsets):
-            out.extend(TimePoint(t, v) for t, v in s)
-        return out
-
     # -- maintenance ------------------------------------------------------
 
     def push(self, t: float, value) -> None:
-        """Append one sample and run the policy's maintenance."""
+        """Append one sample and run the policy's maintenance.
+
+        Times must increase strictly, so a NaN time is rejected.  Finiteness
+        is checked on a buffer's first push only, which keeps pushes cheap.
+        """
         for s in self._subsets:
             if s:
-                if t <= s[-1][0]:
+                if not t > s[-1][0]:
                     raise ValueError(f"pushed time {t} is not after newest stored {s[-1][0]}")
                 break
-        if self._initial_value is None:
-            self._initial_value = value
+        else:
+            if not math.isfinite(t):
+                raise ValueError(f"first pushed time must be finite, got {t}")
         self._subsets[0].append((t, value))
         kind = self.policy.kind
         if kind is PolicyKind.FULL:
@@ -187,14 +193,6 @@ class HistoryBuffer:
             l += 1
 
 
-def count_stored(buffer: HistoryBuffer) -> int:
-    return buffer.count_stored()
-
-
-def count_conv_terms(buffer: HistoryBuffer) -> int:
-    return buffer.count_conv_terms()
-
-
 # -- Grunwald-Letnikov weights ------------------------------------------------
 
 _GL_CACHE: dict[float, list[float]] = {}
@@ -208,44 +206,63 @@ def _gl_sequence(alpha: float, jmax: int) -> list[float]:
     return seq
 
 
-def gl_weight(n: int, k: int, alpha: float | FractionalOrder) -> float:
-    """Binomial GL weight (-1)^(n-k) * C(alpha, n-k).
+def gl_weights(jmax: int, alpha: float | FractionalOrder) -> np.ndarray:
+    """Binomial GL weights (-1)^j * C(alpha, j) for lags j = 0..jmax, cached
+    per order.
 
     Computed by the recurrence c_j = c_(j-1) * (j - 1 - alpha) / j with
     c_0 = 1, which avoids Gamma evaluations at negative arguments.
     """
-    if k > n or k < 0:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    a = order_value(alpha)
-    return _gl_sequence(a, n - k)[n - k]
-
-
-def gl_weights(jmax: int, alpha: float | FractionalOrder) -> np.ndarray:
-    """GL weights for lags j = 0..jmax, cached per order."""
     a = order_value(alpha)
     return np.asarray(_gl_sequence(a, jmax)[: jmax + 1], dtype=float)
 
 
-def scaled_gl_weight(w: float, t_k: float, t_k1: float, dt: float) -> float:
-    """Rescale a GL weight for a retained pair spanning (t_k, t_k1)."""
-    if t_k1 <= t_k:
-        raise ValueError(f"need t_k1 > t_k, got ({t_k}, {t_k1})")
-    if dt <= 0.0:
-        raise ValueError(f"need dt > 0, got {dt}")
-    return w * (t_k1 - t_k) / dt
+def gl_history(
+    times: np.ndarray,
+    values: np.ndarray,
+    t_n: float,
+    alpha: float | FractionalOrder,
+    dt: float,
+) -> tuple[float, float | np.ndarray]:
+    """Rescaled GL history operator: ``(c, h)`` with
+    D f(t_n) ~= c * (f(t_n) - values[-1]) + h.
+
+    The times sit on the uniform grid of step ``dt`` (to rounding) and
+    ``times[0]`` is the initial time, whose value the GL sum subtracts.  A
+    stored point k carries the weight of its lag, rescaled by the grid steps
+    its interval spans; the new point's interval is counted in whole steps.
+    ``h`` is a float for scalar (1-D) rows and an array for vector rows.
+    """
+    a = order_value(alpha)
+    scale = dt ** (-a)
+    idx = np.rint(times / dt).astype(int)
+    n = round(t_n / dt)
+    gap = n - int(idx[-1])
+    c = gap * scale
+    if times.size < 2:
+        return c, 0.0
+    lags = n - idx[1:]
+    scaled = gl_weights(int(lags[0]), a)[lags] * np.diff(times) / dt
+    # the new point's weight w_0 * gap = gap multiplies
+    # f(t_n) - f_0 = (f(t_n) - values[-1]) + (values[-1] - f_0); c takes the
+    # first part, the newest stored weight the second
+    scaled[-1] += gap
+    h = (scaled @ values[1:] - scaled.sum() * values[0]) * scale
+    return c, float(h) if values.ndim == 1 else h
 
 
 def evaluate_gl(
     times: np.ndarray,
     values: np.ndarray,
-    initial_value,
     alpha: float | FractionalOrder,
     dt: float,
 ) -> float | np.ndarray:
     """GL derivative at times[-1] over a (possibly thinned) uniform-grid
     history, with weights rescaled for skipped points.
 
-    Each retained point must sit on the underlying grid of step ``dt``.
+    Each retained point must sit on the underlying grid of step ``dt``, and
+    ``times[0]`` is the initial time.  This is ``gl_history`` on
+    ``times[:-1]`` evaluated at ``t_n = times[-1]``.
     """
     a = order_value(alpha)
     times = np.asarray(times, dtype=float)
@@ -254,12 +271,9 @@ def evaluate_gl(
     idx = np.rint(times / dt).astype(int)
     if np.max(np.abs(times - idx * dt)) > 1e-9 * dt * max(idx[-1], 1):
         raise ValueError("history times do not sit on the uniform base grid")
-    lags = idx[-1] - idx[1:]
-    w = gl_weights(int(lags.max()), a)[lags]
-    scaled = w * np.diff(times) / dt
     values = np.asarray(values, dtype=float)
-    dev = values[1:] - np.asarray(initial_value, dtype=float)
-    result = np.tensordot(scaled, dev, axes=(0, 0)) / dt**a
-    if result.ndim == 0:
+    c, h = gl_history(times[:-1], values[:-1], times[-1], a, dt)
+    result = c * (values[-1] - values[-2]) + h
+    if np.ndim(result) == 0:
         return float(result)
     return result

@@ -3,11 +3,14 @@ Kelvin-Voigt creep problem, plus their analytic solutions.
 
 The diffusion problem is the 1D sub-diffusion equation on [0, L] with
 homogeneous Dirichlet boundaries and a half-sine initial condition,
-discretized with central differences in space and either the implicit L1
-scheme (exact non-uniform weights) or the implicit GL scheme (rescaled
-binomial weights) in time.  Each step contracts the stored history with one
-matrix-vector product and solves one symmetric positive-definite tridiagonal
-system with LAPACK ``dptsv`` (an LDL^T elimination without pivoting).
+discretized with central differences in space and implicitly in time.
+
+Both solvers are policy-agnostic.  Each step asks the memory policy for its
+history operator, ``c, h = policy.history(times, values, t_n, alpha, dt)``,
+meaning D u(t_n) ~= c * (u(t_n) - values[-1]) + h (exact L1 weights, or
+rescaled GL weights for the adaptive GL policy), and solves for u(t_n).  The
+diffusion step solves one symmetric positive-definite tridiagonal system
+with LAPACK ``dptsv`` (an LDL^T elimination without pivoting).
 ``thomas_solve`` is the general non-pivoting tridiagonal solver, kept as the
 pure-Python reference for that solve.
 """
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
-from .core import caputo_weight, caputo_weights, order_value
-from .memory import HistoryBuffer, MemoryPolicy, PolicyKind, gl_weights
+from .core import order_value
+from .memory import HistoryBuffer, MemoryPolicy
 from .special import mittag_leffler
 
 __all__ = [
@@ -126,12 +129,9 @@ class DiffusionSimulation:
     def __init__(self, config: DiffusionConfig):
         self.config = config
         self.alpha = order_value(config.alpha)
-        self._gamma = math.gamma(1.0 - self.alpha)
-        base_dt = config.dt if config.policy.kind is PolicyKind.ADAPTIVE_GL else None
-        self.buffer = HistoryBuffer(config.policy, base_dt=base_dt)
+        self.buffer = HistoryBuffer(config.policy)
         self.t = 0.0
         self.field = config.initial_field()
-        self._f0 = self.field[1:-1].copy()
         self.buffer.push(0.0, self.field.copy())
         self._step_index = 0
 
@@ -140,19 +140,25 @@ class DiffusionSimulation:
         return float(self.field[(self.config.n_nodes - 1) // 2])
 
     def step(self) -> np.ndarray:
-        """Advance one time step, solve the tridiagonal system (diagonal
-        ``diag``, off-diagonals ``-r``) with LAPACK ``dptsv``, push the new
-        field into the history buffer."""
+        """Advance one time step: solve c * (u - u_last) + h = mu * u_xx,
+        multiplied through by the newest interval dt_n, with LAPACK
+        ``dptsv``, and push the new field into the history buffer."""
         cfg = self.config
         step_index = self._step_index + 1
         t_new = step_index * cfg.dt
-        if cfg.policy.kind is PolicyKind.ADAPTIVE_GL:
-            diag, r, rhs = self._assemble_gl(t_new)
-        else:
-            diag, r, rhs = self._assemble_l1(t_new)
+        times = self.buffer.times()
+        vals = self.buffer.values()[:, 1:-1]
+        c, h = cfg.policy.history(times, vals, t_new, self.alpha, cfg.dt)
+        # scaled by dt_n the entries are those of the L1 difference form; a
+        # decaying fixed-window run keeps its rounding, and the unscaled
+        # system drifts 2e-12 relative from that form in 1280 steps (2e-14)
+        dt_n = t_new - times[-1]
+        r = cfg.mu * dt_n / cfg.dx**2
+        c_n = c * dt_n
+        rhs = c_n * vals[-1] - dt_n * h
         n = rhs.size
         _, _, interior, info = dptsv(
-            np.full(n, diag), np.full(max(n - 1, 1), -r), rhs,  # the wrapper rejects an empty e
+            np.full(n, c_n + 2.0 * r), np.full(max(n - 1, 1), -r), rhs,  # the wrapper rejects an empty e
             overwrite_d=1, overwrite_e=1, overwrite_b=1,
         )
         if info != 0:
@@ -167,44 +173,6 @@ class DiffusionSimulation:
         self.field = new_field
         self.buffer.push(t_new, new_field.copy())
         return new_field
-
-    def _assemble_l1(self, t_new: float) -> tuple[float, float, np.ndarray]:
-        cfg = self.config
-        a = self.alpha
-        times = self.buffer.times()
-        vals = self.buffer.values()[:, 1:-1]
-        w_new = caputo_weight(t_new, times[-1], t_new, a)
-        dt_n = t_new - times[-1]
-        r = cfg.mu * dt_n / cfg.dx**2
-        if times.size > 1:
-            w_hist = caputo_weights(t_new, times[:-1], times[1:], a)
-            c = w_hist / np.diff(times)
-            # summation by parts: sum_j c_j (v_(j+1) - v_j) = g @ v
-            g = np.empty(times.size)
-            g[0] = -c[0]
-            g[1:-1] = c[:-1] - c[1:]
-            g[-1] = c[-1]
-            hist = g @ vals / self._gamma
-        else:
-            hist = 0.0
-        rhs = w_new / self._gamma * vals[-1] - dt_n * hist
-        return w_new / self._gamma + 2.0 * r, r, rhs
-
-    def _assemble_gl(self, t_new: float) -> tuple[float, float, np.ndarray]:
-        cfg = self.config
-        a = self.alpha
-        times = self.buffer.times()
-        vals = self.buffer.values()[:, 1:-1]
-        f0 = self._f0
-        r = cfg.mu * cfg.dt**a / cfg.dx**2
-        n_new = round(t_new / cfg.dt)
-        rhs = f0.copy()  # newest weight is 1 and multiplies f^0 on the right
-        if times.size > 1:
-            lags = n_new - np.rint(times[1:] / cfg.dt).astype(int)
-            w = gl_weights(int(lags.max()), a)[lags]
-            scaled = w * np.diff(times) / cfg.dt
-            rhs -= scaled @ vals[1:] - scaled.sum() * f0
-        return 1.0 + 2.0 * r, r, rhs
 
 
 @dataclass(frozen=True)
@@ -248,39 +216,21 @@ class KelvinVoigtSimulation:
     def __init__(self, config: KelvinVoigtConfig):
         self.config = config
         self.alpha = order_value(config.alpha)
-        self._gamma = math.gamma(1.0 - self.alpha)
-        base_dt = config.dt if config.policy.kind is PolicyKind.ADAPTIVE_GL else None
-        self.buffer = HistoryBuffer(config.policy, base_dt=base_dt)
+        self.buffer = HistoryBuffer(config.policy)
         self.t = 0.0
         self.x = 0.0
         self.buffer.push(0.0, 0.0)
         self._step_index = 0
 
     def step(self) -> float:
+        """Advance one time step: solve eta * (c * (x - x_last) + h) + k * x
+        = load for x and push it into the history buffer."""
         cfg = self.config
-        a = self.alpha
         self._step_index += 1
         t_new = self._step_index * cfg.dt
-        times = self.buffer.times()
-        xs = self.buffer.values()
-        if cfg.policy.kind is PolicyKind.ADAPTIVE_GL:
-            d = cfg.dt ** (-a)
-            if times.size > 1:
-                lags = round(t_new / cfg.dt) - np.rint(times[1:] / cfg.dt).astype(int)
-                w = gl_weights(int(lags.max()), a)[lags]
-                hist = float((w * np.diff(times) / cfg.dt) @ xs[1:])
-            else:
-                hist = 0.0
-            x_new = (cfg.load - cfg.eta * d * hist) / (cfg.eta * d + cfg.k)
-        else:
-            dt_n = t_new - times[-1]
-            if times.size > 1:
-                w_hist = caputo_weights(t_new, times[:-1], times[1:], a)
-                hist = float((w_hist / np.diff(times)) @ np.diff(xs)) / self._gamma
-            else:
-                hist = 0.0
-            c = caputo_weight(t_new, times[-1], t_new, a) / (self._gamma * dt_n)
-            x_new = (cfg.load - cfg.eta * hist + cfg.eta * c * self.x) / (cfg.eta * c + cfg.k)
+        times, xs = self.buffer.times(), self.buffer.values()
+        c, h = cfg.policy.history(times, xs, t_new, self.alpha, cfg.dt)
+        x_new = (cfg.load - cfg.eta * h + cfg.eta * c * self.x) / (cfg.eta * c + cfg.k)
         self.t = t_new
         self.x = x_new
         self.buffer.push(t_new, x_new)

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 
 from fracmem import (
     FractionalOrder,
-    TimePoint,
     WeightTriple,
     caputo_weight,
     evaluate_caputo,
@@ -41,10 +40,6 @@ class TestValidation:
     def test_order_value_accepts_both_forms(self):
         assert order_value(0.5) == 0.5
         assert order_value(FractionalOrder(0.25)) == 0.25
-
-    def test_time_point_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            TimePoint(-0.1, 1.0)
 
     def test_weight_triple_ordering(self):
         WeightTriple(2.0, 0.5, 1.0)

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracmem import HistoryBuffer, MemoryPolicy, PolicyKind, evaluate_gl, gl_weight
-from fracmem.memory import gl_weights, scaled_gl_weight
+from fracmem import HistoryBuffer, MemoryPolicy, PolicyKind, evaluate_gl
+from fracmem.memory import gl_weights
 
 
-def push_uniform(policy, dt, n_steps, base_dt=None, fn=lambda t: 0.0):
-    buf = HistoryBuffer(policy, base_dt=base_dt)
+def push_uniform(policy, dt, n_steps, fn=lambda t: 0.0):
+    buf = HistoryBuffer(policy)
     for i in range(n_steps + 1):
         buf.push(i * dt, fn(i * dt))
     return buf
@@ -33,10 +33,6 @@ class TestPolicyConstruction:
         with pytest.raises(ValueError, match="finite"):
             getattr(MemoryPolicy, maker)(T)
 
-    def test_gl_buffer_requires_base_dt(self):
-        with pytest.raises(ValueError):
-            HistoryBuffer(MemoryPolicy.adaptive_gl(1.0))
-
 
 class TestBufferBasics:
     def test_push_requires_increasing_time(self):
@@ -45,6 +41,28 @@ class TestBufferBasics:
         buf.push(1.0, 2.0)
         with pytest.raises(ValueError):
             buf.push(1.0, 3.0)
+
+    @pytest.mark.parametrize("policy", [
+        MemoryPolicy.full(),
+        MemoryPolicy.fixed(1.0),
+        MemoryPolicy.adaptive_present(1.0),
+        MemoryPolicy.adaptive_gl(1.0),
+    ], ids=["full", "fixed", "present", "gl"])
+    def test_push_rejects_nan_time(self, policy):
+        buf = HistoryBuffer(policy)
+        buf.push(0.0, 0.0)
+        with pytest.raises(ValueError, match="not after"):
+            buf.push(math.nan, 1.0)
+        buf.push(0.5, 2.0)
+        assert list(buf.times()) == [0.0, 0.5]
+        assert list(buf.values()) == [0.0, 2.0]
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_first_push_requires_finite_time(self, t):
+        buf = HistoryBuffer(MemoryPolicy.full())
+        with pytest.raises(ValueError, match="finite"):
+            buf.push(t, 0.0)
+        assert buf.count_stored() == 0
 
     def test_full_policy_keeps_everything(self):
         buf = push_uniform(MemoryPolicy.full(), 0.1, 50)
@@ -63,7 +81,7 @@ class TestBufferBasics:
 
     def test_initial_value_retained(self):
         buf = push_uniform(MemoryPolicy.adaptive_present(1.0), 0.25, 40, fn=lambda t: t + 3.0)
-        assert buf.initial_value == 3.0
+        assert buf.values()[0] == 3.0
         assert buf.times()[0] == 0.0
 
 
@@ -137,13 +155,14 @@ class TestGLWeights:
             for i in range(j):
                 prod *= (alpha - i) / (i + 1)
             expect = (-1.0) ** j * prod
-            assert gl_weight(j, 0, alpha) == pytest.approx(expect, rel=1e-12)
+            assert gl_weights(30, alpha)[j] == pytest.approx(expect, rel=1e-12)
 
     def test_first_weights(self):
         a = 0.5
-        assert gl_weight(5, 5, a) == 1.0
-        assert gl_weight(5, 4, a) == pytest.approx(-a)
-        assert gl_weight(5, 3, a) == pytest.approx(a * (a - 1.0) / 2.0)
+        w = gl_weights(2, a)
+        assert w[0] == 1.0
+        assert w[1] == pytest.approx(-a)
+        assert w[2] == pytest.approx(a * (a - 1.0) / 2.0)
 
     def test_weights_alternate_to_negative_then_shrink(self):
         w = gl_weights(30, 0.4)
@@ -158,50 +177,46 @@ class TestGLWeights:
         assert np.all(partial > 0.0)
         assert partial[-1] < partial[0]
 
-    def test_scaled_weight_rescales_by_gap(self):
-        assert scaled_gl_weight(-0.5, 1.0, 1.4, 0.1) == pytest.approx(-2.0)
-        with pytest.raises(ValueError):
-            scaled_gl_weight(1.0, 1.0, 1.0, 0.1)
-
 
 class TestEvaluateGL:
     def test_uniform_grid_matches_direct_convolution(self):
         alpha, dt = 0.5, 0.1
         times = np.arange(0.0, 1.05, dt)
         values = times**2
-        got = evaluate_gl(times, values, 0.0, alpha, dt)
+        got = evaluate_gl(times, values, alpha, dt)
         n = times.size - 1
-        direct = sum(
-            gl_weight(n, k, alpha) * (values[k] - values[0]) for k in range(1, n + 1)
-        ) / dt**alpha
+        w = gl_weights(n, alpha)
+        direct = sum(w[n - k] * (values[k] - values[0]) for k in range(1, n + 1)) / dt**alpha
         assert got == pytest.approx(direct, rel=1e-12)
 
     def test_quadratic_accuracy_on_uniform_grid(self):
         # GL derivative of t^2 approaches 2 t^(2-a) / Gamma(3-a)
         alpha, dt = 0.5, 0.001
         times = np.arange(0.0, 1.0 + dt / 2, dt)
-        got = evaluate_gl(times, times**2, 0.0, alpha, dt)
+        got = evaluate_gl(times, times**2, alpha, dt)
         expect = 2.0 / math.gamma(3.0 - alpha)
         assert got == pytest.approx(expect, rel=2e-2)
 
     def test_thinned_history_rescales_weights(self):
         alpha, dt = 0.3, 0.1
         full_times = np.arange(0.0, 1.05, dt)
-        thinned = full_times[[0, 2, 4, 6, 8, 9, 10]]
-        values = thinned**2
-        got = evaluate_gl(thinned, values, 0.0, alpha, dt)
-        lags = np.rint((thinned[-1] - thinned[1:]) / dt).astype(int)
-        w = gl_weights(int(lags.max()), alpha)[lags] * np.diff(thinned) / dt
-        expect = float(w @ (values[1:] - values[0])) / dt**alpha
-        assert got == pytest.approx(expect, rel=1e-12)
+        # the second layout's newest interval spans two grid steps
+        for keep in ([0, 2, 4, 6, 8, 9, 10], [0, 2, 4, 6, 8, 10]):
+            thinned = full_times[keep]
+            values = thinned**2
+            got = evaluate_gl(thinned, values, alpha, dt)
+            lags = np.rint((thinned[-1] - thinned[1:]) / dt).astype(int)
+            w = gl_weights(int(lags.max()), alpha)[lags] * np.diff(thinned) / dt
+            expect = float(w @ (values[1:] - values[0])) / dt**alpha
+            assert got == pytest.approx(expect, rel=1e-12)
 
     def test_rejects_off_grid_times(self):
         with pytest.raises(ValueError):
-            evaluate_gl([0.0, 0.05, 0.1], [0.0, 1.0, 2.0], 0.0, 0.5, 0.1)
+            evaluate_gl([0.0, 0.05, 0.1], [0.0, 1.0, 2.0], 0.5, 0.1)
 
     def test_gl_buffer_maintenance_matches_present_policy(self):
         dt = 0.1
-        gl = push_uniform(MemoryPolicy.adaptive_gl(1.0), dt, 160, base_dt=dt)
+        gl = push_uniform(MemoryPolicy.adaptive_gl(1.0), dt, 160)
         present = push_uniform(MemoryPolicy.adaptive_present(1.0), dt, 160)
         assert np.array_equal(gl.times(), present.times())
         assert gl.policy.kind is PolicyKind.ADAPTIVE_GL

@@ -175,8 +175,7 @@ class ReferenceDiffusion:
     def __init__(self, cfg):
         self.cfg = cfg
         self.gamma = math.gamma(1.0 - cfg.alpha)
-        base_dt = cfg.dt if cfg.policy.kind is PolicyKind.ADAPTIVE_GL else None
-        self.buffer = HistoryBuffer(cfg.policy, base_dt=base_dt)
+        self.buffer = HistoryBuffer(cfg.policy)
         self.field = cfg.initial_field()
         self.buffer.push(0.0, self.field.copy())
         self.steps = 0
@@ -244,6 +243,69 @@ class TestDiffusionAgainstReference:
             sim.step()
         assert sim.t == 0.0
         assert sim.buffer.count_stored() == 1
+
+
+class ReferenceKelvinVoigt:
+    """Oracle stepper: the difference-form L1 contraction and the rescaled GL
+    sum with the newest weight kept apart, on its own buffer."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.gamma = math.gamma(1.0 - cfg.alpha)
+        self.buffer = HistoryBuffer(cfg.policy)
+        self.x = 0.0
+        self.buffer.push(0.0, 0.0)
+        self.steps = 0
+
+    def step(self):
+        cfg, a = self.cfg, self.cfg.alpha
+        self.steps += 1
+        t_new = self.steps * cfg.dt
+        times = self.buffer.times()
+        xs = self.buffer.values()
+        hist = 0.0
+        if cfg.policy.kind is PolicyKind.ADAPTIVE_GL:
+            d = cfg.dt ** (-a)
+            if times.size > 1:
+                lags = self.steps - np.rint(times[1:] / cfg.dt).astype(int)
+                w = gl_weights(int(lags.max()), a)[lags]
+                hist = float((w * np.diff(times) / cfg.dt) @ xs[1:])
+            self.x = (cfg.load - cfg.eta * d * hist) / (cfg.eta * d + cfg.k)
+        else:
+            dt_n = t_new - times[-1]
+            if times.size > 1:
+                coeff = caputo_weights(t_new, times[:-1], times[1:], a) / np.diff(times)
+                hist = float(coeff @ np.diff(xs)) / self.gamma
+            c = caputo_weight(t_new, times[-1], t_new, a) / (self.gamma * dt_n)
+            self.x = (cfg.load - cfg.eta * hist + cfg.eta * c * self.x) / (cfg.eta * c + cfg.k)
+        self.buffer.push(t_new, self.x)
+
+
+class TestKelvinVoigtAgainstReference:
+    @pytest.mark.parametrize("policy", [
+        MemoryPolicy.full(),
+        MemoryPolicy.fixed(0.1),
+        MemoryPolicy.adaptive_present(0.1),
+        MemoryPolicy.adaptive_gl(0.1),
+    ], ids=["full", "fixed", "present", "gl"])
+    def test_every_step_matches_reference(self, policy):
+        # L1 must repeat the reference bit for bit (the frozen creep CSV
+        # compares 17 digits); GL may differ by rounding
+        cfg = KelvinVoigtConfig(eta=1.0, k=1.0, load=1.0, alpha=0.7, dt=0.01, policy=policy)
+        sim = KelvinVoigtSimulation(cfg)
+        ref = ReferenceKelvinVoigt(cfg)
+        got, want = [], []
+        for _ in range(300):
+            got.append(sim.step())
+            ref.step()
+            want.append(ref.x)
+        if policy.kind is PolicyKind.ADAPTIVE_GL:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        else:
+            np.testing.assert_array_equal(got, want)
+        assert sim.buffer.count_stored() == ref.buffer.count_stored()
+        if policy.kind is not PolicyKind.FULL:
+            assert sim.buffer.count_stored() < 301
 
 
 class TestKelvinVoigt:
