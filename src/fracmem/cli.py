@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .experiments import (
-    ConfigError,
     SimulationRecord,
     run_cost_model,
     run_derivative_error,
@@ -29,11 +28,15 @@ from .experiments import (
 )
 from .memory import MemoryPolicy, PolicyKind
 
-__all__ = ["ExperimentConfig", "emit_csv", "run_experiment", "main"]
+__all__ = ["ConfigError", "ExperimentConfig", "emit_csv", "run_experiment", "main"]
 
 EXPERIMENTS = ("derivative-error", "order-study", "diffusion", "kelvin-voigt", "cost-model")
 
 _POLICY_NAMES = {k.value: k for k in PolicyKind}
+
+
+class ConfigError(Exception):
+    """Invalid run configuration; ``main`` maps it to exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,11 @@ class ExperimentConfig:
             steps = self.t_end / dt
             if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
                 raise ConfigError(f"t_end={self.t_end} is not a multiple of dt={dt}")
+            if self.policy == PolicyKind.FIXED.value and self.memory_length < dt:
+                # a window shorter than the step keeps one point: no history
+                raise ConfigError(
+                    f"fixed memory_length={self.memory_length} is shorter than dt={dt}"
+                )
         if self.n_records < 1 or self.m < 1 or any(l < 0 for l in self.levels):
             raise ConfigError("n_records, m must be >= 1 and levels >= 0")
 
@@ -156,8 +164,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list, dict]:
     policy = config.memory_policy() if config.experiment != "cost-model" else None
     if config.experiment == "derivative-error":
         records = run_derivative_error(
-            policy, config.alphas[0], config.dts[0], config.t_end, config.n_records
-        )
+            policy, config.alphas[:1], config.dts[0], config.t_end, config.n_records
+        )[0]
         return records, {"final_error": records[-1].abs_error}
     if config.experiment == "order-study":
         return run_order_study(policy, config.alphas, config.dts, config.t_end)
@@ -278,9 +286,6 @@ def main(argv=None) -> int:
     try:
         records, summary = run_experiment(config)
         emit_csv(records, config.out, config.as_header())
-    except ConfigError as exc:
-        print(f"fracmem: configuration error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         print(f"fracmem: error: {exc}", file=sys.stderr)
         return 1

@@ -3,15 +3,15 @@ the two application benchmarks, and the operation-count model.
 
 Each runner produces deterministic per-step instrumentation rows; only the
 wall-clock column varies between identical runs.  Wall clock measures the
-stepping loop alone, not record assembly or I/O.
+stepping loop alone, not record assembly or I/O.  The derivative studies
+push samples that do not depend on the order, so one push stream per time
+grid serves every alpha of a sweep; sweeps run serially in one process.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +29,6 @@ from .solvers import (
 )
 
 __all__ = [
-    "ConfigError",
     "SimulationRecord",
     "run_derivative_error",
     "run_order_study",
@@ -40,10 +39,6 @@ __all__ = [
     "matched_fixed_policy",
     "accumulated_conv_terms",
 ]
-
-
-class ConfigError(Exception):
-    """Invalid run configuration; the CLI maps it to exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -59,6 +54,11 @@ class SimulationRecord:
     wall_clock: float
 
     FIELDS = ("t", "value", "analytic", "abs_error", "stored_points", "conv_terms", "wall_clock")
+
+    def __post_init__(self) -> None:
+        for name in ("value", "analytic", "abs_error"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"non-finite {name} {getattr(self, name)} at t={self.t}")
 
 
 def _record_steps(n_total: int, n_records: int) -> set[int]:
@@ -106,21 +106,27 @@ def _sample(func: str, t: float) -> float:
 
 def run_derivative_error(
     policy: MemoryPolicy,
-    alpha: float,
+    alphas,
     dt: float,
     t_end: float,
     n_records: int = 64,
     func: str | None = None,
-) -> list[SimulationRecord]:
+) -> list[list[SimulationRecord]]:
     """Step a scalar test function under one policy and record the absolute
-    error of the evaluated fractional derivative at sampled times."""
-    a = order_value(alpha)
+    error of the evaluated fractional derivative at sampled times, for every
+    order in ``alphas``.
+
+    The grid is pushed once; at each record step every order is evaluated
+    on the same stored times and values.  Returns one record list per
+    order, in input order.
+    """
+    orders = [order_value(a) for a in alphas]
     func = func or _test_function(policy)
     n_total = round(t_end / dt)
     record_at = _record_steps(n_total, n_records)
     buf = HistoryBuffer(policy)
     buf.push(0.0, _sample(func, 0.0))
-    records: list[SimulationRecord] = []
+    runs: list[list[SimulationRecord]] = [[] for _ in orders]
     elapsed = 0.0
     tic = time.perf_counter()
     for i in range(1, n_total + 1):
@@ -131,50 +137,24 @@ def run_derivative_error(
             times, values = buf.times(), buf.values()
             if times.size < 2:
                 raise ValueError("history must contain at least 2 time points")
-            # the operator at the newest stored time, from the points before it
-            c, h = policy.history(times[:-1], values[:-1], times[-1], a, dt)
-            value = c * (values[-1] - values[-2]) + h
-            exact = _exact_derivative(func, t, a)
-            records.append(
-                SimulationRecord(
-                    t=t,
-                    value=float(value),
-                    analytic=exact,
-                    abs_error=abs(float(value) - exact),
-                    stored_points=buf.count_stored(),
-                    conv_terms=buf.count_conv_terms(),
-                    wall_clock=elapsed,
+            for a, records in zip(orders, runs):
+                # the operator at the newest stored time, from the points before it
+                c, h = policy.history(times[:-1], values[:-1], times[-1], a, dt)
+                value = float(c * (values[-1] - values[-2]) + h)
+                exact = _exact_derivative(func, t, a)
+                records.append(
+                    SimulationRecord(
+                        t=t,
+                        value=value,
+                        analytic=exact,
+                        abs_error=abs(value - exact),
+                        stored_points=buf.count_stored(),
+                        conv_terms=buf.count_conv_terms(),
+                        wall_clock=elapsed,
+                    )
                 )
-            )
             tic = time.perf_counter()
-    return records
-
-
-def _final_error(args) -> SimulationRecord:
-    policy, alpha, dt, t_end, func = args
-    return run_derivative_error(policy, alpha, dt, t_end, n_records=1, func=func)[-1]
-
-
-def _max_workers(n_tasks: int) -> int:
-    cap = os.environ.get("FRACMEM_THREADS")
-    if cap:
-        try:
-            limit = int(cap)
-        except ValueError:
-            limit = 0
-        if limit < 1:
-            raise ConfigError(f"FRACMEM_THREADS must be a positive integer, got {cap!r}")
-    else:
-        limit = min(os.cpu_count() or 1, 4)
-    return max(1, min(limit, n_tasks))
-
-
-def _map_ordered(fn, argtuples):
-    workers = _max_workers(len(argtuples))
-    if workers == 1 or len(argtuples) < 2:
-        return [fn(args) for args in argtuples]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, argtuples))
+    return runs
 
 
 def run_order_study(
@@ -185,15 +165,16 @@ def run_order_study(
     func: str | None = None,
 ) -> tuple[list[SimulationRecord], dict]:
     """Final-time error for every (alpha, dt) pair plus fitted log-log slopes
-    of error versus dt per alpha.  Pairs fan out across worker processes,
-    capped by FRACMEM_THREADS; output order is sweep order."""
-    tasks = [(policy, a, dt, t_end, func) for a in alphas for dt in dts]
-    finals = _map_ordered(_final_error, tasks)
-    records = list(finals)
+    of error versus dt per alpha.  Runs serially, one push stream per dt
+    serving every alpha; records come in sweep order, alpha-major."""
+    per_dt = []
+    for dt in dts:
+        runs = run_derivative_error(policy, alphas, dt, t_end, n_records=1, func=func)
+        per_dt.append([recs[-1] for recs in runs])
+    per_alpha = list(zip(*per_dt))
+    records = [rec for chunk in per_alpha for rec in chunk]
     slopes = {}
-    n_dt = len(dts)
-    for i, a in enumerate(alphas):
-        chunk = finals[i * n_dt : (i + 1) * n_dt]
+    for a, chunk in zip(alphas, per_alpha):
         pts = [(dt, rec.abs_error) for dt, rec in zip(dts, chunk) if rec.abs_error > 0.0]
         slopes[a] = fit_loglog_slope(pts) if len(pts) >= 3 else float("nan")
     summary = {

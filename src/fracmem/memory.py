@@ -118,13 +118,6 @@ class HistoryBuffer:
         """Consecutive-pair convolution terms used per evaluation."""
         return max(self.count_stored() - 1, 0)
 
-    @property
-    def newest_time(self) -> float:
-        for s in self._subsets:
-            if s:
-                return s[-1][0]
-        raise ValueError("buffer is empty")
-
     def times(self) -> np.ndarray:
         out = []
         for s in reversed(self._subsets):
@@ -142,17 +135,17 @@ class HistoryBuffer:
     def push(self, t: float, value) -> None:
         """Append one sample and run the policy's maintenance.
 
-        Times must increase strictly, so a NaN time is rejected.  Finiteness
-        is checked on a buffer's first push only, which keeps pushes cheap.
+        Times must be finite and increase strictly; one chained comparison
+        rejects a NaN or infinite time on every push.
         """
         for s in self._subsets:
             if s:
-                if not t > s[-1][0]:
-                    raise ValueError(f"pushed time {t} is not after newest stored {s[-1][0]}")
+                newest = s[-1][0]
                 break
         else:
-            if not math.isfinite(t):
-                raise ValueError(f"first pushed time must be finite, got {t}")
+            newest = -math.inf
+        if not newest < t < math.inf:
+            raise ValueError(f"pushed time {t} is not finite or not after newest stored {newest}")
         self._subsets[0].append((t, value))
         kind = self.policy.kind
         if kind is PolicyKind.FULL:

@@ -49,37 +49,31 @@ def final_error_slope(runs, alpha):
     return fit_loglog_slope(pts)
 
 
+def alpha_sweep(policy, t_end):
+    """Records per (alpha, dt): one push stream per dt serves every alpha."""
+    runs = {}
+    for dt in DTS:
+        sweep = run_derivative_error(policy, ALPHAS, dt, t_end, n_records=16)
+        runs.update(((a, dt), recs) for a, recs in zip(ALPHAS, sweep))
+    return runs
+
+
 @pytest.fixture(scope="session")
 def early_runs():
     """Quadratic test function under the present adaptive policy, T=1."""
-    policy = MemoryPolicy.adaptive_present(1.0)
-    return {
-        (a, dt): run_derivative_error(policy, a, dt, EARLY_T_END, n_records=16)
-        for a in ALPHAS
-        for dt in DTS
-    }
+    return alpha_sweep(MemoryPolicy.adaptive_present(1.0), EARLY_T_END)
 
 
 @pytest.fixture(scope="session")
 def late_runs():
     """Same sweep continued to the late-time horizon."""
-    policy = MemoryPolicy.adaptive_present(1.0)
-    return {
-        (a, dt): run_derivative_error(policy, a, dt, LATE_T_END, n_records=16)
-        for a in ALPHAS
-        for dt in DTS
-    }
+    return alpha_sweep(MemoryPolicy.adaptive_present(1.0), LATE_T_END)
 
 
 @pytest.fixture(scope="session")
 def fixed_runs():
     """Linear test function under the fixed one-second window."""
-    policy = MemoryPolicy.fixed(1.0)
-    return {
-        (a, dt): run_derivative_error(policy, a, dt, 2.0**10, n_records=16)
-        for a in ALPHAS
-        for dt in DTS
-    }
+    return alpha_sweep(MemoryPolicy.fixed(1.0), 2.0**10)
 
 
 def test_early_time_order_of_accuracy(early_runs):
@@ -138,18 +132,18 @@ def test_error_growth_exponents():
     """Error versus time grows like t^(2-alpha) (adaptive) and t^(1-alpha)
     (fixed window)."""
     present_slopes = {}
-    for a in ALPHAS:
-        recs = run_derivative_error(
-            MemoryPolicy.adaptive_present(1.0), a, 0.2, 2.0**15, n_records=16
-        )
+    sweep = run_derivative_error(
+        MemoryPolicy.adaptive_present(1.0), ALPHAS, 0.2, 2.0**15, n_records=16
+    )
+    for a, recs in zip(ALPHAS, sweep):
         pts = [(r.t, r.abs_error) for r in recs if r.t >= 2.0**11
                and abs(math.log2(r.t) - round(math.log2(r.t))) < 1e-9]
         present_slopes[a] = fit_loglog_slope(pts)
     fixed_slopes = {}
-    for a in ALPHAS:
-        recs = run_derivative_error(
-            MemoryPolicy.fixed(0.2), a, 0.1, 2.0**14, n_records=64
-        )
+    sweep = run_derivative_error(
+        MemoryPolicy.fixed(0.2), ALPHAS, 0.1, 2.0**14, n_records=64
+    )
+    for a, recs in zip(ALPHAS, sweep):
         pts = [(r.t, r.abs_error) for r in recs if r.t >= 2.0**8
                and abs(math.log2(r.t) - round(math.log2(r.t))) < 1e-9]
         fixed_slopes[a] = fit_loglog_slope(pts)

@@ -1,6 +1,7 @@
 """Command-line runner: configuration handling, CSV format, determinism."""
 
 import csv
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -142,21 +143,40 @@ class TestMainExitCodes:
         assert f"configuration error: {name} must be positive and finite" in err
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("threads", ["abc", "0", "-3", "1.5"])
-    def test_malformed_thread_cap_is_two(self, tmp_path, capsys, monkeypatch, threads):
-        monkeypatch.setenv("FRACMEM_THREADS", threads)
-        rc = main(["order-study", "--policy", "full", "--dt", "0.1,0.05,0.025",
-                   "--t-end", "1", "--out", str(tmp_path / "o.csv")])
+    @pytest.mark.parametrize("experiment", ["derivative-error", "kelvin-voigt"])
+    def test_fixed_window_shorter_than_step_is_two(self, tmp_path, capsys, experiment):
+        rc = main([experiment, "--policy", "fixed", "--memory-length", "0.001",
+                   "--dt", "0.01", "--t-end", "1", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"FRACMEM_THREADS must be a positive integer, got {threads!r}" in err
+        assert "configuration error: fixed memory_length=0.001 is shorter than dt=0.01" in err
         assert not (tmp_path / "o.csv").exists()
 
-    def test_thread_cap_of_one_runs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FRACMEM_THREADS", "1")
-        rc = main(["order-study", "--policy", "full", "--dt", "0.1,0.05,0.025",
-                   "--t-end", "1", "--out", str(tmp_path / "o.csv")])
+    def test_adaptive_window_shorter_than_step_runs(self, tmp_path):
+        rc = main(["derivative-error", "--policy", "adaptive-present", "--memory-length",
+                   "0.001", "--dt", "0.01", "--t-end", "1", "--out", str(tmp_path / "o.csv")])
         assert rc == 0
+
+    def test_non_finite_result_is_one(self, tmp_path, capsys):
+        rc = main(["kelvin-voigt", "--eta", "1e300", "--k", "1e-300", "--load", "1e300",
+                   "--t-end", "0.05", "--dt", "0.01", "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert "error: non-finite analytic nan at t=0.01" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_order_study_runs(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main(["order-study", "--policy", "full", "--alpha", "0.3,0.7",
+                   "--dt", "0.1,0.05,0.025", "--t-end", "1", "--out", str(out)])
+        assert rc == 0
+        _, fieldnames, rows = read_csv(out)
+        # alpha-major: each alpha's final errors for every dt, in sweep order
+        exact = [2.0 / math.gamma(3.0 - a) for a in (0.3, 0.7)]
+        got = [(float(row[fieldnames.index("analytic")]),
+                int(row[fieldnames.index("stored_points")])) for row in rows]
+        assert got == [(e, n) for e in exact for n in (11, 21, 41)]
+        slopes = [l for l in capsys.readouterr().out.splitlines() if l.startswith("slope alpha=")]
+        assert len(slopes) == 2
 
     def test_missing_config_file_is_two(self, tmp_path):
         rc = main(["diffusion", "--config", str(tmp_path / "nope.cfg")])

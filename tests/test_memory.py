@@ -51,8 +51,9 @@ class TestBufferBasics:
     def test_push_rejects_nan_time(self, policy):
         buf = HistoryBuffer(policy)
         buf.push(0.0, 0.0)
-        with pytest.raises(ValueError, match="not after"):
-            buf.push(math.nan, 1.0)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"pushed time {t} is not finite or not after"):
+                buf.push(t, 1.0)
         buf.push(0.5, 2.0)
         assert list(buf.times()) == [0.0, 0.5]
         assert list(buf.values()) == [0.0, 2.0]
