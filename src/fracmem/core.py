@@ -121,10 +121,18 @@ def l1_history(
     """
     a = order_value(alpha)
     gamma = math.gamma(1.0 - a)
-    c = caputo_weight(t_n, times[-1], t_n, a) / (gamma * (t_n - times[-1]))
+    if not times[-1] < t_n:
+        raise ValueError(f"t_n={t_n} must lie after the last history time {times[-1]}")
+    # the newest interval's weight is (t_n - t_last)^(1-a) / (1-a), taken as
+    # a scalar power: numpy's vectorised power can differ from it by an ulp
+    dt_n = t_n - times[-1]
+    c = dt_n ** (1.0 - a) / (1.0 - a) / (gamma * dt_n)
     if times.size < 2:
         return c, 0.0
-    coeff = caputo_weights(t_n, times[:-1], times[1:], a) / np.diff(times)
+    # one power per stored point: the weight of [t_k, t_(k+1)] is
+    # (p_k - p_(k+1)) / (1-a)
+    p = (t_n - times) ** (1.0 - a)
+    coeff = (p[:-1] - p[1:]) / (1.0 - a) / np.diff(times)
     if values.ndim == 1:
         # this order of operations is what the frozen creep output repeats
         return c, float(coeff @ np.diff(values)) / gamma
@@ -177,5 +185,5 @@ def weight_sum(
             raise ValueError(f"history time {times[0]} does not match t_n={t_n}")
         return 0.0
     times = _check_times(times, t_n)
-    w = caputo_weights(times[-1], times[:-1], times[1:], a)
-    return float(np.sum(w))
+    p = (times[-1] - times) ** (1.0 - a)
+    return float(np.sum((p[:-1] - p[1:]) / (1.0 - a)))

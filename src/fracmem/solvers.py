@@ -142,7 +142,9 @@ class DiffusionSimulation:
     def step(self) -> np.ndarray:
         """Advance one time step: solve c * (u - u_last) + h = mu * u_xx,
         multiplied through by the newest interval dt_n, with LAPACK
-        ``dptsv``, and push the new field into the history buffer."""
+        ``dptsv``, and push the new field into the history buffer.  A failed
+        solve or a non-finite field raises, naming the step, and commits
+        nothing."""
         cfg = self.config
         step_index = self._step_index + 1
         t_new = step_index * cfg.dt
@@ -166,6 +168,8 @@ class DiffusionSimulation:
                 f"tridiagonal solve failed at step {step_index} (t={t_new!r}): "
                 f"LAPACK dptsv returned info={info}"
             )
+        if not math.isfinite(float(interior.sum())):
+            raise ValueError(f"non-finite state at step {step_index} (t={t_new!r})")
         new_field = np.zeros_like(self.field)
         new_field[1:-1] = interior
         self._step_index = step_index
@@ -224,13 +228,17 @@ class KelvinVoigtSimulation:
 
     def step(self) -> float:
         """Advance one time step: solve eta * (c * (x - x_last) + h) + k * x
-        = load for x and push it into the history buffer."""
+        = load for x and push it into the history buffer.  A non-finite x
+        raises, naming the step, and commits nothing."""
         cfg = self.config
-        self._step_index += 1
-        t_new = self._step_index * cfg.dt
+        step_index = self._step_index + 1
+        t_new = step_index * cfg.dt
         times, xs = self.buffer.times(), self.buffer.values()
         c, h = cfg.policy.history(times, xs, t_new, self.alpha, cfg.dt)
         x_new = (cfg.load - cfg.eta * h + cfg.eta * c * self.x) / (cfg.eta * c + cfg.k)
+        if not math.isfinite(x_new):
+            raise ValueError(f"non-finite state at step {step_index} (t={t_new!r})")
+        self._step_index = step_index
         self.t = t_new
         self.x = x_new
         self.buffer.push(t_new, x_new)

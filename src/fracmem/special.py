@@ -1,18 +1,36 @@
 """Mittag-Leffler function E_alpha(z) for 0 < alpha <= 1.
 
-Two evaluation routes, selected by the cost of the power series:
+Two evaluation routes:
 
-* the defining series, summed in adaptive-precision arithmetic so that the
-  heavy cancellation on the negative axis is harmless;
-* a completely monotone spectral representation for arguments where the
-  series would need too many terms (small alpha, large |z|):
+* a completely monotone spectral representation, integrated in floating
+  point with ``scipy.integrate.quad``:
 
       E_a(-x) = sin(a*pi)/(a*pi) *
-                int_0^inf exp(-x^(1/a) * v^(1/a)) / (v^2 + 2 v cos(a*pi) + 1) dv.
+                int_0^inf exp(-(x v)^(1/a)) / (v^2 + 2 v cos(a*pi) + 1) dv;
 
-The integral route is only reached for alpha <= ~0.85, where the integrand
-denominator is bounded away from zero.  Verified region: z in [-50, 0],
-alpha in (0, 1], absolute error below 1e-10.
+* the defining power series, summed in adaptive-precision arithmetic so that
+  the cancellation of its terms on the negative axis is harmless.
+
+Route rule:
+
+* z < -1 with alpha <= 0.999: the spectral integral.  Its denominator,
+  evaluated as (v + cos(a*pi))^2 + sin(a*pi)^2, has its minimum sin(a*pi)^2
+  at v = -cos(a*pi): the integrand has a peak of width ~pi*(1 - a) there,
+  and the head quadrature is split at it.
+* -1 <= z < 0: the series.  There it needs few terms and returns the
+  correctly rounded value; the float routes miss the last bit at about half
+  of such points, and the creep reference data pin those bits.
+* z > 0: the series, while the index of its largest term stays below
+  ``_SERIES_PEAK_LIMIT``; larger positive arguments are unsupported.
+* alpha > 0.999: the series, because the peak grows too narrow and too tall
+  for the quadrature (it warns from alpha ~ 0.9999 on, and the peak height
+  1/sin(a*pi)^2 is ~1e23 at alpha = 1 - 1e-12).
+
+Negative arguments beyond the series' reach fall back to the spectral
+integral.  A quadrature whose summed error estimate exceeds 1e-10 raises
+``ArithmeticError``, as a series that does not converge does.  Verified
+region: alpha in (0, 0.999] with z in [-1e4, 0], and alpha in (0.999, 1]
+with z in [-50, 0]; absolute error below 1e-10.
 """
 
 from __future__ import annotations
@@ -28,6 +46,11 @@ __all__ = ["MLQuery", "mittag_leffler"]
 
 # series is used while the index of its largest term stays below this
 _SERIES_PEAK_LIMIT = 400.0
+# spectral route for z < -1 up to this order; beyond it the integrand's peak
+# at v = -cos(alpha*pi) is too narrow for the quadrature
+_SPECTRAL_MAX_ALPHA = 0.999
+# the documented absolute accuracy; a larger quadrature error estimate raises
+_SPECTRAL_ABS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -81,21 +104,37 @@ def _series(alpha: float, z: float) -> float:
 def _spectral(alpha: float, x: float) -> float:
     # E_alpha(-x) via the spectral density of the completely monotone
     # representation; valid for 0 < alpha < 1, x > 0
-    s = x ** (1.0 / alpha)
     c = math.cos(math.pi * alpha)
+    s2 = math.sin(math.pi * alpha) ** 2
     inv_alpha = 1.0 / alpha
+    # exp(-(x v)^(1/alpha)) is below exp(-700) once x v passes u_max; the
+    # test comes first so that the power cannot overflow for small alpha
+    u_max = 700.0**alpha
 
     def integrand(v: float) -> float:
-        decay = s * v**inv_alpha
-        if decay > 700.0:
+        u = x * v
+        if u > u_max:
             return 0.0
-        return math.exp(-decay) / (v * (v + 2.0 * c) + 1.0)
+        # v^2 + 2 v c + 1 written so that it keeps its relative accuracy
+        # near its minimum s2; the expanded form loses ~1e-16 / s2 there
+        return math.exp(-(u**inv_alpha)) / ((v + c) ** 2 + s2)
 
-    # integrand is O(exp(-40)) beyond v_cut
-    v_cut = (40.0 / s) ** alpha
-    head, _ = quad(integrand, 0.0, v_cut, epsabs=1e-14, epsrel=1e-12, limit=400)
-    tail, _ = quad(integrand, v_cut, math.inf, epsabs=1e-14, epsrel=1e-12, limit=400)
-    return math.sin(math.pi * alpha) / (alpha * math.pi) * (head + tail)
+    # integrand is O(exp(-40)) beyond v_cut; the head is split at the
+    # denominator's minimum, v = -c, when that peak lies inside it
+    v_cut = 40.0**alpha / x
+    knots = [0.0, -c, v_cut, math.inf] if 0.0 < -c < v_cut else [0.0, v_cut, math.inf]
+    total = err = 0.0
+    for lo, hi in zip(knots, knots[1:]):
+        piece, piece_err = quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=400)
+        total += piece
+        err += piece_err
+    scale = math.sin(math.pi * alpha) / (alpha * math.pi)
+    if scale * err > _SPECTRAL_ABS_TOL:
+        raise ArithmeticError(
+            f"Mittag-Leffler spectral quadrature failed for alpha={alpha}, x={x}: "
+            f"error estimate {scale * err:.3g}"
+        )
+    return scale * total
 
 
 @functools.lru_cache(maxsize=65536)
@@ -104,6 +143,8 @@ def _mittag_leffler_cached(alpha: float, z: float) -> float:
         return 1.0
     if alpha == 1.0:
         return math.exp(z)
+    if z < -1.0 and alpha <= _SPECTRAL_MAX_ALPHA:
+        return _spectral(alpha, -z)
     if _series_peak(alpha, abs(z)) <= _SERIES_PEAK_LIMIT:
         return _series(alpha, z)
     if z < 0.0:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fracmem.cli import ConfigError, ExperimentConfig, emit_csv, main, run_experiment
@@ -162,6 +163,14 @@ class TestMainExitCodes:
                    "--t-end", "0.05", "--dt", "0.01", "--out", str(tmp_path / "o.csv")])
         assert rc == 1
         assert "error: non-finite analytic nan at t=0.01" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_non_finite_state_is_one(self, tmp_path, capsys):
+        with np.errstate(over="ignore"):
+            rc = main(["kelvin-voigt", "--eta", "1e-300", "--k", "1e-300", "--load", "1e300",
+                       "--t-end", "0.05", "--dt", "0.01", "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert "error: non-finite state at step 1 (t=0.01)" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     def test_order_study_runs(self, tmp_path, capsys):

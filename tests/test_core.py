@@ -15,7 +15,7 @@ from fracmem import (
     evaluate_caputo,
     weight_sum,
 )
-from fracmem.core import caputo_weights, order_value
+from fracmem.core import caputo_weights, l1_history, order_value
 
 
 def quad_weight(t_n, t_k, t_k1, alpha):
@@ -55,6 +55,11 @@ class TestValidation:
     def test_evaluate_rejects_unsorted_times(self):
         with pytest.raises(ValueError):
             evaluate_caputo([0.0, 2.0, 1.0], [0.0, 2.0, 1.0], 0.5)
+
+    def test_history_needs_t_n_after_last_time(self):
+        for t_n in (1.0, 0.5):
+            with pytest.raises(ValueError, match="after the last history time"):
+                l1_history(np.array([0.0, 1.0]), np.array([0.0, 1.0]), t_n, 0.5)
 
     def test_evaluate_checks_t_n(self):
         with pytest.raises(ValueError):
@@ -105,6 +110,22 @@ class TestWeights:
         t_k1 = t_k + width
         t_n = t_k1 + tail
         assert caputo_weight(t_n, t_k, t_k1, alpha) > 0.0
+
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_history_operator_repeats_pairwise_weights_bitwise(self, alpha):
+        # one power per stored point gives the bits of two powers per interval
+        rng = np.random.default_rng(7)
+        times = np.cumsum(rng.uniform(0.001, 0.1, 500))
+        values = rng.normal(size=500)
+        t_n = times[-1] + 0.01
+        gamma = math.gamma(1.0 - alpha)
+        c, h = l1_history(times, values, t_n, alpha)
+        assert c == caputo_weight(t_n, times[-1], t_n, alpha) / (gamma * (t_n - times[-1]))
+        coeff = caputo_weights(t_n, times[:-1], times[1:], alpha) / np.diff(times)
+        assert h == float(coeff @ np.diff(values)) / gamma
+        w = caputo_weights(times[-1], times[:-1], times[1:], alpha)
+        assert weight_sum(times, alpha) == float(np.sum(w))
 
 
 class TestEvaluate:

@@ -245,6 +245,26 @@ class TestDiffusionAgainstReference:
         assert sim.buffer.count_stored() == 1
 
 
+    def test_non_finite_field_names_step_and_time(self, monkeypatch):
+        cfg = DiffusionConfig(length=10.0, dx=0.1, dt=0.01, mu=1.0, alpha=0.5,
+                              policy=MemoryPolicy.full())
+        sim = DiffusionSimulation(cfg)
+        sim.step()
+        real = solvers.dptsv
+
+        def nan_solve(d, e, b, **kw):
+            d, e, x, info = real(d, e, b, **kw)
+            x[x.size // 2] = math.nan
+            return d, e, x, info
+
+        monkeypatch.setattr(solvers, "dptsv", nan_solve)
+        with pytest.raises(ValueError, match=r"non-finite state at step 2 \(t=0\.02\)"):
+            sim.step()
+        assert sim.t == 0.01
+        assert sim.buffer.count_stored() == 2
+        assert np.all(np.isfinite(sim.field))
+
+
 class ReferenceKelvinVoigt:
     """Oracle stepper: the difference-form L1 contraction and the rescaled GL
     sum with the newest weight kept apart, on its own buffer."""
@@ -349,6 +369,18 @@ class TestKelvinVoigt:
             sim.step()
         expect = analytic_creep(sim.t, sim.config)
         assert sim.x == pytest.approx(expect, abs=5e-2)
+
+    def test_non_finite_state_names_step_and_time(self):
+        # x = load / (eta * c + k) overflows on the first step
+        cfg = KelvinVoigtConfig(eta=1e-300, k=1e-300, load=1e300, alpha=0.5, dt=0.01,
+                                policy=MemoryPolicy.full())
+        sim = KelvinVoigtSimulation(cfg)
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"non-finite state at step 1 \(t=0\.01\)"
+        ):
+            sim.step()
+        assert (sim.t, sim.x) == (0.0, 0.0)
+        assert sim.buffer.count_stored() == 1
 
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(ValueError):

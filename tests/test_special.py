@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import erfcx
+from scipy.special import erfcx, rgamma
 
-from fracmem import mittag_leffler
-from fracmem.special import MLQuery, _series, _spectral
+from fracmem import mittag_leffler, special
+from fracmem.special import MLQuery, _series, _series_peak, _spectral
 
 
 class TestQueryValidation:
@@ -76,3 +76,54 @@ class TestBehavior:
         # the integral route against the half-order oracle far from zero
         got = mittag_leffler(0.5, -40.0)
         assert got == pytest.approx(float(erfcx(40.0)), rel=1e-8)
+
+
+class TestSpectralRoute:
+    def test_half_order_matches_erfcx_far_out(self):
+        for x in np.geomspace(1.0, 1e4, 41):
+            assert _spectral(0.5, float(x)) == pytest.approx(float(erfcx(x)), rel=1e-13)
+
+    @given(alpha=st.floats(0.05, 0.999), x=st.floats(1.0, 50.0, exclude_min=True))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_series(self, alpha, x):
+        assume(_series_peak(alpha, x) <= 400.0)
+        assert _spectral(alpha, x) == pytest.approx(_series(alpha, -x), rel=1e-11)
+
+    # 0.005: x^(1/alpha) alone overflows a float from x ~ 35 on
+    @pytest.mark.parametrize("alpha", [0.005, 0.3, 0.7, 0.9, 0.99, 0.999])
+    def test_large_argument_asymptotic(self, alpha):
+        # E_a(-x) ~ sum_{k=1}^{8} (-1)^(k+1) x^(-k) / Gamma(1 - a k)
+        for x in (1e2, 1e3, 1e4):
+            expect = sum((-1) ** (k + 1) * x**-k * float(rgamma(1.0 - alpha * k))
+                         for k in range(1, 9))
+            assert _spectral(alpha, x) == pytest.approx(expect, rel=1e-9)
+
+    def test_large_error_estimate_raises(self, monkeypatch):
+        real = special.quad
+        monkeypatch.setattr(special, "quad", lambda *a, **kw: (real(*a, **kw)[0], 1e-9))
+        with pytest.raises(ArithmeticError, match=r"alpha=0\.5, x=3\.0"):
+            _spectral(0.5, 3.0)
+
+
+class TestRoutes:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        # a cached value would hide the route that computed it
+        special._mittag_leffler_cached.cache_clear()
+
+    @staticmethod
+    def forbid(monkeypatch, name):
+        def fail(*args):
+            raise AssertionError(f"{name}{args} called")
+        monkeypatch.setattr(special, name, fail)
+
+    def test_negative_axis_beyond_one_skips_series(self, monkeypatch):
+        self.forbid(monkeypatch, "_series")
+        for alpha in (0.005, 0.05, 0.5, 0.9, 0.999):
+            for z in (-1.0000001, -3.0, -50.0, -1e4):
+                assert 0.0 < mittag_leffler(alpha, z) < 1.0
+
+    def test_series_keeps_unit_disk_positive_axis_and_orders_near_one(self, monkeypatch):
+        self.forbid(monkeypatch, "_spectral")
+        for alpha, z in ((0.5, -1.0), (0.7, -0.3), (0.3, 2.0), (0.9995, -20.0)):
+            assert mittag_leffler(alpha, z) == _series(alpha, z)
