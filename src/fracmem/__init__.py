@@ -17,13 +17,7 @@ from .analysis import (
     fixed_memory_bound,
     op_count,
 )
-from .core import (
-    FractionalOrder,
-    WeightTriple,
-    caputo_weight,
-    evaluate_caputo,
-    weight_sum,
-)
+from .core import caputo_weight, evaluate_caputo, weight_sum
 from .memory import (
     HistoryBuffer,
     MemoryPolicy,

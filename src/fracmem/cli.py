@@ -80,6 +80,11 @@ class ExperimentConfig:
         for name, value in numeric:
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if self.experiment != "order-study":
+            # only the order study sweeps; the others would run the first value
+            for name, values in (("alpha", self.alphas), ("dt", self.dts)):
+                if len(values) > 1:
+                    raise ConfigError(f"{self.experiment} takes one {name}, got {len(values)}")
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise ConfigError(f"alpha must lie in (0, 1), got {a}")
@@ -164,7 +169,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list, dict]:
     policy = config.memory_policy() if config.experiment != "cost-model" else None
     if config.experiment == "derivative-error":
         records = run_derivative_error(
-            policy, config.alphas[:1], config.dts[0], config.t_end, config.n_records
+            policy, config.alphas, config.dts[0], config.t_end, config.n_records
         )[0]
         return records, {"final_error": records[-1].abs_error}
     if config.experiment == "order-study":

@@ -17,13 +17,10 @@ sum over the stored intervals.  Rows of ``values`` are scalars or vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "FractionalOrder",
-    "WeightTriple",
     "caputo_weight",
     "caputo_weights",
     "evaluate_caputo",
@@ -32,49 +29,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Order of a Caputo derivative, restricted to the open interval (0, 1)."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"fractional order must lie in (0, 1), got {self.alpha}")
+def order_value(alpha: float) -> float:
+    """Return the order as a float, validating it lies in (0, 1)."""
+    a = float(alpha)
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"fractional order must lie in (0, 1), got {a}")
+    return a
 
 
-def order_value(alpha: float | FractionalOrder) -> float:
-    """Return the numeric order, validating it lies in (0, 1)."""
-    if isinstance(alpha, FractionalOrder):
-        return alpha.alpha
-    return FractionalOrder(float(alpha)).alpha
-
-
-@dataclass(frozen=True)
-class WeightTriple:
-    """Integration limits of one convolution weight: interval [t_k, t_k1]
-    seen from the current time t_n."""
-
-    t_n: float
-    t_k: float
-    t_k1: float
-
-    def __post_init__(self) -> None:
-        if not self.t_k <= self.t_k1 <= self.t_n:
-            raise ValueError(
-                f"weight triple must satisfy t_k <= t_k1 <= t_n, "
-                f"got ({self.t_k}, {self.t_k1}, {self.t_n})"
-            )
-
-
-def caputo_weight(t_n: float, t_k: float, t_k1: float, alpha: float | FractionalOrder) -> float:
+def caputo_weight(t_n: float, t_k: float, t_k1: float, alpha: float) -> float:
     """Closed-form convolution weight over [t_k, t_k1] for current time t_n.
 
     Integrates (t_n - tau)^(-alpha) exactly:
     [(t_n - t_k)^(1-a) - (t_n - t_k1)^(1-a)] / (1-a).  The case t_k1 == t_n
-    is legal (the second term vanishes).
+    is legal (the second term vanishes); the limits must satisfy
+    t_k <= t_k1 <= t_n.
     """
-    WeightTriple(t_n, t_k, t_k1)  # validate ordering
+    if not t_k <= t_k1 <= t_n:
+        raise ValueError(
+            f"weight limits must satisfy t_k <= t_k1 <= t_n, got ({t_k}, {t_k1}, {t_n})"
+        )
     a = order_value(alpha)
     return ((t_n - t_k) ** (1.0 - a) - (t_n - t_k1) ** (1.0 - a)) / (1.0 - a)
 
@@ -83,7 +57,7 @@ def caputo_weights(
     t_n: float,
     t_starts: np.ndarray,
     t_ends: np.ndarray,
-    alpha: float | FractionalOrder,
+    alpha: float,
 ) -> np.ndarray:
     """Vectorized closed-form weights for consecutive intervals.
 
@@ -111,7 +85,7 @@ def l1_history(
     times: np.ndarray,
     values: np.ndarray,
     t_n: float,
-    alpha: float | FractionalOrder,
+    alpha: float,
 ) -> tuple[float, float | np.ndarray]:
     """L1 history operator: ``(c, h)`` with D f(t_n) ~= c * (f(t_n) - values[-1]) + h.
 
@@ -124,8 +98,9 @@ def l1_history(
     if not times[-1] < t_n:
         raise ValueError(f"t_n={t_n} must lie after the last history time {times[-1]}")
     # the newest interval's weight is (t_n - t_last)^(1-a) / (1-a), taken as
-    # a scalar power: numpy's vectorised power can differ from it by an ulp
-    dt_n = t_n - times[-1]
+    # a Python float power: numpy's vectorised power can differ from it by an
+    # ulp, and a numpy scalar c would make the solvers' arithmetic warn
+    dt_n = t_n - float(times[-1])
     c = dt_n ** (1.0 - a) / (1.0 - a) / (gamma * dt_n)
     if times.size < 2:
         return c, 0.0
@@ -148,7 +123,7 @@ def l1_history(
 def evaluate_caputo(
     times: np.ndarray,
     values: np.ndarray,
-    alpha: float | FractionalOrder,
+    alpha: float,
     t_n: float | None = None,
 ) -> float | np.ndarray:
     """Caputo derivative at times[-1] from a stored history.
@@ -172,7 +147,7 @@ def evaluate_caputo(
 
 def weight_sum(
     times: np.ndarray,
-    alpha: float | FractionalOrder,
+    alpha: float,
     t_n: float | None = None,
 ) -> float:
     """Sum of weights over a partition; telescopes to

@@ -186,6 +186,42 @@ def run_order_study(
 
 # -- application benchmarks ---------------------------------------------------
 
+def _run_simulation(
+    sim, t_end: float, n_records: int, value, exact
+) -> tuple[list[SimulationRecord], dict]:
+    """Step ``sim`` to ``t_end`` and record ``value()`` against ``exact(t)``
+    at ``n_records`` evenly spaced steps; the record loop of both
+    application benchmarks."""
+    n_total = round(t_end / sim.config.dt)
+    record_at = _record_steps(n_total, n_records)
+    records: list[SimulationRecord] = []
+    elapsed = 0.0
+    tic = time.perf_counter()
+    for i in range(1, n_total + 1):
+        sim.step()
+        if i in record_at:
+            elapsed += time.perf_counter() - tic
+            got, want = value(), exact(sim.t)
+            records.append(
+                SimulationRecord(
+                    t=sim.t,
+                    value=got,
+                    analytic=want,
+                    abs_error=abs(got - want),
+                    stored_points=sim.buffer.count_stored(),
+                    conv_terms=sim.buffer.count_conv_terms(),
+                    wall_clock=elapsed,
+                )
+            )
+            tic = time.perf_counter()
+    summary = {
+        "peak_stored": max(r.stored_points for r in records),
+        "final_error": records[-1].abs_error,
+        "stepping_seconds": records[-1].wall_clock,
+    }
+    return records, summary
+
+
 def run_diffusion(
     policy: MemoryPolicy,
     alpha: float,
@@ -202,35 +238,11 @@ def run_diffusion(
         mu = (length / math.pi) ** 2
     cfg = DiffusionConfig(length=length, dx=dx, dt=dt, mu=mu, alpha=alpha, policy=policy)
     sim = DiffusionSimulation(cfg)
-    n_total = round(t_end / dt)
-    record_at = _record_steps(n_total, n_records)
     mid = length / 2.0
-    records: list[SimulationRecord] = []
-    elapsed = 0.0
-    tic = time.perf_counter()
-    for i in range(1, n_total + 1):
-        sim.step()
-        if i in record_at:
-            elapsed += time.perf_counter() - tic
-            exact = float(analytic_diffusion(mid, sim.t, cfg))
-            records.append(
-                SimulationRecord(
-                    t=sim.t,
-                    value=sim.midpoint_value,
-                    analytic=exact,
-                    abs_error=abs(sim.midpoint_value - exact),
-                    stored_points=sim.buffer.count_stored(),
-                    conv_terms=sim.buffer.count_conv_terms(),
-                    wall_clock=elapsed,
-                )
-            )
-            tic = time.perf_counter()
-    summary = {
-        "peak_stored": max(r.stored_points for r in records),
-        "final_error": records[-1].abs_error,
-        "stepping_seconds": records[-1].wall_clock,
-    }
-    return records, summary
+    return _run_simulation(
+        sim, t_end, n_records,
+        lambda: sim.midpoint_value, lambda t: float(analytic_diffusion(mid, t, cfg)),
+    )
 
 
 def run_kelvin_voigt(
@@ -246,34 +258,7 @@ def run_kelvin_voigt(
     """Creep benchmark for the fractional Kelvin-Voigt element."""
     cfg = KelvinVoigtConfig(eta=eta, k=k, load=load, alpha=alpha, dt=dt, policy=policy)
     sim = KelvinVoigtSimulation(cfg)
-    n_total = round(t_end / dt)
-    record_at = _record_steps(n_total, n_records)
-    records: list[SimulationRecord] = []
-    elapsed = 0.0
-    tic = time.perf_counter()
-    for i in range(1, n_total + 1):
-        sim.step()
-        if i in record_at:
-            elapsed += time.perf_counter() - tic
-            exact = analytic_creep(sim.t, cfg)
-            records.append(
-                SimulationRecord(
-                    t=sim.t,
-                    value=sim.x,
-                    analytic=exact,
-                    abs_error=abs(sim.x - exact),
-                    stored_points=sim.buffer.count_stored(),
-                    conv_terms=sim.buffer.count_conv_terms(),
-                    wall_clock=elapsed,
-                )
-            )
-            tic = time.perf_counter()
-    summary = {
-        "peak_stored": max(r.stored_points for r in records),
-        "final_error": records[-1].abs_error,
-        "stepping_seconds": records[-1].wall_clock,
-    }
-    return records, summary
+    return _run_simulation(sim, t_end, n_records, lambda: sim.x, lambda t: analytic_creep(t, cfg))
 
 
 def run_cost_model(m: int, levels) -> list[dict]:

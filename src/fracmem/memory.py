@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FractionalOrder, l1_history, order_value
+from .core import l1_history, order_value
 
 __all__ = [
     "PolicyKind",
@@ -75,7 +75,7 @@ class MemoryPolicy:
         times: np.ndarray,
         values: np.ndarray,
         t_n: float,
-        alpha: float | FractionalOrder,
+        alpha: float,
         dt: float,
     ) -> tuple[float, float | np.ndarray]:
         """The policy's history operator (see the module docstring); ``dt``
@@ -199,7 +199,7 @@ def _gl_sequence(alpha: float, jmax: int) -> list[float]:
     return seq
 
 
-def gl_weights(jmax: int, alpha: float | FractionalOrder) -> np.ndarray:
+def gl_weights(jmax: int, alpha: float) -> np.ndarray:
     """Binomial GL weights (-1)^j * C(alpha, j) for lags j = 0..jmax, cached
     per order.
 
@@ -214,7 +214,7 @@ def gl_history(
     times: np.ndarray,
     values: np.ndarray,
     t_n: float,
-    alpha: float | FractionalOrder,
+    alpha: float,
     dt: float,
 ) -> tuple[float, float | np.ndarray]:
     """Rescaled GL history operator: ``(c, h)`` with
@@ -247,7 +247,7 @@ def gl_history(
 def evaluate_gl(
     times: np.ndarray,
     values: np.ndarray,
-    alpha: float | FractionalOrder,
+    alpha: float,
     dt: float,
 ) -> float | np.ndarray:
     """GL derivative at times[-1] over a (possibly thinned) uniform-grid

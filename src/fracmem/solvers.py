@@ -5,14 +5,17 @@ The diffusion problem is the 1D sub-diffusion equation on [0, L] with
 homogeneous Dirichlet boundaries and a half-sine initial condition,
 discretized with central differences in space and implicitly in time.
 
-Both solvers are policy-agnostic.  Each step asks the memory policy for its
-history operator, ``c, h = policy.history(times, values, t_n, alpha, dt)``,
-meaning D u(t_n) ~= c * (u(t_n) - values[-1]) + h (exact L1 weights, or
-rescaled GL weights for the adaptive GL policy), and solves for u(t_n).  The
-diffusion step solves one symmetric positive-definite tridiagonal system
-with LAPACK ``dptsv`` (an LDL^T elimination without pivoting).
-``thomas_solve`` is the general non-pivoting tridiagonal solver, kept as the
-pure-Python reference for that solve.
+Both solvers are policy-agnostic and share one step, ``_ImplicitStepper.step``.
+At t_n = n * dt it asks the memory policy for its history operator,
+``c, h = policy.history(times, values, t_n, alpha, dt)``, meaning
+D u(t_n) ~= c * (u(t_n) - values[-1]) + h (exact L1 weights, or rescaled GL
+weights for the adaptive GL policy), solves for u(t_n), rejects a non-finite
+state and pushes it.  The creep solve is a scalar formula.  The diffusion
+history holds the interior nodes, its unknowns, and each step solves one
+symmetric positive-definite tridiagonal system with LAPACK ``dptsv`` (an
+LDL^T elimination without pivoting).  ``thomas_solve`` is the general
+non-pivoting tridiagonal solver, kept as the pure-Python reference for that
+solve.
 """
 
 from __future__ import annotations
@@ -81,6 +84,47 @@ def _positive_finite(x: float) -> bool:
     return math.isfinite(x) and x > 0.0
 
 
+class _ImplicitStepper:
+    """The implicit step both problems share.  A subclass passes its initial
+    state and supplies ``_solve(c, h, dt_n)``: the new state from the history
+    operator, the newest interval and the committed state ``self._state``.
+    One instance is sequential; independent instances may run in parallel.
+    """
+
+    def __init__(self, config, state):
+        self.config = config
+        self.alpha = order_value(config.alpha)
+        self.buffer = HistoryBuffer(config.policy)
+        self.t = 0.0
+        self._step_index = 0
+        self._state = state
+        self.buffer.push(0.0, state)
+
+    def step(self):
+        """Advance one time step; returns the new state as stored (the creep
+        elongation, or the diffusion interior nodes).  A failed solve or a
+        non-finite state raises, naming the step, and commits nothing."""
+        cfg = self.config
+        step_index = self._step_index + 1
+        t_new = step_index * cfg.dt
+        times = self.buffer.times()
+        c, h = cfg.policy.history(times, self.buffer.values(), t_new, self.alpha, cfg.dt)
+        try:
+            state = self._solve(c, h, t_new - times[-1])
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                f"solve failed at step {step_index} (t={t_new!r}): {exc}"
+            ) from exc
+        # one reduction serves scalar and vector states alike
+        if not math.isfinite(np.add.reduce(state, axis=None)):
+            raise ValueError(f"non-finite state at step {step_index} (t={t_new!r})")
+        self._step_index = step_index
+        self.t = t_new
+        self._state = state
+        self.buffer.push(t_new, state)
+        return state
+
+
 @dataclass(frozen=True)
 class DiffusionConfig:
     """Sub-diffusion problem setup: half-sine initial condition, zero
@@ -120,63 +164,41 @@ def analytic_diffusion(x: float | np.ndarray, t: float, config: DiffusionConfig)
     return np.sin(np.pi * np.asarray(x) / config.length) * amp
 
 
-class DiffusionSimulation:
+class DiffusionSimulation(_ImplicitStepper):
     """Implicit time stepper for the sub-diffusion problem.
 
-    One instance is sequential; independent instances may run in parallel.
+    Each step solves c * (u - u_last) + h = mu * u_xx on the interior nodes,
+    multiplied through by the newest interval dt_n, with LAPACK ``dptsv``.
     """
 
     def __init__(self, config: DiffusionConfig):
-        self.config = config
-        self.alpha = order_value(config.alpha)
-        self.buffer = HistoryBuffer(config.policy)
-        self.t = 0.0
-        self.field = config.initial_field()
-        self.buffer.push(0.0, self.field.copy())
-        self._step_index = 0
+        super().__init__(config, config.initial_field()[1:-1])
+
+    @property
+    def field(self) -> np.ndarray:
+        """The field on every node, the zero boundaries included."""
+        return np.pad(self._state, 1)
 
     @property
     def midpoint_value(self) -> float:
         return float(self.field[(self.config.n_nodes - 1) // 2])
 
-    def step(self) -> np.ndarray:
-        """Advance one time step: solve c * (u - u_last) + h = mu * u_xx,
-        multiplied through by the newest interval dt_n, with LAPACK
-        ``dptsv``, and push the new field into the history buffer.  A failed
-        solve or a non-finite field raises, naming the step, and commits
-        nothing."""
+    def _solve(self, c: float, h: np.ndarray, dt_n: float) -> np.ndarray:
         cfg = self.config
-        step_index = self._step_index + 1
-        t_new = step_index * cfg.dt
-        times = self.buffer.times()
-        vals = self.buffer.values()[:, 1:-1]
-        c, h = cfg.policy.history(times, vals, t_new, self.alpha, cfg.dt)
         # scaled by dt_n the entries are those of the L1 difference form; a
         # decaying fixed-window run keeps its rounding, and the unscaled
         # system drifts 2e-12 relative from that form in 1280 steps (2e-14)
-        dt_n = t_new - times[-1]
         r = cfg.mu * dt_n / cfg.dx**2
         c_n = c * dt_n
-        rhs = c_n * vals[-1] - dt_n * h
+        rhs = c_n * self._state - dt_n * h
         n = rhs.size
         _, _, interior, info = dptsv(
             np.full(n, c_n + 2.0 * r), np.full(max(n - 1, 1), -r), rhs,  # the wrapper rejects an empty e
             overwrite_d=1, overwrite_e=1, overwrite_b=1,
         )
         if info != 0:
-            raise np.linalg.LinAlgError(
-                f"tridiagonal solve failed at step {step_index} (t={t_new!r}): "
-                f"LAPACK dptsv returned info={info}"
-            )
-        if not math.isfinite(float(interior.sum())):
-            raise ValueError(f"non-finite state at step {step_index} (t={t_new!r})")
-        new_field = np.zeros_like(self.field)
-        new_field[1:-1] = interior
-        self._step_index = step_index
-        self.t = t_new
-        self.field = new_field
-        self.buffer.push(t_new, new_field.copy())
-        return new_field
+            raise np.linalg.LinAlgError(f"LAPACK dptsv returned info={info}")
+        return interior
 
 
 @dataclass(frozen=True)
@@ -210,36 +232,22 @@ def analytic_creep(t: float, config: KelvinVoigtConfig) -> float:
     return config.load / config.k * (1.0 - mittag_leffler(a, z))
 
 
-class KelvinVoigtSimulation:
+class KelvinVoigtSimulation(_ImplicitStepper):
     """Implicit integrator for the fractional Kelvin-Voigt creep problem.
 
-    The newest convolution term is isolated on the implicit side, mirroring
-    the diffusion treatment; the rest of the history enters explicitly.
+    Each step solves eta * (c * (x - x_last) + h) + k * x = load for x: the
+    newest convolution term is isolated on the implicit side, mirroring the
+    diffusion treatment; the rest of the history enters explicitly.
     """
 
     def __init__(self, config: KelvinVoigtConfig):
-        self.config = config
-        self.alpha = order_value(config.alpha)
-        self.buffer = HistoryBuffer(config.policy)
-        self.t = 0.0
-        self.x = 0.0
-        self.buffer.push(0.0, 0.0)
-        self._step_index = 0
+        super().__init__(config, 0.0)
 
-    def step(self) -> float:
-        """Advance one time step: solve eta * (c * (x - x_last) + h) + k * x
-        = load for x and push it into the history buffer.  A non-finite x
-        raises, naming the step, and commits nothing."""
+    @property
+    def x(self) -> float:
+        """The elongation at time ``t``."""
+        return self._state
+
+    def _solve(self, c: float, h: float, dt_n: float) -> float:
         cfg = self.config
-        step_index = self._step_index + 1
-        t_new = step_index * cfg.dt
-        times, xs = self.buffer.times(), self.buffer.values()
-        c, h = cfg.policy.history(times, xs, t_new, self.alpha, cfg.dt)
-        x_new = (cfg.load - cfg.eta * h + cfg.eta * c * self.x) / (cfg.eta * c + cfg.k)
-        if not math.isfinite(x_new):
-            raise ValueError(f"non-finite state at step {step_index} (t={t_new!r})")
-        self._step_index = step_index
-        self.t = t_new
-        self.x = x_new
-        self.buffer.push(t_new, x_new)
-        return x_new
+        return (cfg.load - cfg.eta * h + cfg.eta * c * self._state) / (cfg.eta * c + cfg.k)

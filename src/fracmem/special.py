@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import mpmath
 from scipy.integrate import quad
 
-__all__ = ["MLQuery", "mittag_leffler"]
+__all__ = ["mittag_leffler"]
 
 # series is used while the index of its largest term stays below this
 _SERIES_PEAK_LIMIT = 400.0
@@ -53,24 +52,13 @@ _SPECTRAL_MAX_ALPHA = 0.999
 _SPECTRAL_ABS_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class MLQuery:
-    """Argument pair for E_alpha(z); the library needs the real axis z <= 0
-    plus small positive arguments reachable by the series."""
-
-    alpha: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"Mittag-Leffler order must lie in (0, 1], got {self.alpha}")
-        if not math.isfinite(self.z):
-            raise ValueError(f"argument must be finite, got {self.z}")
-
-
 def _series_peak(alpha: float, absz: float) -> float:
-    # index of the largest series term: alpha*k ~ |z|^(1/alpha)
-    return absz ** (1.0 / alpha) / alpha
+    # index of the largest series term: alpha*k ~ |z|^(1/alpha); infinite
+    # where that power overflows (positive z at tiny alpha)
+    try:
+        return absz ** (1.0 / alpha) / alpha
+    except OverflowError:
+        return math.inf
 
 
 def _series(alpha: float, z: float) -> float:
@@ -156,6 +144,12 @@ def _mittag_leffler_cached(alpha: float, z: float) -> float:
 
 
 def mittag_leffler(alpha: float, z: float) -> float:
-    """One-parameter Mittag-Leffler function E_alpha(z)."""
-    q = MLQuery(float(alpha), float(z))
-    return _mittag_leffler_cached(q.alpha, q.z)
+    """One-parameter Mittag-Leffler function E_alpha(z) for alpha in (0, 1]
+    and finite real z: the real axis z <= 0, plus the small positive
+    arguments the series reaches."""
+    alpha, z = float(alpha), float(z)
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"Mittag-Leffler order must lie in (0, 1], got {alpha}")
+    if not math.isfinite(z):
+        raise ValueError(f"argument must be finite, got {z}")
+    return _mittag_leffler_cached(alpha, z)

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from fracmem.cli import ConfigError, ExperimentConfig, emit_csv, main, run_experiment
@@ -165,12 +164,27 @@ class TestMainExitCodes:
         assert "error: non-finite analytic nan at t=0.01" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_state_is_one(self, tmp_path, capsys):
-        with np.errstate(over="ignore"):
-            rc = main(["kelvin-voigt", "--eta", "1e-300", "--k", "1e-300", "--load", "1e300",
-                       "--t-end", "0.05", "--dt", "0.01", "--out", str(tmp_path / "o.csv")])
+        # the creep update is float arithmetic: it overflows to inf without a
+        # numpy warning, and the step's check reports it
+        rc = main(["kelvin-voigt", "--eta", "1e-300", "--k", "1e-300", "--load", "1e300",
+                   "--t-end", "0.05", "--dt", "0.01", "--out", str(tmp_path / "o.csv")])
         assert rc == 1
         assert "error: non-finite state at step 1 (t=0.01)" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("experiment", ["derivative-error", "diffusion", "kelvin-voigt",
+                                            "cost-model"])
+    @pytest.mark.parametrize("name, args", [
+        ("alpha", ["--alpha", "0.3,0.7"]),
+        ("dt", ["--dt", "0.01,0.02"]),
+    ], ids=["alpha", "dt"])
+    def test_list_on_single_run_is_two(self, tmp_path, capsys, experiment, name, args):
+        rc = main([experiment, "--t-end", "1", *args, "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {experiment} takes one {name}, got 2" in err
         assert not (tmp_path / "o.csv").exists()
 
     def test_order_study_runs(self, tmp_path, capsys):
@@ -226,16 +240,28 @@ class TestDeterminism:
 
 
 class TestGoldenFile:
-    def test_full_memory_creep_run_matches_frozen_output(self, tmp_path):
+    def assert_matches_frozen(self, args, name, tmp_path):
         out = tmp_path / "o.csv"
-        rc = main(["kelvin-voigt", "--policy", "full", "--alpha", "0.5",
-                   "--dt", "0.01", "--t-end", "1", "--n-records", "10",
-                   "--out", str(out)])
-        assert rc == 0
+        assert main(args + ["--out", str(out)]) == 0
         got = read_csv(out)
-        want = read_csv(DATA / "kelvin_voigt_full.csv")
+        want = read_csv(DATA / name)
         assert got[0] == want[0]
         assert got[1] == want[1]
         wall = got[1].index("wall_clock")
         for grow, wrow in zip(got[2], want[2], strict=True):
             assert grow[:wall] == wrow[:wall]
+
+    def test_full_memory_creep_run_matches_frozen_output(self, tmp_path):
+        self.assert_matches_frozen(
+            ["kelvin-voigt", "--policy", "full", "--alpha", "0.5", "--dt", "0.01",
+             "--t-end", "1", "--n-records", "10"],
+            "kelvin_voigt_full.csv", tmp_path,
+        )
+
+    def test_adaptive_diffusion_run_matches_frozen_output(self, tmp_path):
+        # t <= 1 keeps |z| <= 1, where the analytic column is correctly rounded
+        self.assert_matches_frozen(
+            ["diffusion", "--policy", "adaptive-present", "--alpha", "0.5", "--dt", "0.01",
+             "--memory-length", "0.1", "--t-end", "1", "--n-records", "10"],
+            "diffusion_adaptive.csv", tmp_path,
+        )

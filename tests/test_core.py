@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracmem import (
-    FractionalOrder,
-    WeightTriple,
-    caputo_weight,
-    evaluate_caputo,
-    weight_sum,
-)
+from fracmem import caputo_weight, evaluate_caputo, weight_sum
 from fracmem.core import caputo_weights, l1_history, order_value
 
 
@@ -33,20 +27,24 @@ def quad_weight(t_n, t_k, t_k1, alpha):
 
 class TestValidation:
     def test_order_must_be_in_open_interval(self):
-        for bad in (0.0, 1.0, -0.3, 1.7):
-            with pytest.raises(ValueError):
-                FractionalOrder(bad)
+        for bad in (0.0, 1.0, -0.3, 1.7, math.nan):
+            with pytest.raises(ValueError, match="must lie in"):
+                order_value(bad)
 
-    def test_order_value_accepts_both_forms(self):
-        assert order_value(0.5) == 0.5
-        assert order_value(FractionalOrder(0.25)) == 0.25
+    def test_order_value_returns_python_float(self):
+        for given_alpha in (0.5, np.float64(0.25), np.float32(0.5)):
+            got = order_value(given_alpha)
+            assert type(got) is float
+            assert got == float(given_alpha)
 
     def test_weight_triple_ordering(self):
-        WeightTriple(2.0, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            WeightTriple(2.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            WeightTriple(2.0, 0.5, 2.5)
+        assert caputo_weight(2.0, 0.5, 1.0, 0.5) == pytest.approx(
+            quad_weight(2.0, 0.5, 1.0, 0.5), rel=1e-12
+        )
+        with pytest.raises(ValueError, match="t_k <= t_k1 <= t_n"):
+            caputo_weight(2.0, 1.0, 0.5, 0.5)
+        with pytest.raises(ValueError, match="t_k <= t_k1 <= t_n"):
+            caputo_weight(2.0, 0.5, 2.5, 0.5)
 
     def test_evaluate_needs_two_points(self):
         with pytest.raises(ValueError):

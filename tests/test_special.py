@@ -9,23 +9,26 @@ from hypothesis import strategies as st
 from scipy.special import erfcx, rgamma
 
 from fracmem import mittag_leffler, special
-from fracmem.special import MLQuery, _series, _series_peak, _spectral
+from fracmem.special import _series, _series_peak, _spectral
 
 
 class TestQueryValidation:
     def test_order_range(self):
-        MLQuery(1.0, -2.0)
-        for bad in (0.0, 1.5, -0.2):
-            with pytest.raises(ValueError):
-                MLQuery(bad, 0.0)
+        assert mittag_leffler(1.0, -2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
+        for bad in (0.0, 1.5, -0.2, math.nan):
+            with pytest.raises(ValueError, match="order must lie in"):
+                mittag_leffler(bad, 0.0)
 
     def test_rejects_non_finite_argument(self):
-        with pytest.raises(ValueError):
-            MLQuery(0.5, math.inf)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="argument must be finite"):
+                mittag_leffler(0.5, bad)
 
     def test_large_positive_argument_unsupported_for_small_order(self):
-        with pytest.raises(ValueError):
-            mittag_leffler(0.2, 1e12)
+        # the second one overflows the peak-index power |z|^(1/alpha)
+        for alpha, z in ((0.2, 1e12), (0.0005, 2.0)):
+            with pytest.raises(ValueError, match="unsupported"):
+                mittag_leffler(alpha, z)
 
 
 class TestKnownValues:
