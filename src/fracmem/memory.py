@@ -6,6 +6,11 @@ first.  U_0 spans at most the memory length T after maintenance; U_l spans
 at most 2^(l-1) * T.  Interval comparisons are strict: a span exactly equal
 to the threshold does not trigger maintenance.
 
+``HistoryBuffer`` copies each pushed row and serves reads as read-only views
+of array arenas: a view stays valid until the next push, and since a read
+also brings the arenas up to date, reads of one buffer must not run
+concurrently with each other or with pushes.
+
 Each policy owns one history operator, ``MemoryPolicy.history``: given the
 stored times and values and a new time ``t_n > times[-1]`` it returns
 ``(c, h)`` with D f(t_n) ~= c * (f(t_n) - values[-1]) + h.  The adaptive GL
@@ -85,17 +90,48 @@ class MemoryPolicy:
         return l1_history(times, values, t_n, alpha)
 
 
+# rows a buffer holds pending before a push brings its arenas up to date
+_PENDING_LIMIT = 4096
+
+
 class HistoryBuffer:
     """Ordered time-point storage maintained by a MemoryPolicy.
 
-    Single-writer: pushes and reads must not overlap.  Distinct buffers are
-    independent.
+    The subsets hold the stored times as deques, oldest first; the rows live
+    in two arenas, ``times`` of shape ``(cap,)`` and ``values`` of shape
+    ``(cap,) + row_shape``, grown by doubling.  A push appends the row to a
+    pending list, runs the policy's maintenance on the deques and notes every
+    time it removes; a read brings the arenas up to date (pending rows copied
+    in with one slice assignment, removed times dropped with one
+    ``searchsorted`` and a boolean compaction) and returns ``[:n]`` views.
+
+    - Rows are copied at push: changing an array after pushing it does not
+      change the history.  Every row must have the shape of the first one.
+    - ``times()`` and ``values()`` return read-only views that stay valid
+      until the next push; copy them to keep them longer.
+    - Reads also update internal state, so no two calls on one buffer may
+      overlap, two reads included.  Distinct buffers are independent.
     """
 
     def __init__(self, policy: MemoryPolicy):
         self.policy = policy
-        # subsets[l] = U_l, each deque ordered oldest-first
+        # the policy's kind and length as plain attributes: an enum member
+        # lookup costs more than the rest of a push's bookkeeping
+        self._fixed = policy.kind is PolicyKind.FIXED
+        self._adaptive = policy.kind in (PolicyKind.ADAPTIVE_PRESENT, PolicyKind.ADAPTIVE_GL)
+        self._T = policy.T
+        # subsets[l] = U_l, each deque of times ordered oldest-first
         self._subsets: list[deque] = [deque()]
+        self._newest = -math.inf
+        self._shape: tuple | None = None  # row shape, fixed by the first push
+        # rows pushed and times removed since the arenas were last brought
+        # up to date
+        self._pending_t: list = []
+        self._pending_v: list = []
+        self._gone: list = []
+        self._n = 0
+        self._times = np.empty(0)
+        self._values = np.empty(0)
 
     # -- queries ----------------------------------------------------------
 
@@ -109,7 +145,7 @@ class HistoryBuffer:
         return sum(1 for s in self._subsets if s)
 
     def subset_times(self, l: int) -> list[float]:
-        return [t for t, _ in self._subsets[l]]
+        return list(self._subsets[l])
 
     def count_stored(self) -> int:
         return sum(len(s) for s in self._subsets)
@@ -119,16 +155,18 @@ class HistoryBuffer:
         return max(self.count_stored() - 1, 0)
 
     def times(self) -> np.ndarray:
-        out = []
-        for s in reversed(self._subsets):
-            out.extend(t for t, _ in s)
-        return np.asarray(out, dtype=float)
+        """Stored times, oldest first (a read-only view, see the class)."""
+        self._sync()
+        view = self._times[: self._n]
+        view.flags.writeable = False
+        return view
 
     def values(self) -> np.ndarray:
-        out = []
-        for s in reversed(self._subsets):
-            out.extend(v for _, v in s)
-        return np.asarray(out, dtype=float)
+        """Stored rows, oldest first (a read-only view, see the class)."""
+        self._sync()
+        view = self._values[: self._n]
+        view.flags.writeable = False
+        return view
 
     # -- maintenance ------------------------------------------------------
 
@@ -136,78 +174,123 @@ class HistoryBuffer:
         """Append one sample and run the policy's maintenance.
 
         Times must be finite and increase strictly; one chained comparison
-        rejects a NaN or infinite time on every push.
+        rejects a NaN or infinite time on every push.  An array row is
+        copied; its shape must match the stored rows'.
         """
-        for s in self._subsets:
-            if s:
-                newest = s[-1][0]
-                break
-        else:
-            newest = -math.inf
+        newest = self._newest
         if not newest < t < math.inf:
             raise ValueError(f"pushed time {t} is not finite or not after newest stored {newest}")
-        self._subsets[0].append((t, value))
-        kind = self.policy.kind
-        if kind is PolicyKind.FULL:
-            return
-        if kind is PolicyKind.FIXED:
-            u0 = self._subsets[0]
+        if value.__class__ is not float or self._shape != ():
+            value = self._row(value)
+        self._newest = t
+        pending = self._pending_t
+        pending.append(t)
+        self._pending_v.append(value)
+        subsets = self._subsets
+        u0 = subsets[0]
+        u0.append(t)
+        if self._fixed:
+            T = self._T
             # guard so rounding in t = i * dt cannot shave a point off a
             # window whose nominal span equals T; scaled by the absolute
             # times because that is where the rounding noise lives
-            limit = self.policy.T + 1e-12 * max(self.policy.T, abs(t))
-            while u0[-1][0] - u0[0][0] > limit:
-                u0.popleft()
-            return
-        self._maintain_adaptive()
+            limit = T + 1e-12 * max(T, abs(t))
+            while t - u0[0] > limit:
+                self._gone.append(u0.popleft())
+        elif self._adaptive:
+            T = self._T
+            # same rounding guard as the fixed policy on every span comparison
+            tol = 1e-12 * max(T, abs(t))
+            if t - u0[0] > T + tol:
+                if len(subsets) == 1:
+                    subsets.append(deque())
+                subsets[1].append(u0.popleft())
+                gone = self._gone
+                threshold = T
+                l = 1
+                while l < len(subsets):
+                    ul = subsets[l]
+                    if len(ul) < 2 or ul[-1] - ul[0] <= threshold + tol:
+                        break
+                    gone.append(ul[1])
+                    del ul[1]  # second-oldest point is eliminated
+                    if l + 1 == len(subsets):
+                        subsets.append(deque())
+                    subsets[l + 1].append(ul.popleft())
+                    threshold *= 2.0
+                    l += 1
+        # bounds the pending rows of a long run of pushes without reads
+        if len(pending) > _PENDING_LIMIT:
+            self._sync()
 
-    def _maintain_adaptive(self) -> None:
-        T = self.policy.T
-        subsets = self._subsets
-        u0 = subsets[0]
-        # same rounding guard as the fixed policy on every span comparison
-        tol = 1e-12 * max(T, abs(u0[-1][0]))
-        if u0[-1][0] - u0[0][0] <= T + tol:
-            return
-        if len(subsets) == 1:
-            subsets.append(deque())
-        subsets[1].append(u0.popleft())
-        threshold = T
-        l = 1
-        while l < len(subsets):
-            ul = subsets[l]
-            if len(ul) < 2 or ul[-1][0] - ul[0][0] <= threshold + tol:
-                break
-            del ul[1]  # second-oldest point is eliminated
-            if l + 1 == len(subsets):
-                subsets.append(deque())
-            subsets[l + 1].append(ul.popleft())
-            threshold *= 2.0
-            l += 1
+    def _row(self, value):
+        """The row to store for ``value``: a float as it is, anything else
+        as a new float array; the first push fixes the row shape."""
+        if isinstance(value, float):
+            row, shape = value, ()
+        else:
+            row = np.array(value, dtype=float)
+            shape = row.shape
+        if self._shape is None:
+            self._shape = shape
+            self._values = np.empty((0,) + shape)
+        elif shape != self._shape:
+            raise ValueError(f"pushed row of shape {shape}, expected the stored rows' shape {self._shape}")
+        return row
+
+    def _sync(self) -> None:
+        """Bring the arenas up to date with the pushes and removals since
+        the last call."""
+        pending = self._pending_t
+        if pending:
+            n, k = self._n, len(pending)
+            if n + k > self._times.shape[0]:
+                cap = max(16, 2 * (n + k))
+                times, values = np.empty(cap), np.empty((cap,) + self._shape)
+                times[:n], values[:n] = self._times[:n], self._values[:n]
+                self._times, self._values = times, values
+            self._times[n : n + k] = pending
+            self._values[n : n + k] = self._pending_v
+            self._n = n + k
+            pending.clear()
+            self._pending_v.clear()
+        gone = self._gone
+        if gone:
+            n = self._n
+            # exact: stored times are the pushed values, strictly increasing
+            idx = np.searchsorted(self._times[:n], gone)
+            lo = int(idx.min())
+            keep = np.ones(n - lo, dtype=bool)
+            keep[idx - lo] = False
+            m = n - len(gone)
+            self._times[lo:m] = self._times[lo:n][keep]
+            self._values[lo:m] = self._values[lo:n][keep]
+            self._n = m
+            gone.clear()
 
 
 # -- Grunwald-Letnikov weights ------------------------------------------------
 
-_GL_CACHE: dict[float, list[float]] = {}
-
-
-def _gl_sequence(alpha: float, jmax: int) -> list[float]:
-    seq = _GL_CACHE.setdefault(alpha, [1.0])
-    while len(seq) <= jmax:
-        j = len(seq)
-        seq.append(seq[-1] * (j - 1.0 - alpha) / j)
-    return seq
+_GL_CACHE: dict[float, np.ndarray] = {}
 
 
 def gl_weights(jmax: int, alpha: float) -> np.ndarray:
-    """Binomial GL weights (-1)^j * C(alpha, j) for lags j = 0..jmax, cached
-    per order.
+    """Binomial GL weights (-1)^j * C(alpha, j) for lags j = 0..jmax, as a
+    read-only view of an array cached per order.
 
     Computed by the recurrence c_j = c_(j-1) * (j - 1 - alpha) / j with
-    c_0 = 1, which avoids Gamma evaluations at negative arguments.
+    c_0 = 1 in Python floats, which avoids Gamma evaluations at negative
+    arguments; the cached array grows by doubling.
     """
     a = order_value(alpha)
-    return np.asarray(_gl_sequence(a, jmax)[: jmax + 1], dtype=float)
+    w = _GL_CACHE.get(a)
+    if w is None or w.shape[0] <= jmax:
+        seq = [1.0] if w is None else w.tolist()
+        for j in range(len(seq), max(2 * len(seq), jmax + 1)):
+            seq.append(seq[-1] * (j - 1.0 - a) / j)
+        w = _GL_CACHE[a] = np.array(seq)
+        w.flags.writeable = False
+    return w[: jmax + 1]
 
 
 def gl_history(

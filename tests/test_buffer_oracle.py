@@ -1,0 +1,153 @@
+"""Differential tests of ``HistoryBuffer`` against the deque buffer it replaced.
+
+``DequeBuffer`` keeps each subset as a deque of ``(t, value)`` pairs and
+rebuilds the history on every read.  It is the reference: the array-backed
+buffer must return the same times, rows, counts and subsets, bit for bit,
+whenever it is read.
+"""
+
+import math
+from collections import deque
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fracmem import HistoryBuffer, MemoryPolicy, PolicyKind
+from fracmem.memory import _PENDING_LIMIT
+
+
+class DequeBuffer:
+    """Reference buffer: subsets of ``(t, value)`` deques, oldest first."""
+
+    def __init__(self, policy: MemoryPolicy):
+        self.policy = policy
+        self._subsets: list[deque] = [deque()]
+
+    @property
+    def num_subsets(self) -> int:
+        return len(self._subsets)
+
+    def subset_times(self, l: int) -> list[float]:
+        return [t for t, _ in self._subsets[l]]
+
+    def count_stored(self) -> int:
+        return sum(len(s) for s in self._subsets)
+
+    def times(self) -> np.ndarray:
+        out = []
+        for s in reversed(self._subsets):
+            out.extend(t for t, _ in s)
+        return np.asarray(out, dtype=float)
+
+    def values(self) -> np.ndarray:
+        out = []
+        for s in reversed(self._subsets):
+            out.extend(v for _, v in s)
+        return np.asarray(out, dtype=float)
+
+    def push(self, t: float, value) -> None:
+        for s in self._subsets:
+            if s:
+                newest = s[-1][0]
+                break
+        else:
+            newest = -math.inf
+        if not newest < t < math.inf:
+            raise ValueError(f"pushed time {t} is not finite or not after newest stored {newest}")
+        self._subsets[0].append((t, value))
+        kind = self.policy.kind
+        if kind is PolicyKind.FULL:
+            return
+        if kind is PolicyKind.FIXED:
+            u0 = self._subsets[0]
+            limit = self.policy.T + 1e-12 * max(self.policy.T, abs(t))
+            while u0[-1][0] - u0[0][0] > limit:
+                u0.popleft()
+            return
+        self._maintain_adaptive()
+
+    def _maintain_adaptive(self) -> None:
+        T = self.policy.T
+        subsets = self._subsets
+        u0 = subsets[0]
+        tol = 1e-12 * max(T, abs(u0[-1][0]))
+        if u0[-1][0] - u0[0][0] <= T + tol:
+            return
+        if len(subsets) == 1:
+            subsets.append(deque())
+        subsets[1].append(u0.popleft())
+        threshold = T
+        l = 1
+        while l < len(subsets):
+            ul = subsets[l]
+            if len(ul) < 2 or ul[-1][0] - ul[0][0] <= threshold + tol:
+                break
+            del ul[1]
+            if l + 1 == len(subsets):
+                subsets.append(deque())
+            subsets[l + 1].append(ul.popleft())
+            threshold *= 2.0
+            l += 1
+
+
+POLICIES = {
+    "full": lambda T: MemoryPolicy.full(),
+    "fixed": MemoryPolicy.fixed,
+    "adaptive-present": MemoryPolicy.adaptive_present,
+    "adaptive-gl": MemoryPolicy.adaptive_gl,
+}
+
+
+def assert_same(buf: HistoryBuffer, ref: DequeBuffer) -> None:
+    for got, want in ((buf.times(), ref.times()), (buf.values(), ref.values())):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert buf.count_stored() == ref.count_stored()
+    assert buf.num_subsets == ref.num_subsets
+    for l in range(ref.num_subsets):
+        assert buf.subset_times(l) == ref.subset_times(l)
+
+
+def replay(policy, times, width, reads, seed) -> None:
+    """Push ``times`` with random rows (scalars when ``width`` is None) to
+    both buffers, comparing them after each push whose index is in
+    ``reads`` and after the last."""
+    rng = np.random.default_rng(seed)
+    buf, ref = HistoryBuffer(policy), DequeBuffer(policy)
+    for i, t in enumerate(times):
+        row = float(rng.standard_normal()) if width is None else rng.standard_normal(width)
+        buf.push(t, row)
+        ref.push(t, row)
+        if i in reads:
+            assert_same(buf, ref)
+    assert_same(buf, ref)
+
+
+@given(
+    kind=st.sampled_from(sorted(POLICIES)),
+    T=st.floats(0.05, 4.0),
+    start=st.floats(-5.0, 5.0),
+    gaps=st.lists(st.floats(1e-3, 1.0), min_size=0, max_size=300),
+    width=st.sampled_from([None, 1, 3]),
+    reads=st.sets(st.integers(0, 299)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_matches_deque_buffer(kind, T, start, gaps, width, reads, seed):
+    times = np.cumsum([start, *gaps]).tolist()
+    replay(POLICIES[kind](T), times, width, reads, seed)
+
+
+@given(
+    kind=st.sampled_from(sorted(POLICIES)),
+    reads=st.sets(st.integers(0, 3 * _PENDING_LIMIT), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=8, deadline=None)
+def test_matches_deque_buffer_past_pending_limit(kind, reads, seed):
+    # more pushes between reads than the buffer holds pending, on a
+    # non-uniform grid with the memory length of 50 mean steps
+    gaps = np.random.default_rng(seed).uniform(0.5, 1.5, 3 * _PENDING_LIMIT)
+    times = (np.cumsum([0.0, *gaps]) * 0.01).tolist()
+    replay(POLICIES[kind](0.5), times, None, reads, seed)

@@ -1,6 +1,7 @@
 """History-buffer maintenance and rescaled binomial weights."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,31 @@ class TestBufferBasics:
     def test_fixed_window_equal_to_step_keeps_one_interval(self):
         buf = push_uniform(MemoryPolicy.fixed(0.1), 0.1, 200)
         assert buf.count_stored() == 2
+
+    def test_rows_are_copied_at_push(self):
+        buf = HistoryBuffer(MemoryPolicy.full())
+        u = np.zeros(3)
+        buf.push(0.0, u)
+        u[:] = 1.0
+        buf.push(1.0, u)
+        assert buf.values().tolist() == [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+
+    @pytest.mark.parametrize("row", [5.0, np.array([5.0])], ids=["scalar", "shape-1"])
+    def test_row_shape_must_match_the_stored_rows(self, row):
+        buf = HistoryBuffer(MemoryPolicy.full())
+        buf.push(0.0, np.zeros(3))
+        message = f"row of shape {np.shape(row)}, expected the stored rows' shape (3,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            buf.push(1.0, row)
+        assert buf.count_stored() == 1
+        buf.push(1.0, np.ones(3))
+        assert buf.values().tolist() == [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+
+    def test_reads_are_read_only(self):
+        buf = push_uniform(MemoryPolicy.full(), 0.1, 3)
+        for out in (buf.times(), buf.values(), gl_weights(4, 0.5)):
+            with pytest.raises(ValueError, match="read-only"):
+                out[0] = 1.0
 
     def test_initial_value_retained(self):
         buf = push_uniform(MemoryPolicy.adaptive_present(1.0), 0.25, 40, fn=lambda t: t + 3.0)
@@ -170,6 +196,14 @@ class TestGLWeights:
         assert w[0] == 1.0
         assert np.all(w[1:] < 0.0)
         assert np.all(np.abs(w[2:]) < np.abs(w[1:-1]))
+
+    def test_cache_growth_keeps_the_recurrence_bits(self):
+        alpha = 0.4321  # an order no other test caches
+        seq = [1.0]
+        for j in range(1, 1001):
+            seq.append(seq[-1] * (j - 1.0 - alpha) / j)
+        for jmax in (3, 1000, 17, 600):
+            assert gl_weights(jmax, alpha).tolist() == seq[: jmax + 1]
 
     def test_weight_sum_partial_unity(self):
         # sum_{j=0}^J w_j = (-1)^J C(alpha-1, J) -> 0, staying positive
