@@ -5,9 +5,11 @@ Usage:
             [--memory-length T] [--policy P] [--t-end TE] [--out PATH] ...
 
 Experiments: derivative-error, order-study, diffusion, kelvin-voigt,
-cost-model.  Exit codes: 0 success, 2 configuration error, 1 runtime error.
-Identical configurations produce identical CSV bytes apart from the
-wall-clock column.
+cost-model.  Each setting is one ``ExperimentConfig`` field carrying its
+default, parser and help line; its name is the config-file and CSV header
+key, and dashed it is the flag (``t_end``, ``--t-end``).  Exit codes: 0
+success, 2 configuration error, 1 runtime error.  Identical configurations
+produce identical CSV bytes apart from the wall-clock column.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .experiments import (
@@ -27,6 +29,7 @@ from .experiments import (
     run_order_study,
 )
 from .memory import MemoryPolicy, PolicyKind
+from .solvers import DiffusionConfig, KelvinVoigtConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "emit_csv", "run_experiment", "main"]
 
@@ -39,26 +42,49 @@ class ConfigError(Exception):
     """Invalid run configuration; ``main`` maps it to exit code 2."""
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in str(text).split(","))
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in str(text).split(","))
+
+
+def _setting(default, parse, help: str):
+    """A setting: its default, the parser of its flag or file value, its help line."""
+    return field(default=default, metadata={"parse": parse, "help": help})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved run configuration (file values overridden by flags)."""
+    """Fully resolved run configuration (file values overridden by flags).
+
+    ``solver`` is derived, not a setting: the run's ``DiffusionConfig`` or
+    ``KelvinVoigtConfig`` (None for the other experiments), built here so
+    that its checks are configuration errors too.
+    """
 
     experiment: str
-    policy: str = "adaptive-present"
-    alphas: tuple[float, ...] = (0.5,)
-    dts: tuple[float, ...] = (0.01,)
-    memory_length: float = 1.0
-    t_end: float = 16.0
-    out: str = "fracmem.csv"
-    length: float = 10.0
-    dx: float = 0.1
-    mu: float | None = None
-    eta: float = 1.0
-    k: float = 1.0
-    load: float = 1.0
-    n_records: int = 64
-    m: int = 10
-    levels: tuple[int, ...] = (2, 3, 4)
+    policy: str = _setting(
+        "adaptive-present", str, "memory policy: " + ", ".join(sorted(_POLICY_NAMES))
+    )
+    alpha: tuple[float, ...] = _setting((0.5,), _floats, "fractional order(s), comma separated")
+    dt: tuple[float, ...] = _setting((0.01,), _floats, "base time step(s), comma separated")
+    memory_length: float = _setting(1.0, float, "memory length T")
+    t_end: float = _setting(16.0, float, "simulation horizon")
+    out: str = _setting("fracmem.csv", str, "output CSV path")
+    length: float = _setting(10.0, float, "diffusion domain length")
+    dx: float = _setting(0.1, float, "diffusion grid spacing")
+    mu: float | None = _setting(None, float, "diffusion coefficient (default (length/pi)^2)")
+    eta: float = _setting(1.0, float, "Kelvin-Voigt damping constant")
+    k: float = _setting(1.0, float, "Kelvin-Voigt spring constant")
+    load: float = _setting(1.0, float, "Kelvin-Voigt constant load")
+    n_records: int = _setting(64, int, "rows to record per run")
+    m: int = _setting(10, int, "points per memory length (cost model)")
+    levels: tuple[int, ...] = _setting(
+        (2, 3, 4), _ints, "memory doubling levels, comma separated (cost model)"
+    )
+    solver: DiffusionConfig | KelvinVoigtConfig | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -73,22 +99,25 @@ class ExperimentConfig:
             ("eta", self.eta),
             ("k", self.k),
             ("load", self.load),
-            *(("dt", dt) for dt in self.dts),
+            *(("dt", dt) for dt in self.dt),
         ]
         if self.mu is not None:
             numeric.append(("mu", self.mu))
         for name, value in numeric:
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
-        if self.experiment != "order-study":
-            # only the order study sweeps; the others would run the first value
-            for name, values in (("alpha", self.alphas), ("dt", self.dts)):
-                if len(values) > 1:
-                    raise ConfigError(f"{self.experiment} takes one {name}, got {len(values)}")
-        for a in self.alphas:
+        for name, values in (("alpha", self.alpha), ("dt", self.dt)):
+            if self.experiment != "order-study" and len(values) > 1:
+                # only the order study sweeps; the others would run the first value
+                raise ConfigError(f"{self.experiment} takes one {name}, got {len(values)}")
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    # the slopes are keyed by alpha, and a fit needs distinct dts
+                    raise ConfigError(f"{self.experiment} repeats {name}={value!r}")
+        for a in self.alpha:
             if not 0.0 < a < 1.0:
                 raise ConfigError(f"alpha must lie in (0, 1), got {a}")
-        for dt in self.dts:
+        for dt in self.dt:
             steps = self.t_end / dt
             if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
                 raise ConfigError(f"t_end={self.t_end} is not a multiple of dt={dt}")
@@ -99,6 +128,22 @@ class ExperimentConfig:
                 )
         if self.n_records < 1 or self.m < 1 or any(l < 0 for l in self.levels):
             raise ConfigError("n_records, m must be >= 1 and levels >= 0")
+        try:
+            if self.experiment == "diffusion":
+                solver = DiffusionConfig(
+                    length=self.length, dx=self.dx, dt=self.dt[0], mu=self.resolved_mu(),
+                    alpha=self.alpha[0], policy=self.memory_policy(),
+                )
+            elif self.experiment == "kelvin-voigt":
+                solver = KelvinVoigtConfig(
+                    eta=self.eta, k=self.k, load=self.load, alpha=self.alpha[0],
+                    dt=self.dt[0], policy=self.memory_policy(),
+                )
+            else:
+                solver = None
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "solver", solver)
 
     def memory_policy(self) -> MemoryPolicy:
         kind = _POLICY_NAMES[self.policy]
@@ -110,8 +155,8 @@ class ExperimentConfig:
         out = {
             "experiment": self.experiment,
             "policy": self.policy,
-            "alpha": ",".join(_fmt(a) for a in self.alphas),
-            "dt": ",".join(_fmt(d) for d in self.dts),
+            "alpha": ",".join(_fmt(a) for a in self.alpha),
+            "dt": ",".join(_fmt(d) for d in self.dt),
             "memory_length": _fmt(self.memory_length),
             "t_end": _fmt(self.t_end),
         }
@@ -166,28 +211,19 @@ def emit_csv(records, path, config: dict | None = None) -> None:
 
 def run_experiment(config: ExperimentConfig) -> tuple[list, dict]:
     """Dispatch one experiment; returns (records, summary)."""
-    policy = config.memory_policy() if config.experiment != "cost-model" else None
-    if config.experiment == "derivative-error":
-        records = run_derivative_error(
-            policy, config.alphas, config.dts[0], config.t_end, config.n_records
-        )[0]
-        return records, {"final_error": records[-1].abs_error}
-    if config.experiment == "order-study":
-        return run_order_study(policy, config.alphas, config.dts, config.t_end)
-    if config.experiment == "diffusion":
-        return run_diffusion(
-            policy, config.alphas[0], config.dts[0], config.t_end,
-            length=config.length, dx=config.dx, mu=config.resolved_mu(),
-            n_records=config.n_records,
-        )
-    if config.experiment == "kelvin-voigt":
-        return run_kelvin_voigt(
-            policy, config.alphas[0], config.dts[0], config.t_end,
-            eta=config.eta, k=config.k, load=config.load, n_records=config.n_records,
-        )
     if config.experiment == "cost-model":
         return run_cost_model(config.m, config.levels), {}
-    raise ConfigError(f"unknown experiment {config.experiment!r}")
+    if config.experiment == "diffusion":
+        return run_diffusion(config.solver, config.t_end, config.n_records)
+    if config.experiment == "kelvin-voigt":
+        return run_kelvin_voigt(config.solver, config.t_end, config.n_records)
+    policy = config.memory_policy()
+    if config.experiment == "order-study":
+        return run_order_study(policy, config.alpha, config.dt, config.t_end)
+    records = run_derivative_error(
+        policy, config.alpha, config.dt[0], config.t_end, config.n_records
+    )[0]
+    return records, {"final_error": records[-1].abs_error}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -207,77 +243,30 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in str(text).split(","))
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in str(text).split(","))
-
-
-_CONVERTERS = {
-    "policy": str,
-    "alpha": _floats,
-    "dt": _floats,
-    "memory_length": float,
-    "t_end": float,
-    "out": str,
-    "length": float,
-    "dx": float,
-    "mu": float,
-    "eta": float,
-    "k": float,
-    "load": float,
-    "n_records": int,
-    "m": int,
-    "levels": _ints,
-}
-
-_FIELD_FOR_KEY = {"alpha": "alphas", "dt": "dts"}
+_SETTINGS = {f.name: f for f in fields(ExperimentConfig) if f.metadata}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fracmem", description="fractional-derivative experiments")
     parser.add_argument("experiment", choices=EXPERIMENTS)
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--alpha", help="fractional order(s), comma separated")
-    parser.add_argument("--dt", help="base time step(s), comma separated")
-    parser.add_argument("--memory-length", dest="memory_length", help="memory length T")
-    parser.add_argument("--policy", choices=sorted(_POLICY_NAMES))
-    parser.add_argument("--t-end", dest="t_end", help="simulation horizon")
-    parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--length", help="diffusion domain length")
-    parser.add_argument("--dx", help="diffusion grid spacing")
-    parser.add_argument("--mu", help="diffusion coefficient")
-    parser.add_argument("--eta", help="Kelvin-Voigt damping constant")
-    parser.add_argument("--k", help="Kelvin-Voigt spring constant")
-    parser.add_argument("--load", help="Kelvin-Voigt constant load")
-    parser.add_argument("--n-records", dest="n_records", help="rows to record per run")
-    parser.add_argument("--m", help="points per memory length (cost model)")
-    parser.add_argument("--levels", help="memory doubling levels, comma separated (cost model)")
+    parser.add_argument("--config", help="flat key=value config file; flags override it")
+    for name, f in _SETTINGS.items():
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, help=f.metadata["help"])
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    raw: dict = {}
-    if args.config:
-        raw.update(_parse_config_file(args.config))
-    for key in _CONVERTERS:
-        value = getattr(args, key, None)
-        if value is not None:
-            raw[key] = value
+    raw = _parse_config_file(args.config) if args.config else {}
+    flags = {name: getattr(args, name) for name in _SETTINGS}
+    raw.update((name, value) for name, value in flags.items() if value is not None)
     kwargs = {"experiment": args.experiment}
-    out = raw.pop("out", None)
-    if out is not None:
-        kwargs["out"] = str(out)
     for key, value in raw.items():
-        if key not in _CONVERTERS:
+        if key not in _SETTINGS:
             raise ConfigError(f"unknown configuration key {key!r}")
         try:
-            converted = _CONVERTERS[key](value)
+            kwargs[key] = _SETTINGS[key].metadata["parse"](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-        kwargs[_FIELD_FOR_KEY.get(key, key)] = converted
     return ExperimentConfig(**kwargs)
 
 

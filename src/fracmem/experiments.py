@@ -95,9 +95,7 @@ def _test_function(policy: MemoryPolicy) -> str:
 def _exact_derivative(func: str, t: float, a: float) -> float:
     if func == "linear":
         return t ** (1.0 - a) / math.gamma(2.0 - a)
-    if func == "quadratic":
-        return 2.0 * t ** (2.0 - a) / math.gamma(3.0 - a)
-    raise ValueError(f"unknown test function {func!r}")
+    return 2.0 * t ** (2.0 - a) / math.gamma(3.0 - a)
 
 
 def _sample(func: str, t: float) -> float:
@@ -110,18 +108,18 @@ def run_derivative_error(
     dt: float,
     t_end: float,
     n_records: int = 64,
-    func: str | None = None,
 ) -> list[list[SimulationRecord]]:
     """Step a scalar test function under one policy and record the absolute
     error of the evaluated fractional derivative at sampled times, for every
-    order in ``alphas``.
+    order in ``alphas``.  The function follows the policy: f(t) = t under
+    ``fixed`` (constant f'), f(t) = t^2 under the others (constant f'').
 
     The grid is pushed once; at each record step every order is evaluated
     on the same stored times and values.  Returns one record list per
     order, in input order.
     """
     orders = [order_value(a) for a in alphas]
-    func = func or _test_function(policy)
+    func = _test_function(policy)
     n_total = round(t_end / dt)
     record_at = _record_steps(n_total, n_records)
     buf = HistoryBuffer(policy)
@@ -162,14 +160,15 @@ def run_order_study(
     alphas,
     dts,
     t_end: float,
-    func: str | None = None,
 ) -> tuple[list[SimulationRecord], dict]:
     """Final-time error for every (alpha, dt) pair plus fitted log-log slopes
     of error versus dt per alpha.  Runs serially, one push stream per dt
-    serving every alpha; records come in sweep order, alpha-major."""
+    serving every alpha; records come in sweep order, alpha-major.  The
+    sweep values must be distinct: the slopes are keyed by alpha, and a fit
+    over a repeated dt is rank-deficient."""
     per_dt = []
     for dt in dts:
-        runs = run_derivative_error(policy, alphas, dt, t_end, n_records=1, func=func)
+        runs = run_derivative_error(policy, alphas, dt, t_end, n_records=1)
         per_dt.append([recs[-1] for recs in runs])
     per_alpha = list(zip(*per_dt))
     records = [rec for chunk in per_alpha for rec in chunk]
@@ -223,22 +222,13 @@ def _run_simulation(
 
 
 def run_diffusion(
-    policy: MemoryPolicy,
-    alpha: float,
-    dt: float,
-    t_end: float,
-    length: float = 10.0,
-    dx: float = 0.1,
-    mu: float | None = None,
-    n_records: int = 64,
+    cfg: DiffusionConfig, t_end: float, n_records: int = 64
 ) -> tuple[list[SimulationRecord], dict]:
-    """Sub-diffusion benchmark; records track the midpoint value against the
-    separable analytic solution."""
-    if mu is None:
-        mu = (length / math.pi) ** 2
-    cfg = DiffusionConfig(length=length, dx=dx, dt=dt, mu=mu, alpha=alpha, policy=policy)
+    """Sub-diffusion benchmark: step the problem ``cfg`` to ``t_end`` and
+    record the midpoint value against the separable analytic solution at
+    ``n_records`` evenly spaced steps."""
     sim = DiffusionSimulation(cfg)
-    mid = length / 2.0
+    mid = cfg.length / 2.0
     return _run_simulation(
         sim, t_end, n_records,
         lambda: sim.midpoint_value, lambda t: float(analytic_diffusion(mid, t, cfg)),
@@ -246,17 +236,11 @@ def run_diffusion(
 
 
 def run_kelvin_voigt(
-    policy: MemoryPolicy,
-    alpha: float,
-    dt: float,
-    t_end: float,
-    eta: float = 1.0,
-    k: float = 1.0,
-    load: float = 1.0,
-    n_records: int = 64,
+    cfg: KelvinVoigtConfig, t_end: float, n_records: int = 64
 ) -> tuple[list[SimulationRecord], dict]:
-    """Creep benchmark for the fractional Kelvin-Voigt element."""
-    cfg = KelvinVoigtConfig(eta=eta, k=k, load=load, alpha=alpha, dt=dt, policy=policy)
+    """Creep benchmark for the fractional Kelvin-Voigt element: step the
+    problem ``cfg`` to ``t_end`` and record the elongation against the
+    analytic creep response at ``n_records`` evenly spaced steps."""
     sim = KelvinVoigtSimulation(cfg)
     return _run_simulation(sim, t_end, n_records, lambda: sim.x, lambda t: analytic_creep(t, cfg))
 

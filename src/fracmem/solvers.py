@@ -144,6 +144,10 @@ class DiffusionConfig:
         n = self.length / self.dx
         if abs(n - round(n)) > 1e-9:
             raise ValueError(f"domain length {self.length} must be a multiple of dx={self.dx}")
+        if self.n_nodes < 3:
+            raise ValueError(
+                f"domain length {self.length} with dx={self.dx} leaves no interior node"
+            )
 
     @property
     def n_nodes(self) -> int:

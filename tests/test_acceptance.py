@@ -31,7 +31,7 @@ from fracmem.experiments import (
     run_kelvin_voigt,
 )
 from fracmem.memory import PolicyKind
-from fracmem.solvers import DiffusionConfig, DiffusionSimulation
+from fracmem.solvers import DiffusionConfig, DiffusionSimulation, KelvinVoigtConfig
 
 ALPHAS = (0.1, 0.5, 0.9)
 DTS = (0.02, 0.01, 0.005, 0.0025)
@@ -219,7 +219,13 @@ def test_coefficient_power_law():
 @pytest.fixture(scope="session")
 def diffusion_runs():
     alpha, dt, T = 0.5, 0.01, 0.1
-    full_short, full_summary = run_diffusion(MemoryPolicy.full(), alpha, dt, 12.8, n_records=16)
+
+    def setup(policy):
+        # the unit decay rate: mu = (L/pi)^2 on the CLI's default domain
+        return DiffusionConfig(length=10.0, dx=0.1, dt=dt, mu=(10.0 / math.pi) ** 2,
+                               alpha=alpha, policy=policy)
+
+    full_short, full_summary = run_diffusion(setup(MemoryPolicy.full()), 12.8, n_records=16)
     truncated_long = {}
     fixed_long = matched_fixed_policy(T, dt, 102.4)
     for name, policy in (
@@ -227,7 +233,7 @@ def diffusion_runs():
         ("gl", MemoryPolicy.adaptive_gl(T)),
         ("fixed", fixed_long),
     ):
-        truncated_long[name], _ = run_diffusion(policy, alpha, dt, 102.4, n_records=16)
+        truncated_long[name], _ = run_diffusion(setup(policy), 102.4, n_records=16)
     return {
         "full_short": full_short,
         "long": truncated_long,
@@ -282,7 +288,8 @@ def test_kelvin_voigt_benchmark():
         ("gl", MemoryPolicy.adaptive_gl(T)),
         ("fixed", fixed),
     ):
-        runs[name], _ = run_kelvin_voigt(policy, alpha, dt, t_end, n_records=64)
+        cfg = KelvinVoigtConfig(eta=1.0, k=1.0, load=1.0, alpha=alpha, dt=dt, policy=policy)
+        runs[name], _ = run_kelvin_voigt(cfg, t_end, n_records=64)
     present_worst = max(r.abs_error for r in runs["present"])
     accurate = present_worst <= 5e-3
     means = {

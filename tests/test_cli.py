@@ -1,6 +1,6 @@
 """Command-line runner: configuration handling, CSV format, determinism."""
 
-import csv
+import dataclasses
 import math
 import subprocess
 import sys
@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from fracmem.cli import ConfigError, ExperimentConfig, emit_csv, main, run_experiment
+from fracmem.cli import (
+    ConfigError,
+    ExperimentConfig,
+    _build_parser,
+    _resolve_config,
+    emit_csv,
+    main,
+    run_experiment,
+)
 from fracmem.experiments import SimulationRecord
 
 DATA = Path(__file__).parent / "data"
@@ -43,11 +51,11 @@ class TestConfig:
 
     def test_alpha_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(experiment="diffusion", alphas=(1.5,))
+            ExperimentConfig(experiment="diffusion", alpha=(1.5,))
 
     def test_horizon_must_align_with_step(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(experiment="diffusion", dts=(0.3,), t_end=1.0)
+            ExperimentConfig(experiment="diffusion", dt=(0.3,), t_end=1.0)
 
     def test_default_diffusivity_normalizes_decay_rate(self):
         cfg = ExperimentConfig(experiment="diffusion", length=10.0)
@@ -74,6 +82,40 @@ class TestConfig:
         assert rc == 0
         comments, _, _ = read_csv(tmp_path / "o.csv")
         assert "policy=full" in comments
+
+
+# a non-default value for every setting, each valid for a diffusion run
+SETTING_VALUES = {
+    "policy": "fixed", "alpha": "0.3", "dt": "0.02", "memory_length": "2",
+    "t_end": "8", "out": "run.csv", "length": "5", "dx": "0.2", "mu": "2",
+    "eta": "2", "k": "3", "load": "4", "n_records": "8", "m": "4", "levels": "1,5",
+}
+SETTINGS = [f.name for f in dataclasses.fields(ExperimentConfig)
+            if f.init and f.name != "experiment"]
+
+
+def resolve(argv):
+    return _resolve_config(_build_parser().parse_args(argv))
+
+
+class TestDerivedParser:
+    @pytest.mark.parametrize("name", SETTINGS)
+    def test_flag_and_file_keys_reach_the_field(self, tmp_path, name):
+        value = SETTING_VALUES[name]
+        by_flag = resolve(["diffusion", "--" + name.replace("_", "-"), value])
+        assert by_flag != ExperimentConfig(experiment="diffusion")
+        for key in {name, name.replace("_", "-")}:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(f"{key}={value}\n")
+            assert resolve(["diffusion", "--config", str(cfgfile)]) == by_flag
+
+    def test_help_lists_every_setting(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name in SETTINGS:
+            assert "--" + name.replace("_", "-") + " " in out
 
 
 class TestEmitCsv:
@@ -150,6 +192,27 @@ class TestMainExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "configuration error: fixed memory_length=0.001 is shorter than dt=0.01" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("dx, message", [
+        ("0.3", "domain length 10.0 must be a multiple of dx=0.3"),
+        ("20", "domain length 10.0 must be a multiple of dx=20.0"),
+        ("10", "domain length 10.0 with dx=10.0 leaves no interior node"),
+    ], ids=["off-grid", "coarser-than-domain", "no-interior-node"])
+    def test_grid_the_solver_rejects_is_two(self, tmp_path, capsys, dx, message):
+        rc = main(["diffusion", "--dx", dx, "--t-end", "1", "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("args, repeat", [
+        (["--alpha", "0.5,0.5"], "alpha=0.5"),
+        (["--dt", "0.1,0.1,0.1"], "dt=0.1"),
+    ], ids=["alpha", "dt"])
+    def test_repeated_sweep_value_is_two(self, tmp_path, capsys, args, repeat):
+        rc = main(["order-study", "--t-end", "1", *args, "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert f"configuration error: order-study repeats {repeat}" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     def test_adaptive_window_shorter_than_step_runs(self, tmp_path):

@@ -89,6 +89,18 @@ class TestDiffusionSetup:
             DiffusionConfig(length=1.0, dx=0.3, dt=0.01, mu=1.0, alpha=0.5,
                             policy=MemoryPolicy.full())
 
+    def test_rejects_grid_without_interior_node(self):
+        with pytest.raises(ValueError, match="length 10.0 with dx=10.0 leaves no interior node"):
+            DiffusionConfig(length=10.0, dx=10.0, dt=0.01, mu=1.0, alpha=0.5,
+                            policy=MemoryPolicy.full())
+
+    def test_single_interior_node_steps(self):
+        sim = DiffusionSimulation(DiffusionConfig(length=10.0, dx=5.0, dt=0.01, mu=1.0,
+                                                  alpha=0.5, policy=MemoryPolicy.full()))
+        sim.step()
+        assert sim.field.shape == (3,)
+        assert 0.0 < sim.midpoint_value < 1.0
+
     def test_analytic_solution_examples(self):
         cfg = DiffusionConfig(length=10.0, dx=0.1, dt=0.01, mu=(10.0 / math.pi) ** 2,
                               alpha=0.5, policy=MemoryPolicy.full())
