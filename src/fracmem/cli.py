@@ -114,6 +114,8 @@ class ExperimentConfig:
                 if value in values[:i]:
                     # the slopes are keyed by alpha, and a fit needs distinct dts
                     raise ConfigError(f"{self.experiment} repeats {name}={value!r}")
+        if self.experiment == "order-study" and len(self.dt) < 3:
+            raise ConfigError(f"order-study fits its slopes over 3 or more dt values, got {len(self.dt)}")
         for a in self.alpha:
             if not 0.0 < a < 1.0:
                 raise ConfigError(f"alpha must lie in (0, 1), got {a}")
@@ -175,7 +177,7 @@ class ExperimentConfig:
 def _fmt(x) -> str:
     if isinstance(x, str):
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
+    if isinstance(x, int):
         return str(x)
     return f"{float(x):.17g}"
 
@@ -186,11 +188,7 @@ def emit_csv(records, path, config: dict | None = None) -> None:
     leaves no partial CSV."""
     if records and isinstance(records[0], SimulationRecord):
         fieldnames = SimulationRecord.FIELDS
-        rows = [
-            [_fmt(r.t), _fmt(r.value), _fmt(r.analytic), _fmt(r.abs_error),
-             str(r.stored_points), str(r.conv_terms), _fmt(r.wall_clock)]
-            for r in records
-        ]
+        rows = [[_fmt(getattr(r, name)) for name in fieldnames] for r in records]
     elif records:
         fieldnames = tuple(records[0].keys())
         rows = [[_fmt(row[k]) for k in fieldnames] for row in records]

@@ -69,16 +69,34 @@ def caputo_weights(
     return (left ** (1.0 - a) - right ** (1.0 - a)) / (1.0 - a)
 
 
-def _check_times(times: np.ndarray, t_n: float | None) -> np.ndarray:
+def _check_times(times: np.ndarray) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("history must contain at least 2 time points")
     dts = np.diff(times)
     if np.any(dts <= 0.0):
         raise ValueError("history times must be strictly increasing")
-    if t_n is not None and times[-1] != t_n:
-        raise ValueError(f"last history time {times[-1]} does not match t_n={t_n}")
     return times
+
+
+# OpenBLAS splits a dot product over its threads above 10 000 elements and a
+# matrix-vector product above ~450k, and each split changes the summation
+# order; below these block sizes it runs on one thread, so the bits of a
+# contraction do not depend on the BLAS thread count
+_DOT_BLOCK = 8192
+_MATVEC_BLOCK = 2**18
+
+
+def weighted_rows(w: np.ndarray, rows: np.ndarray) -> float | np.ndarray:
+    """``w @ rows``, summed over blocks of rows that a BLAS contracts on one
+    thread; a history of one block is contracted by a single ``@``."""
+    step = _DOT_BLOCK if rows.ndim == 1 else max(1, _MATVEC_BLOCK // rows.shape[1])
+    if rows.shape[0] <= step:
+        return w @ rows
+    total = w[:step] @ rows[:step]
+    for lo in range(step, rows.shape[0], step):
+        total = total + w[lo : lo + step] @ rows[lo : lo + step]
+    return total
 
 
 def l1_history(
@@ -110,21 +128,20 @@ def l1_history(
     coeff = (p[:-1] - p[1:]) / (1.0 - a) / np.diff(times)
     if values.ndim == 1:
         # this order of operations is what the frozen creep output repeats
-        return c, float(coeff @ np.diff(values)) / gamma
+        return c, float(weighted_rows(coeff, np.diff(values))) / gamma
     # summation by parts, sum_j coeff_j (v_(j+1) - v_j) = g @ v: a matvec on
     # the (possibly strided) rows, with no history-sized difference array
     g = np.empty(times.size)
     g[0] = -coeff[0]
     g[1:-1] = coeff[:-1] - coeff[1:]
     g[-1] = coeff[-1]
-    return c, g @ values / gamma
+    return c, weighted_rows(g, values) / gamma
 
 
 def evaluate_caputo(
     times: np.ndarray,
     values: np.ndarray,
     alpha: float,
-    t_n: float | None = None,
 ) -> float | np.ndarray:
     """Caputo derivative at times[-1] from a stored history.
 
@@ -134,7 +151,7 @@ def evaluate_caputo(
     ``l1_history`` on ``times[:-1]`` evaluated at ``t_n = times[-1]``.
     """
     a = order_value(alpha)
-    times = _check_times(times, t_n)
+    times = _check_times(times)
     values = np.asarray(values, dtype=float)
     if values.shape[0] != times.size:
         raise ValueError("values must have one row per time point")
@@ -145,20 +162,14 @@ def evaluate_caputo(
     return result
 
 
-def weight_sum(
-    times: np.ndarray,
-    alpha: float,
-    t_n: float | None = None,
-) -> float:
-    """Sum of weights over a partition; telescopes to
-    (t_n - t_0)^(1-a) / (1-a) regardless of spacing."""
+def weight_sum(times: np.ndarray, alpha: float) -> float:
+    """Sum of weights over a partition evaluated at its last time t_n;
+    telescopes to (t_n - t_0)^(1-a) / (1-a) regardless of spacing."""
     a = order_value(alpha)
     times = np.asarray(times, dtype=float)
     if times.size == 1:
         # single instant: empty partition
-        if t_n is not None and times[0] != t_n:
-            raise ValueError(f"history time {times[0]} does not match t_n={t_n}")
         return 0.0
-    times = _check_times(times, t_n)
+    times = _check_times(times)
     p = (times[-1] - times) ** (1.0 - a)
     return float(np.sum((p[:-1] - p[1:]) / (1.0 - a)))

@@ -87,19 +87,12 @@ def matched_fixed_policy(adaptive_T: float, dt: float, t_end: float) -> MemoryPo
 
 # -- derivative error studies -------------------------------------------------
 
-def _test_function(policy: MemoryPolicy) -> str:
-    # the fixed method is probed with constant f', the others with constant f''
-    return "linear" if policy.kind is PolicyKind.FIXED else "quadratic"
-
-
-def _exact_derivative(func: str, t: float, a: float) -> float:
-    if func == "linear":
-        return t ** (1.0 - a) / math.gamma(2.0 - a)
-    return 2.0 * t ** (2.0 - a) / math.gamma(3.0 - a)
-
-
-def _sample(func: str, t: float) -> float:
-    return t if func == "linear" else t * t
+def _test_function(policy: MemoryPolicy):
+    # (f, Df(t, alpha)): the fixed method is probed with constant f', the
+    # others with constant f''
+    if policy.kind is PolicyKind.FIXED:
+        return (lambda t: t), (lambda t, a: t ** (1.0 - a) / math.gamma(2.0 - a))
+    return (lambda t: t * t), (lambda t, a: 2.0 * t ** (2.0 - a) / math.gamma(3.0 - a))
 
 
 def run_derivative_error(
@@ -119,17 +112,17 @@ def run_derivative_error(
     order, in input order.
     """
     orders = [order_value(a) for a in alphas]
-    func = _test_function(policy)
+    f, exact_derivative = _test_function(policy)
     n_total = round(t_end / dt)
     record_at = _record_steps(n_total, n_records)
     buf = HistoryBuffer(policy)
-    buf.push(0.0, _sample(func, 0.0))
+    buf.push(0.0, f(0.0))
     runs: list[list[SimulationRecord]] = [[] for _ in orders]
     elapsed = 0.0
     tic = time.perf_counter()
     for i in range(1, n_total + 1):
         t = i * dt
-        buf.push(t, _sample(func, t))
+        buf.push(t, f(t))
         if i in record_at:
             elapsed += time.perf_counter() - tic
             times, values = buf.times(), buf.values()
@@ -139,7 +132,7 @@ def run_derivative_error(
                 # the operator at the newest stored time, from the points before it
                 c, h = policy.history(times[:-1], values[:-1], times[-1], a, dt)
                 value = float(c * (values[-1] - values[-2]) + h)
-                exact = _exact_derivative(func, t, a)
+                exact = exact_derivative(t, a)
                 records.append(
                     SimulationRecord(
                         t=t,
@@ -165,7 +158,8 @@ def run_order_study(
     of error versus dt per alpha.  Runs serially, one push stream per dt
     serving every alpha; records come in sweep order, alpha-major.  The
     sweep values must be distinct: the slopes are keyed by alpha, and a fit
-    over a repeated dt is rank-deficient."""
+    over a repeated dt is rank-deficient.  Each alpha needs a nonzero error
+    at 3 or more step sizes, or the fit raises ``ValueError``."""
     per_dt = []
     for dt in dts:
         runs = run_derivative_error(policy, alphas, dt, t_end, n_records=1)
@@ -175,7 +169,12 @@ def run_order_study(
     slopes = {}
     for a, chunk in zip(alphas, per_alpha):
         pts = [(dt, rec.abs_error) for dt, rec in zip(dts, chunk) if rec.abs_error > 0.0]
-        slopes[a] = fit_loglog_slope(pts) if len(pts) >= 3 else float("nan")
+        if len(pts) < 3:
+            raise ValueError(
+                f"order study at alpha={a}: {len(pts)} of {len(dts)} step sizes give a "
+                "nonzero error, and the slope fit needs 3"
+            )
+        slopes[a] = fit_loglog_slope(pts)
     summary = {
         "slopes": slopes,
         "peak_stored": max(r.stored_points for r in records),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import l1_history, order_value
+from .core import l1_history, order_value, weighted_rows
 
 __all__ = [
     "PolicyKind",
@@ -323,7 +323,7 @@ def gl_history(
     # f(t_n) - f_0 = (f(t_n) - values[-1]) + (values[-1] - f_0); c takes the
     # first part, the newest stored weight the second
     scaled[-1] += gap
-    h = (scaled @ values[1:] - scaled.sum() * values[0]) * scale
+    h = (weighted_rows(scaled, values[1:]) - scaled.sum() * values[0]) * scale
     return c, float(h) if values.ndim == 1 else h
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -264,6 +265,31 @@ class TestMainExitCodes:
         slopes = [l for l in capsys.readouterr().out.splitlines() if l.startswith("slope alpha=")]
         assert len(slopes) == 2
 
+    def test_order_study_with_two_steps_is_two(self, tmp_path, capsys):
+        rc = main(["order-study", "--dt", "0.1,0.05", "--t-end", "1",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error: order-study fits its slopes over 3 or more dt values, got 2" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_order_study_without_nonzero_errors_is_one(self, tmp_path, capsys):
+        # an unthinned L1 history is exact for f(t) = t: every error is 0.0
+        rc = main(["order-study", "--policy", "fixed", "--memory-length", "100",
+                   "--alpha", "0.25", "--dt", "0.5,0.25,0.125", "--t-end", "1",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: order study at alpha=0.25: 0 of 3 step sizes give a nonzero error" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_small_order_creep_inside_unit_disk_runs(self, tmp_path):
+        # the reference is E_0.001(-0.0625^0.001) = E_0.001(-0.9972...), a
+        # series of ~1e4 terms
+        rc = main(["kelvin-voigt", "--alpha", "0.001", "--dt", "0.0625", "--t-end", "0.0625",
+                   "--n-records", "1", "--out", str(tmp_path / "o.csv")])
+        assert rc == 0
+
     def test_missing_config_file_is_two(self, tmp_path):
         rc = main(["diffusion", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2
@@ -300,6 +326,28 @@ class TestDeterminism:
         stripped1 = [[v for i, v in enumerate(row) if i != wall] for row in r1]
         stripped2 = [[v for i, v in enumerate(row) if i != wall] for row in r2]
         assert stripped1 == stripped2
+
+    # each history passes an OpenBLAS threading threshold: a 1-D dot product
+    # of more than 10 000 elements, a ~5500 x 99 matrix-vector product
+    @pytest.mark.parametrize("args", [
+        ["diffusion", "--policy", "full", "--dt", "0.01", "--t-end", "55", "--n-records", "1"],
+        ["derivative-error", "--policy", "full", "--dt", "0.001", "--t-end", "20",
+         "--n-records", "1"],
+    ], ids=["matvec", "dot"])
+    def test_bytes_independent_of_blas_thread_count(self, tmp_path, args):
+        procs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            procs[out] = subprocess.Popen(
+                [sys.executable, "-m", "fracmem.cli", *args, "--out", str(out)],
+                env=env, stdout=subprocess.DEVNULL,
+            )
+        assert [proc.wait(timeout=300) for proc in procs.values()] == [0, 0]
+        (c1, f1, r1), (c2, f2, r2) = (read_csv(out) for out in procs)
+        wall = f1.index("wall_clock")
+        assert (c1, f1) == (c2, f2)
+        assert [row[:wall] for row in r1] == [row[:wall] for row in r2]
 
 
 class TestGoldenFile:

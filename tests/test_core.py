@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fracmem import caputo_weight, evaluate_caputo, weight_sum
-from fracmem.core import caputo_weights, l1_history, order_value
+from fracmem.core import caputo_weights, l1_history, order_value, weighted_rows
 
 
 def quad_weight(t_n, t_k, t_k1, alpha):
@@ -58,10 +58,6 @@ class TestValidation:
         for t_n in (1.0, 0.5):
             with pytest.raises(ValueError, match="after the last history time"):
                 l1_history(np.array([0.0, 1.0]), np.array([0.0, 1.0]), t_n, 0.5)
-
-    def test_evaluate_checks_t_n(self):
-        with pytest.raises(ValueError):
-            evaluate_caputo([0.0, 1.0], [0.0, 1.0], 0.5, t_n=2.0)
 
 
 class TestWeights:
@@ -124,6 +120,23 @@ class TestWeights:
         assert h == float(coeff @ np.diff(values)) / gamma
         w = caputo_weights(times[-1], times[:-1], times[1:], alpha)
         assert weight_sum(times, alpha) == float(np.sum(w))
+
+
+class TestWeightedRows:
+    # one block: 8192 scalar rows, or 2^18 // 99 = 2647 rows of 99
+    @pytest.mark.parametrize("shape", [(8192,), (2647, 99)], ids=["dot", "matvec"])
+    def test_one_block_is_a_single_matmul(self, shape):
+        rng = np.random.default_rng(7)
+        w, rows = rng.normal(size=shape[0]), rng.normal(size=shape)
+        assert np.array_equal(weighted_rows(w, rows), w @ rows)
+
+    @pytest.mark.parametrize("shape", [(3 * 8192 + 5,), (6001, 99)], ids=["dot", "matvec"])
+    def test_blocks_sum_to_the_contraction(self, shape):
+        rng = np.random.default_rng(8)
+        w, rows = rng.normal(size=shape[0]), rng.normal(size=shape)
+        expect = [math.fsum(w * col) for col in rows.reshape(shape[0], -1).T]
+        got = np.atleast_1d(weighted_rows(w, rows))
+        assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
 
 
 class TestEvaluate:

@@ -75,6 +75,14 @@ class TestBehavior:
                 continue
             assert _series(alpha, -x) == pytest.approx(_spectral(alpha, x), abs=1e-10)
 
+    @pytest.mark.parametrize("alpha, z", [
+        (0.001, -0.99), (0.001, -0.997), (0.002, -0.99), (0.003, -0.99),
+    ])
+    def test_small_order_just_inside_unit_disk_converges(self, alpha, z):
+        # Gamma(alpha k + 1) grows slowly here: the series terms shrink only
+        # like |z|^k, ~1e4 of them at z = -0.997
+        assert mittag_leffler(alpha, z) == pytest.approx(_spectral(alpha, -z), abs=1e-12)
+
     def test_deep_negative_small_order_stays_accurate(self):
         # the integral route against the half-order oracle far from zero
         got = mittag_leffler(0.5, -40.0)
@@ -109,11 +117,6 @@ class TestSpectralRoute:
 
 
 class TestRoutes:
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        # a cached value would hide the route that computed it
-        special._mittag_leffler_cached.cache_clear()
-
     @staticmethod
     def forbid(monkeypatch, name):
         def fail(*args):
