@@ -62,10 +62,11 @@ class SimulationRecord:
 
 
 def _record_steps(n_total: int, n_records: int) -> set[int]:
-    stride = max(1, n_total // max(n_records, 1))
-    steps = set(range(stride, n_total + 1, stride))
-    steps.add(n_total)
-    return steps
+    # steps ceil(k n_total / n_records), k = 1..n_records, in integers: the
+    # multiples of the stride when n_records divides n_total, and always
+    # the last step; every step when there are fewer steps than rows
+    n = min(n_records, n_total)
+    return {-(-k * n_total // n) for k in range(1, n + 1)}
 
 
 def retention_count(policy: MemoryPolicy, dt: float, t_end: float) -> int:

@@ -13,9 +13,11 @@ weights for the adaptive GL policy), solves for u(t_n), rejects a non-finite
 state and pushes it.  The creep solve is a scalar formula.  The diffusion
 history holds the interior nodes, its unknowns, and each step solves one
 symmetric positive-definite tridiagonal system with LAPACK ``dptsv`` (an
-LDL^T elimination without pivoting).  ``thomas_solve`` is the general
-non-pivoting tridiagonal solver, kept as the pure-Python reference for that
-solve.
+LDL^T elimination without pivoting).  ``dptsv`` is imported from
+``scipy.linalg.lapack`` when a ``DiffusionConfig`` is built, at set-up, so
+that only diffusion runs load scipy, and each ``DiffusionSimulation`` binds it
+once.  ``thomas_solve`` is the general non-pivoting tridiagonal solver, kept
+as the pure-Python reference for that solve.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
 
 from .core import order_value
 from .memory import HistoryBuffer, MemoryPolicy
@@ -78,6 +79,14 @@ def thomas_solve(
     for i in range(n - 2, -1, -1):
         x[i] = d[i] - c[i] * x[i + 1]
     return x
+
+
+def _lapack_dptsv():
+    """LAPACK ``dptsv`` from ``scipy.linalg.lapack``, imported only when a
+    diffusion problem asks for it: the other runs load no scipy module."""
+    from scipy.linalg.lapack import dptsv
+
+    return dptsv
 
 
 def _positive_finite(x: float) -> bool:
@@ -148,6 +157,8 @@ class DiffusionConfig:
             raise ValueError(
                 f"domain length {self.length} with dx={self.dx} leaves no interior node"
             )
+        # the solver's import belongs to set-up, not to the first step
+        _lapack_dptsv()
 
     @property
     def n_nodes(self) -> int:
@@ -177,6 +188,7 @@ class DiffusionSimulation(_ImplicitStepper):
 
     def __init__(self, config: DiffusionConfig):
         super().__init__(config, config.initial_field()[1:-1])
+        self._dptsv = _lapack_dptsv()
 
     @property
     def field(self) -> np.ndarray:
@@ -196,7 +208,7 @@ class DiffusionSimulation(_ImplicitStepper):
         c_n = c * dt_n
         rhs = c_n * self._state - dt_n * h
         n = rhs.size
-        _, _, interior, info = dptsv(
+        _, _, interior, info = self._dptsv(
             np.full(n, c_n + 2.0 * r), np.full(max(n - 1, 1), -r), rhs,  # the wrapper rejects an empty e
             overwrite_d=1, overwrite_e=1, overwrite_b=1,
         )

@@ -1,6 +1,7 @@
 """Command-line runner: configuration handling, CSV format, determinism."""
 
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import fracmem
 from fracmem.cli import (
     ConfigError,
     ExperimentConfig,
@@ -284,8 +286,8 @@ class TestMainExitCodes:
         assert not (tmp_path / "o.csv").exists()
 
     def test_small_order_creep_inside_unit_disk_runs(self, tmp_path):
-        # the reference is E_0.001(-0.0625^0.001) = E_0.001(-0.9972...), a
-        # series of ~1e4 terms
+        # the reference is E_0.001(-0.0625^0.001) = E_0.001(-0.9972...), where
+        # the series would need ~1e4 terms and the spectral integral answers
         rc = main(["kelvin-voigt", "--alpha", "0.001", "--dt", "0.0625", "--t-end", "0.0625",
                    "--n-records", "1", "--out", str(tmp_path / "o.csv")])
         assert rc == 0
@@ -307,6 +309,71 @@ class TestMainExitCodes:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+
+class TestRecords:
+    # 400 steps are no multiple of 64 records: rows at ceil(k 400 / 64); 4
+    # steps give at most 4 rows
+    @pytest.mark.parametrize("dt, n_records, rows, first", [
+        ("0.01", "64", 64, [0.07, 0.13, 0.19]), ("1", "8", 4, [1.0, 2.0, 3.0]),
+    ])
+    def test_n_records_is_rows_written(self, tmp_path, capsys, dt, n_records, rows, first):
+        out = tmp_path / "o.csv"
+        assert main(["kelvin-voigt", "--dt", dt, "--t-end", "4", "--n-records", n_records,
+                     "--out", str(out)]) == 0
+        assert f"wrote {rows} records" in capsys.readouterr().out
+        _, fieldnames, got = read_csv(out)
+        t = [float(row[fieldnames.index("t")]) for row in got]
+        assert len(t) == rows
+        assert t[:3] == first and t[-1] == 4.0
+
+
+def run_python(code: str, *args: str):
+    """Run ``code`` in a fresh interpreter that imports this fracmem, and
+    return the JSON value its last stdout line holds.  A fresh process is
+    needed because the test process itself has loaded scipy."""
+    src = str(Path(fracmem.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+class TestScipyImports:
+    def test_runs_without_diffusion_load_no_scipy(self, tmp_path):
+        code = f"""
+import json, sys
+from fracmem.cli import main
+runs = (["kelvin-voigt", "--t-end", "4"], ["derivative-error", "--t-end", "1"],
+        ["order-study", "--dt", "0.1,0.05,0.025", "--t-end", "1"], ["cost-model"])
+assert [main([*run, "--out", sys.argv[1]]) for run in runs] == [0, 0, 0, 0]
+print(json.dumps({LOADED_SCIPY}))
+"""
+        assert run_python(code, str(tmp_path / "o.csv")) == []
+
+    def test_diffusion_loads_lapack_at_set_up(self, tmp_path):
+        code = f"""
+import json, sys
+from fracmem.cli import ExperimentConfig, run_experiment
+before = {LOADED_SCIPY}
+config = ExperimentConfig(experiment="diffusion", t_end=1.0, out=sys.argv[1])
+built = {LOADED_SCIPY}
+run_experiment(config)
+print(json.dumps([before, built, {LOADED_SCIPY}]))
+"""
+        before, built, after = run_python(code, str(tmp_path / "o.csv"))
+        assert before == []
+        assert "scipy.linalg.lapack" in built
+        # the run itself imports nothing more from scipy
+        assert after == built
+        public = {m.split(".")[1] for m in built if "." in m and not m.split(".")[1].startswith("_")}
+        assert public <= {"linalg", "version"}
 
 
 class TestDeterminism:

@@ -248,8 +248,10 @@ class TestDiffusionAgainstReference:
 
     def test_failed_solve_names_step_and_time(self, monkeypatch):
         # a negated diagonal is not positive definite, so LAPACK rejects it
-        real = solvers.dptsv
-        monkeypatch.setattr(solvers, "dptsv", lambda d, e, b, **kw: real(-d, e, b, **kw))
+        real = solvers._lapack_dptsv()
+        monkeypatch.setattr(
+            solvers, "_lapack_dptsv", lambda: lambda d, e, b, **kw: real(-d, e, b, **kw)
+        )
         cfg = DiffusionConfig(length=10.0, dx=0.1, dt=0.01, mu=1.0, alpha=0.5,
                               policy=MemoryPolicy.full())
         sim = DiffusionSimulation(cfg)
@@ -260,18 +262,21 @@ class TestDiffusionAgainstReference:
 
 
     def test_non_finite_field_names_step_and_time(self, monkeypatch):
+        real = solvers._lapack_dptsv()
+        calls = []
+
+        def nan_on_second_solve(d, e, b, **kw):
+            d, e, x, info = real(d, e, b, **kw)
+            calls.append(None)
+            if len(calls) == 2:
+                x[x.size // 2] = math.nan
+            return d, e, x, info
+
+        monkeypatch.setattr(solvers, "_lapack_dptsv", lambda: nan_on_second_solve)
         cfg = DiffusionConfig(length=10.0, dx=0.1, dt=0.01, mu=1.0, alpha=0.5,
                               policy=MemoryPolicy.full())
         sim = DiffusionSimulation(cfg)
         sim.step()
-        real = solvers.dptsv
-
-        def nan_solve(d, e, b, **kw):
-            d, e, x, info = real(d, e, b, **kw)
-            x[x.size // 2] = math.nan
-            return d, e, x, info
-
-        monkeypatch.setattr(solvers, "dptsv", nan_solve)
         with pytest.raises(ValueError, match=r"non-finite state at step 2 \(t=0\.02\)"):
             sim.step()
         assert sim.t == 0.01

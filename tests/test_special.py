@@ -6,10 +6,30 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import erfcx, rgamma
 
 from fracmem import mittag_leffler, special
 from fracmem.special import _series, _series_peak, _spectral
+
+
+def spectral_by_quad(alpha, x):
+    """E_alpha(-x) from the spectral integral by adaptive quadrature, on the
+    pieces the rule uses plus the tail beyond v_cut."""
+    c = math.cos(math.pi * alpha)
+    s2 = math.sin(math.pi * alpha) ** 2
+
+    def integrand(v):
+        u = x * v
+        if u > 700.0**alpha:
+            return 0.0
+        return math.exp(-(u ** (1.0 / alpha))) / ((v + c) ** 2 + s2)
+
+    v_cut = 40.0**alpha / x
+    knots = [0.0, -c, v_cut, math.inf] if 0.0 < -c < v_cut else [0.0, v_cut, math.inf]
+    total = sum(quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=400)[0]
+                for lo, hi in zip(knots, knots[1:]))
+    return math.sin(math.pi * alpha) / (alpha * math.pi) * total
 
 
 class TestQueryValidation:
@@ -80,8 +100,9 @@ class TestBehavior:
     ])
     def test_small_order_just_inside_unit_disk_converges(self, alpha, z):
         # Gamma(alpha k + 1) grows slowly here: the series terms shrink only
-        # like |z|^k, ~1e4 of them at z = -0.997
-        assert mittag_leffler(alpha, z) == pytest.approx(_spectral(alpha, -z), abs=1e-12)
+        # like |z|^k, ~1e4 of them at z = -0.997, so the spectral integral
+        # answers; the series still converges there and is the oracle
+        assert mittag_leffler(alpha, z) == pytest.approx(_series(alpha, z), abs=1e-12)
 
     def test_deep_negative_small_order_stays_accurate(self):
         # the integral route against the half-order oracle far from zero
@@ -109,9 +130,22 @@ class TestSpectralRoute:
                          for k in range(1, 9))
             assert _spectral(alpha, x) == pytest.approx(expect, rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.995, 0.999])
+    def test_agrees_with_adaptive_quadrature(self, alpha):
+        for x in np.geomspace(1.0001, 1e4, 25):
+            assert _spectral(alpha, float(x)) == pytest.approx(
+                spectral_by_quad(alpha, float(x)), rel=1e-12
+            )
+
+    def test_unresolved_peak_raises(self):
+        # past the routed orders the peak at v = -cos(alpha pi) outgrows the
+        # fixed rule, and its error estimate says so
+        with pytest.raises(ArithmeticError, match="error estimate"):
+            _spectral(1.0 - 1e-9, 1.5)
+
     def test_large_error_estimate_raises(self, monkeypatch):
-        real = special.quad
-        monkeypatch.setattr(special, "quad", lambda *a, **kw: (real(*a, **kw)[0], 1e-9))
+        real = special._tanh_sinh
+        monkeypatch.setattr(special, "_tanh_sinh", lambda *a: (real(*a)[0], 1e-9))
         with pytest.raises(ArithmeticError, match=r"alpha=0\.5, x=3\.0"):
             _spectral(0.5, 3.0)
 
@@ -131,5 +165,14 @@ class TestRoutes:
 
     def test_series_keeps_unit_disk_positive_axis_and_orders_near_one(self, monkeypatch):
         self.forbid(monkeypatch, "_spectral")
-        for alpha, z in ((0.5, -1.0), (0.7, -0.3), (0.3, 2.0), (0.9995, -20.0)):
+        # small orders too while the series needs 500 terms or fewer: 425 at
+        # alpha = 0.05, z = -1
+        for alpha, z in ((0.5, -1.0), (0.7, -0.3), (0.3, 2.0), (0.9995, -20.0),
+                         (0.05, -1.0), (0.001, -0.9)):
             assert mittag_leffler(alpha, z) == _series(alpha, z)
+
+    def test_long_series_inside_unit_disk_skips_series(self, monkeypatch):
+        # more than 500 terms: ~1e4 at alpha = 0.001, z = -0.99, ~2e4 at z = -1
+        self.forbid(monkeypatch, "_series")
+        for alpha, z in ((0.001, -0.99), (0.001, -1.0), (0.01, -0.99), (0.04, -1.0)):
+            assert 0.0 < mittag_leffler(alpha, z) < 1.0
