@@ -17,7 +17,7 @@ from .analysis import (
     fixed_memory_bound,
     op_count,
 )
-from .core import caputo_weight, evaluate_caputo, weight_sum
+from .core import caputo_weight, evaluate_caputo
 from .memory import (
     HistoryBuffer,
     MemoryPolicy,

@@ -27,6 +27,7 @@ from .experiments import (
     run_diffusion,
     run_kelvin_voigt,
     run_order_study,
+    step_count,
 )
 from .memory import MemoryPolicy, PolicyKind
 from .solvers import DiffusionConfig, KelvinVoigtConfig
@@ -119,27 +120,24 @@ class ExperimentConfig:
         for a in self.alpha:
             if not 0.0 < a < 1.0:
                 raise ConfigError(f"alpha must lie in (0, 1), got {a}")
-        for dt in self.dt:
-            steps = self.t_end / dt
-            if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
-                raise ConfigError(f"t_end={self.t_end} is not a multiple of dt={dt}")
-            if self.policy == PolicyKind.FIXED.value and self.memory_length < dt:
-                # a window shorter than the step keeps one point: no history
-                raise ConfigError(
-                    f"fixed memory_length={self.memory_length} is shorter than dt={dt}"
-                )
-        if self.n_records < 1 or self.m < 1 or any(l < 0 for l in self.levels):
-            raise ConfigError("n_records, m must be >= 1 and levels >= 0")
+        counts = [("n_records", self.n_records, 1), ("m", self.m, 1)]
+        for name, value, least in counts + [("levels", l, 0) for l in self.levels]:
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
         try:
+            policy = self.memory_policy()
+            for dt in self.dt:
+                step_count(self.t_end, dt)
+                policy.check_step(dt)
             if self.experiment == "diffusion":
                 solver = DiffusionConfig(
                     length=self.length, dx=self.dx, dt=self.dt[0], mu=self.resolved_mu(),
-                    alpha=self.alpha[0], policy=self.memory_policy(),
+                    alpha=self.alpha[0], policy=policy,
                 )
             elif self.experiment == "kelvin-voigt":
                 solver = KelvinVoigtConfig(
                     eta=self.eta, k=self.k, load=self.load, alpha=self.alpha[0],
-                    dt=self.dt[0], policy=self.memory_policy(),
+                    dt=self.dt[0], policy=policy,
                 )
             else:
                 solver = None

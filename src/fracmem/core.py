@@ -12,6 +12,8 @@ and a new time ``t_n > times[-1]``, it returns ``(c, h)`` with
 
 ``c`` the implicit coefficient of the newest interval and ``h`` the explicit
 sum over the stored intervals.  Rows of ``values`` are scalars or vectors.
+``check_history`` checks a history passed in from outside, and
+``newest_derivative`` applies any history operator at its newest time.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "caputo_weights",
     "evaluate_caputo",
     "l1_history",
-    "weight_sum",
 ]
 
 
@@ -69,14 +70,27 @@ def caputo_weights(
     return (left ** (1.0 - a) - right ** (1.0 - a)) / (1.0 - a)
 
 
-def _check_times(times: np.ndarray) -> np.ndarray:
+def check_history(times, values) -> tuple[np.ndarray, np.ndarray]:
+    """``times`` and ``values`` as float arrays, checked: at least 2 times,
+    strictly increasing, and one row of ``values`` per time."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("history must contain at least 2 time points")
-    dts = np.diff(times)
-    if np.any(dts <= 0.0):
+    if not np.all(np.diff(times) > 0.0):
         raise ValueError("history times must be strictly increasing")
-    return times
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 0 or values.shape[0] != times.size:
+        raise ValueError("values must have one row per time point")
+    return times, values
+
+
+def newest_derivative(history, times: np.ndarray, values: np.ndarray, *args) -> float | np.ndarray:
+    """D f(times[-1]) by the history operator ``history(times, values, t_n,
+    *args) -> (c, h)`` on the points before the newest one: a float for
+    scalar rows, an array for vector rows."""
+    c, h = history(times[:-1], values[:-1], times[-1], *args)
+    result = c * (values[-1] - values[-2]) + h
+    return float(result) if np.ndim(result) == 0 else result
 
 
 # OpenBLAS splits a dot product over its threads above 10 000 elements and a
@@ -150,26 +164,5 @@ def evaluate_caputo(
     non-uniform spacings since the weights are exact.  This is
     ``l1_history`` on ``times[:-1]`` evaluated at ``t_n = times[-1]``.
     """
-    a = order_value(alpha)
-    times = _check_times(times)
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != times.size:
-        raise ValueError("values must have one row per time point")
-    c, h = l1_history(times[:-1], values[:-1], times[-1], a)
-    result = c * (values[-1] - values[-2]) + h
-    if np.ndim(result) == 0:
-        return float(result)
-    return result
-
-
-def weight_sum(times: np.ndarray, alpha: float) -> float:
-    """Sum of weights over a partition evaluated at its last time t_n;
-    telescopes to (t_n - t_0)^(1-a) / (1-a) regardless of spacing."""
-    a = order_value(alpha)
-    times = np.asarray(times, dtype=float)
-    if times.size == 1:
-        # single instant: empty partition
-        return 0.0
-    times = _check_times(times)
-    p = (times[-1] - times) ** (1.0 - a)
-    return float(np.sum((p[:-1] - p[1:]) / (1.0 - a)))
+    times, values = check_history(times, values)
+    return newest_derivative(l1_history, times, values, alpha)

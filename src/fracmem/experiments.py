@@ -6,6 +6,8 @@ wall-clock column varies between identical runs.  Wall clock measures the
 stepping loop alone, not record assembly or I/O.  The derivative studies
 push samples that do not depend on the order, so one push stream per time
 grid serves every alpha of a sweep; sweeps run serially in one process.
+Every runner steps on the grid t = i * dt, and ``step_count`` raises
+``ValueError`` before the first step unless ``t_end`` is a whole number of them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import fit_loglog_slope, op_count
-from .core import order_value
+from .core import newest_derivative, order_value
 from .memory import HistoryBuffer, MemoryPolicy, PolicyKind
 from .solvers import (
     DiffusionConfig,
@@ -36,6 +38,7 @@ __all__ = [
     "run_kelvin_voigt",
     "run_cost_model",
     "retention_count",
+    "step_count",
     "matched_fixed_policy",
     "accumulated_conv_terms",
 ]
@@ -69,12 +72,19 @@ def _record_steps(n_total: int, n_records: int) -> set[int]:
     return {-(-k * n_total // n) for k in range(1, n + 1)}
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """The whole, positive number of steps ``dt`` to ``t_end``, or ``ValueError``."""
+    steps = t_end / dt
+    if not (0.5 < steps < math.inf and abs(steps - round(steps)) <= 1e-9):
+        raise ValueError(f"t_end={t_end} is not a multiple of dt={dt}")
+    return round(steps)
+
+
 def retention_count(policy: MemoryPolicy, dt: float, t_end: float) -> int:
     """Stored-point count of a policy after stepping to t_end; depends only
     on the time sequence, not on values."""
     buf = HistoryBuffer(policy)
-    n_total = round(t_end / dt)
-    for i in range(n_total + 1):
+    for i in range(step_count(t_end, dt) + 1):
         buf.push(i * dt, 0.0)
     return buf.count_stored()
 
@@ -114,7 +124,8 @@ def run_derivative_error(
     """
     orders = [order_value(a) for a in alphas]
     f, exact_derivative = _test_function(policy)
-    n_total = round(t_end / dt)
+    policy.check_step(dt)
+    n_total = step_count(t_end, dt)
     record_at = _record_steps(n_total, n_records)
     buf = HistoryBuffer(policy)
     buf.push(0.0, f(0.0))
@@ -127,12 +138,8 @@ def run_derivative_error(
         if i in record_at:
             elapsed += time.perf_counter() - tic
             times, values = buf.times(), buf.values()
-            if times.size < 2:
-                raise ValueError("history must contain at least 2 time points")
             for a, records in zip(orders, runs):
-                # the operator at the newest stored time, from the points before it
-                c, h = policy.history(times[:-1], values[:-1], times[-1], a, dt)
-                value = float(c * (values[-1] - values[-2]) + h)
+                value = newest_derivative(policy.history, times, values, a, dt)
                 exact = exact_derivative(t, a)
                 records.append(
                     SimulationRecord(
@@ -191,7 +198,7 @@ def _run_simulation(
     """Step ``sim`` to ``t_end`` and record ``value()`` against ``exact(t)``
     at ``n_records`` evenly spaced steps; the record loop of both
     application benchmarks."""
-    n_total = round(t_end / sim.config.dt)
+    n_total = step_count(t_end, sim.config.dt)
     record_at = _record_steps(n_total, n_records)
     records: list[SimulationRecord] = []
     elapsed = 0.0
@@ -260,7 +267,7 @@ def accumulated_conv_terms(policy: MemoryPolicy, dt: float, t_end: float) -> int
     buf = HistoryBuffer(policy)
     buf.push(0.0, 0.0)
     total = 0
-    for i in range(1, round(t_end / dt) + 1):
+    for i in range(1, step_count(t_end, dt) + 1):
         buf.push(i * dt, 0.0)
         total += buf.count_conv_terms()
     return total

@@ -13,9 +13,9 @@ concurrently with each other or with pushes.
 
 Each policy owns one history operator, ``MemoryPolicy.history``: given the
 stored times and values and a new time ``t_n > times[-1]`` it returns
-``(c, h)`` with D f(t_n) ~= c * (f(t_n) - values[-1]) + h.  The adaptive GL
-policy uses ``gl_history`` below; the others use the exact L1 weights of
-``core.l1_history``.
+``(c, h)`` with D f(t_n) ~= c * (f(t_n) - values[-1]) + h; an earlier t_n
+raises ``ValueError``.  The adaptive GL policy uses ``gl_history`` below;
+the others use the exact L1 weights of ``core.l1_history``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import l1_history, order_value, weighted_rows
+from .core import check_history, l1_history, newest_derivative, order_value, weighted_rows
 
 __all__ = [
     "PolicyKind",
@@ -74,6 +74,11 @@ class MemoryPolicy:
     @classmethod
     def adaptive_gl(cls, T: float) -> "MemoryPolicy":
         return cls(PolicyKind.ADAPTIVE_GL, T)
+
+    def check_step(self, dt: float) -> None:
+        """Raise ``ValueError`` if a fixed window, shorter than ``dt``, would keep no history."""
+        if self.kind is PolicyKind.FIXED and self.T < dt:
+            raise ValueError(f"fixed memory_length={self.T} is shorter than dt={dt}")
 
     def history(
         self,
@@ -310,6 +315,8 @@ def gl_history(
     ``h`` is a float for scalar (1-D) rows and an array for vector rows.
     """
     a = order_value(alpha)
+    if not times[-1] < t_n:
+        raise ValueError(f"t_n={t_n} must lie after the last history time {times[-1]}")
     scale = dt ** (-a)
     idx = np.rint(times / dt).astype(int)
     n = round(t_n / dt)
@@ -340,16 +347,8 @@ def evaluate_gl(
     ``times[0]`` is the initial time.  This is ``gl_history`` on
     ``times[:-1]`` evaluated at ``t_n = times[-1]``.
     """
-    a = order_value(alpha)
-    times = np.asarray(times, dtype=float)
-    if times.size < 2:
-        raise ValueError("history must contain at least 2 time points")
+    times, values = check_history(times, values)
     idx = np.rint(times / dt).astype(int)
     if np.max(np.abs(times - idx * dt)) > 1e-9 * dt * max(idx[-1], 1):
         raise ValueError("history times do not sit on the uniform base grid")
-    values = np.asarray(values, dtype=float)
-    c, h = gl_history(times[:-1], values[:-1], times[-1], a, dt)
-    result = c * (values[-1] - values[-2]) + h
-    if np.ndim(result) == 0:
-        return float(result)
-    return result
+    return newest_derivative(gl_history, times, values, alpha, dt)

@@ -150,6 +150,7 @@ class DiffusionConfig:
         order_value(self.alpha)
         if not all(_positive_finite(v) for v in (self.length, self.dx, self.dt, self.mu)):
             raise ValueError("diffusion parameters must be positive and finite")
+        self.policy.check_step(self.dt)
         n = self.length / self.dx
         if abs(n - round(n)) > 1e-9:
             raise ValueError(f"domain length {self.length} must be a multiple of dx={self.dx}")
@@ -232,6 +233,7 @@ class KelvinVoigtConfig:
         order_value(self.alpha)
         if not all(_positive_finite(v) for v in (self.eta, self.k, self.load, self.dt)):
             raise ValueError("Kelvin-Voigt parameters must be positive and finite")
+        self.policy.check_step(self.dt)
 
     @property
     def tau_alpha(self) -> float:

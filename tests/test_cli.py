@@ -292,6 +292,32 @@ class TestMainExitCodes:
                    "--n-records", "1", "--out", str(tmp_path / "o.csv")])
         assert rc == 0
 
+    @pytest.mark.parametrize("args, message", [
+        (["--n-records", "0"], "n_records must be >= 1, got 0"),
+        (["--m", "0"], "m must be >= 1, got 0"),
+        (["--levels=-1"], "levels must be >= 0, got -1"),
+    ], ids=["n_records", "m", "levels"])
+    def test_count_below_its_least_is_two(self, tmp_path, capsys, args, message):
+        rc = main(["cost-model", *args, "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("bogus=1", "unknown configuration key 'bogus'"),
+        ("alpha=abc", "bad value for 'alpha': 'abc'"),
+        ("alpha 0.5", "run.cfg:2: expected key=value, got 'alpha 0.5'"),
+    ], ids=["unknown-key", "bad-value", "no-equals"])
+    def test_bad_config_file_line_is_two(self, tmp_path, capsys, line, message):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"# comment\n{line}\n")
+        rc = main(["kelvin-voigt", "--config", str(cfgfile), "--t-end", "1",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error: " in err and message in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_missing_config_file_is_two(self, tmp_path):
         rc = main(["diffusion", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2

@@ -1,11 +1,19 @@
 """Experiment runners: one push stream serving an alpha sweep."""
 
 import dataclasses
+import math
 
 import pytest
 
-from fracmem import MemoryPolicy
-from fracmem.experiments import run_derivative_error
+from fracmem import DiffusionConfig, KelvinVoigtConfig, MemoryPolicy
+from fracmem.experiments import (
+    accumulated_conv_terms,
+    retention_count,
+    run_derivative_error,
+    run_diffusion,
+    run_kelvin_voigt,
+    step_count,
+)
 
 
 def without_clock(records):
@@ -26,3 +34,38 @@ def test_alpha_sweep_matches_single_alpha_runs(policy):
         (single,) = run_derivative_error(policy, (a,), dt, t_end, n_records=8)
         assert len(single) == 8
         assert without_clock(recs) == without_clock(single)
+
+
+@pytest.mark.parametrize("t_end, dt, steps", [(1.0, 0.01, 100), (0.3, 0.1, 3), (16.0, 0.0625, 256)])
+def test_step_count_on_the_grid(t_end, dt, steps):
+    assert step_count(t_end, dt) == steps
+
+
+@pytest.mark.parametrize("t_end", [1.005, 0.004, 0.0, -1.0, math.inf, math.nan])
+def test_step_count_off_the_grid_raises(t_end):
+    with pytest.raises(ValueError, match=f"t_end={t_end} is not a multiple of dt=0.01"):
+        step_count(t_end, 0.01)
+
+
+@pytest.mark.parametrize("t_end", [1.005, 0.004])
+def test_runs_reject_a_horizon_off_the_grid(t_end):
+    # 1.005 lies between grid points, 0.004 before the first one
+    message = f"t_end={t_end} is not a multiple of dt=0.01"
+    policy = MemoryPolicy.adaptive_present(0.5)
+    kv = KelvinVoigtConfig(eta=1.0, k=1.0, load=1.0, alpha=0.5, dt=0.01, policy=policy)
+    diffusion = DiffusionConfig(length=10.0, dx=1.0, dt=0.01, mu=1.0, alpha=0.5, policy=policy)
+    runs = [
+        lambda: run_kelvin_voigt(kv, t_end),
+        lambda: run_diffusion(diffusion, t_end),
+        lambda: run_derivative_error(policy, (0.5,), 0.01, t_end),
+        lambda: retention_count(policy, 0.01, t_end),
+        lambda: accumulated_conv_terms(policy, 0.01, t_end),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match=message):
+            run()
+
+
+def test_derivative_error_rejects_fixed_window_shorter_than_step():
+    with pytest.raises(ValueError, match="fixed memory_length=0.001 is shorter than dt=0.01"):
+        run_derivative_error(MemoryPolicy.fixed(0.001), (0.5,), 0.01, 1.0)

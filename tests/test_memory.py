@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracmem import HistoryBuffer, MemoryPolicy, PolicyKind, evaluate_gl
+from fracmem import HistoryBuffer, MemoryPolicy, PolicyKind, evaluate_caputo, evaluate_gl
 from fracmem.memory import gl_weights
 
 
@@ -33,6 +33,36 @@ class TestPolicyConstruction:
     def test_truncating_policies_require_finite_length(self, maker, T):
         with pytest.raises(ValueError, match="finite"):
             getattr(MemoryPolicy, maker)(T)
+
+
+POLICY_IDS = ["full", "fixed", "present", "gl"]
+
+
+class TestPolicyContract:
+    @pytest.mark.parametrize("policy", [
+        MemoryPolicy.full(),
+        MemoryPolicy.fixed(0.5),
+        MemoryPolicy.adaptive_present(0.5),
+        MemoryPolicy.adaptive_gl(0.5),
+    ], ids=POLICY_IDS)
+    def test_history_needs_t_n_after_newest_time(self, policy):
+        times, values = np.array([0.0, 0.1, 0.2]), np.array([0.0, 1.0, 4.0])
+        for t_n in (0.2, 0.1):
+            with pytest.raises(ValueError, match="after the last history time"):
+                policy.history(times, values, t_n, 0.5, 0.1)
+
+    def test_fixed_window_shorter_than_step_is_rejected(self):
+        with pytest.raises(ValueError, match="fixed memory_length=0.001 is shorter than dt=0.01"):
+            MemoryPolicy.fixed(0.001).check_step(0.01)
+
+    @pytest.mark.parametrize("policy", [
+        MemoryPolicy.full(),
+        MemoryPolicy.fixed(0.01),
+        MemoryPolicy.adaptive_present(0.001),
+        MemoryPolicy.adaptive_gl(0.001),
+    ], ids=POLICY_IDS)
+    def test_other_steps_are_accepted(self, policy):
+        policy.check_step(0.01)
 
 
 class TestBufferBasics:
@@ -248,6 +278,27 @@ class TestEvaluateGL:
     def test_rejects_off_grid_times(self):
         with pytest.raises(ValueError):
             evaluate_gl([0.0, 0.05, 0.1], [0.0, 1.0, 2.0], 0.5, 0.1)
+
+    @pytest.mark.parametrize("times, values, message", [
+        ([0.0, 0.1, 0.1], [0.0, 1.0, 2.0], "strictly increasing"),
+        ([0.0, 0.2, 0.1], [0.0, 1.0, 2.0], "strictly increasing"),
+        ([0.0, 0.1, 0.2], [0.0, 1.0], "one row per time point"),
+        ([0.1], [1.0], "at least 2 time points"),
+    ], ids=["repeated-time", "unsorted", "row-count", "one-point"])
+    def test_rejects_what_evaluate_caputo_rejects(self, times, values, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate_gl(times, values, 0.5, 0.1)
+        with pytest.raises(ValueError, match=message):
+            evaluate_caputo(times, values, 0.5)
+
+    def test_vector_rows_match_scalar_columns(self):
+        alpha, dt = 0.3, 0.1
+        times = np.arange(0.0, 1.05, dt)[[0, 2, 4, 6, 8, 9, 10]]
+        values = np.column_stack([times**2, np.sin(times)])
+        got = evaluate_gl(times, values, alpha, dt)
+        assert got.shape == (2,)
+        for j in range(2):
+            assert got[j] == pytest.approx(evaluate_gl(times, values[:, j], alpha, dt), rel=1e-13)
 
     def test_gl_buffer_maintenance_matches_present_policy(self):
         dt = 0.1

@@ -94,6 +94,11 @@ class TestDiffusionSetup:
             DiffusionConfig(length=10.0, dx=10.0, dt=0.01, mu=1.0, alpha=0.5,
                             policy=MemoryPolicy.full())
 
+    def test_rejects_fixed_window_shorter_than_step(self):
+        with pytest.raises(ValueError, match="fixed memory_length=0.001 is shorter than dt=0.01"):
+            DiffusionConfig(length=10.0, dx=0.1, dt=0.01, mu=1.0, alpha=0.5,
+                            policy=MemoryPolicy.fixed(0.001))
+
     def test_single_interior_node_steps(self):
         sim = DiffusionSimulation(DiffusionConfig(length=10.0, dx=5.0, dt=0.01, mu=1.0,
                                                   alpha=0.5, policy=MemoryPolicy.full()))
@@ -400,6 +405,11 @@ class TestKelvinVoigt:
             sim.step()
         assert (sim.t, sim.x) == (0.0, 0.0)
         assert sim.buffer.count_stored() == 1
+
+    def test_rejects_fixed_window_shorter_than_step(self):
+        # the window would keep one stored point: no history
+        with pytest.raises(ValueError, match="fixed memory_length=0.001 is shorter than dt=0.01"):
+            self.make_cfg(MemoryPolicy.fixed(0.001))
 
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(ValueError):

@@ -171,6 +171,17 @@ class TestRoutes:
                          (0.05, -1.0), (0.001, -0.9)):
             assert mittag_leffler(alpha, z) == _series(alpha, z)
 
+    @pytest.mark.parametrize("alpha", [0.9995, 0.99999])
+    def test_orders_near_one_beyond_series_reach_take_spectral_route(self, monkeypatch, alpha):
+        # above the routed orders, a series peak past 400 falls back to the
+        # spectral rule; E_a(-x) ~ sum_{k=1}^{8} (-1)^(k+1) x^(-k) / Gamma(1 - a k)
+        self.forbid(monkeypatch, "_series")
+        for x in (1e3, 1e4):
+            assert _series_peak(alpha, x) > 400.0
+            expect = sum((-1) ** (k + 1) * x**-k * float(rgamma(1.0 - alpha * k))
+                         for k in range(1, 9))
+            assert mittag_leffler(alpha, -x) == pytest.approx(expect, rel=1e-9)
+
     def test_long_series_inside_unit_disk_skips_series(self, monkeypatch):
         # more than 500 terms: ~1e4 at alpha = 0.001, z = -0.99, ~2e4 at z = -1
         self.forbid(monkeypatch, "_series")
