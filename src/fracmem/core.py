@@ -137,19 +137,22 @@ def l1_history(
     if times.size < 2:
         return c, 0.0
     # one power per stored point: the weight of [t_k, t_(k+1)] is
-    # (p_k - p_(k+1)) / (1-a)
+    # (p_k - p_(k+1)) / (1-a); coeff_k is that weight over the interval,
+    # computed in place inside z, which pads it with a zero at each end
     p = (t_n - times) ** (1.0 - a)
-    coeff = (p[:-1] - p[1:]) / (1.0 - a) / np.diff(times)
+    z = np.zeros(times.size + 1)
+    coeff = z[1:-1]
+    np.subtract(p[:-1], p[1:], out=coeff)
+    coeff /= 1.0 - a
+    coeff /= times[1:] - times[:-1]
     if values.ndim == 1:
         # this order of operations is what the frozen creep output repeats
-        return c, float(weighted_rows(coeff, np.diff(values))) / gamma
-    # summation by parts, sum_j coeff_j (v_(j+1) - v_j) = g @ v: a matvec on
-    # the (possibly strided) rows, with no history-sized difference array
-    g = np.empty(times.size)
-    g[0] = -coeff[0]
-    g[1:-1] = coeff[:-1] - coeff[1:]
-    g[-1] = coeff[-1]
-    return c, weighted_rows(g, values) / gamma
+        return c, float(weighted_rows(coeff, values[1:] - values[:-1])) / gamma
+    # summation by parts, sum_j coeff_j (v_(j+1) - v_j) = g @ v with
+    # g = (-coeff_0, coeff_0 - coeff_1, ..., coeff_last), the differences of
+    # z: a matvec on the (possibly strided) rows, with no history-sized
+    # difference array
+    return c, weighted_rows(z[:-1] - z[1:], values) / gamma
 
 
 def evaluate_caputo(

@@ -97,6 +97,9 @@ class MemoryPolicy:
 
 # rows a buffer holds pending before a push brings its arenas up to date
 _PENDING_LIMIT = 4096
+# removals a read drops by shifting the rows after each one; more than this
+# are dropped by one boolean compaction
+_SHIFT_LIMIT = 16
 
 
 class HistoryBuffer:
@@ -106,9 +109,12 @@ class HistoryBuffer:
     in two arenas, ``times`` of shape ``(cap,)`` and ``values`` of shape
     ``(cap,) + row_shape``, grown by doubling.  A push appends the row to a
     pending list, runs the policy's maintenance on the deques and notes every
-    time it removes; a read brings the arenas up to date (pending rows copied
-    in with one slice assignment, removed times dropped with one
-    ``searchsorted`` and a boolean compaction) and returns ``[:n]`` views.
+    time it removes; a read brings the arenas up to date and returns ``[:n]``
+    views.  It copies one pending row in by item assignment, several by one
+    slice assignment, and finds the removed times with one ``searchsorted``.
+    A few removed rows (up to ``_SHIFT_LIMIT``, as after a push between
+    reads) are dropped by moving each run of kept rows after them left once;
+    more (a long run of pushes without reads) by one boolean compaction.
 
     - Rows are copied at push: changing an array after pushing it does not
       change the history.  Every row must have the shape of the first one.
@@ -254,22 +260,39 @@ class HistoryBuffer:
                 times, values = np.empty(cap), np.empty((cap,) + self._shape)
                 times[:n], values[:n] = self._times[:n], self._values[:n]
                 self._times, self._values = times, values
-            self._times[n : n + k] = pending
-            self._values[n : n + k] = self._pending_v
+            if k == 1:
+                # a read after every push, as the solvers do
+                self._times[n] = pending[0]
+                self._values[n] = self._pending_v[0]
+            else:
+                self._times[n : n + k] = pending
+                self._values[n : n + k] = self._pending_v
             self._n = n + k
             pending.clear()
             self._pending_v.clear()
         gone = self._gone
         if gone:
             n = self._n
+            times, values = self._times, self._values
             # exact: stored times are the pushed values, strictly increasing
-            idx = np.searchsorted(self._times[:n], gone)
-            lo = int(idx.min())
-            keep = np.ones(n - lo, dtype=bool)
-            keep[idx - lo] = False
+            idx = times[:n].searchsorted(gone)
             m = n - len(gone)
-            self._times[lo:m] = self._times[lo:n][keep]
-            self._values[lo:m] = self._values[lo:n][keep]
+            if len(gone) <= _SHIFT_LIMIT:
+                # each run of kept rows between two removed ones moves left
+                # once, by the number of removals before it
+                idx = sorted(idx.tolist())
+                idx.append(n)
+                for j in range(len(gone)):
+                    lo, hi = idx[j] + 1, idx[j + 1]
+                    if lo < hi:
+                        times[lo - j - 1 : hi - j - 1] = times[lo:hi]
+                        values[lo - j - 1 : hi - j - 1] = values[lo:hi]
+            else:
+                lo = int(idx.min())
+                keep = np.ones(n - lo, dtype=bool)
+                keep[idx - lo] = False
+                times[lo:m] = times[lo:n][keep]
+                values[lo:m] = values[lo:n][keep]
             self._n = m
             gone.clear()
 
@@ -325,7 +348,7 @@ def gl_history(
     if times.size < 2:
         return c, 0.0
     lags = n - idx[1:]
-    scaled = gl_weights(int(lags[0]), a)[lags] * np.diff(times) / dt
+    scaled = gl_weights(int(lags[0]), a)[lags] * (times[1:] - times[:-1]) / dt
     # the new point's weight w_0 * gap = gap multiplies
     # f(t_n) - f_0 = (f(t_n) - values[-1]) + (values[-1] - f_0); c takes the
     # first part, the newest stored weight the second
@@ -344,9 +367,11 @@ def evaluate_gl(
     history, with weights rescaled for skipped points.
 
     Each retained point must sit on the underlying grid of step ``dt``, and
-    ``times[0]`` is the initial time.  This is ``gl_history`` on
-    ``times[:-1]`` evaluated at ``t_n = times[-1]``.
+    ``times[0]`` is the initial time; ``dt`` must be positive and finite.
+    This is ``gl_history`` on ``times[:-1]`` evaluated at ``t_n = times[-1]``.
     """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     times, values = check_history(times, values)
     idx = np.rint(times / dt).astype(int)
     if np.max(np.abs(times - idx * dt)) > 1e-9 * dt * max(idx[-1], 1):

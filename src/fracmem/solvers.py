@@ -16,8 +16,13 @@ symmetric positive-definite tridiagonal system with LAPACK ``dptsv`` (an
 LDL^T elimination without pivoting).  ``dptsv`` is imported from
 ``scipy.linalg.lapack`` when a ``DiffusionConfig`` is built, at set-up, so
 that only diffusion runs load scipy, and each ``DiffusionSimulation`` binds it
-once.  ``thomas_solve`` is the general non-pivoting tridiagonal solver, kept
-as the pure-Python reference for that solve.
+once.  The simulation also allocates the system's diagonal and off-diagonal
+once and refills them every step, since ``dptsv`` overwrites them; their
+entries come from each step's own interval ``dt_n``.  The right-hand side,
+which ``dptsv`` overwrites with the new state, is a new array every step, so
+a later step overwrites no state returned or stored before it.
+``thomas_solve`` is the general non-pivoting tridiagonal solver, kept as the
+pure-Python reference for that solve.
 """
 
 from __future__ import annotations
@@ -124,8 +129,8 @@ class _ImplicitStepper:
             raise np.linalg.LinAlgError(
                 f"solve failed at step {step_index} (t={t_new!r}): {exc}"
             ) from exc
-        # one reduction serves scalar and vector states alike
-        if not math.isfinite(np.add.reduce(state, axis=None)):
+        # a float state is checked as it is, an array by its sum
+        if not math.isfinite(state if state.__class__ is float else np.add.reduce(state, axis=None)):
             raise ValueError(f"non-finite state at step {step_index} (t={t_new!r})")
         self._step_index = step_index
         self.t = t_new
@@ -190,6 +195,10 @@ class DiffusionSimulation(_ImplicitStepper):
     def __init__(self, config: DiffusionConfig):
         super().__init__(config, config.initial_field()[1:-1])
         self._dptsv = _lapack_dptsv()
+        # the solve's diagonal and off-diagonal, refilled every step because
+        # dptsv overwrites them; the wrapper rejects an empty e
+        n = self._state.size
+        self._d, self._e = np.empty(n), np.empty(max(n - 1, 1))
 
     @property
     def field(self) -> np.ndarray:
@@ -208,11 +217,10 @@ class DiffusionSimulation(_ImplicitStepper):
         r = cfg.mu * dt_n / cfg.dx**2
         c_n = c * dt_n
         rhs = c_n * self._state - dt_n * h
-        n = rhs.size
-        _, _, interior, info = self._dptsv(
-            np.full(n, c_n + 2.0 * r), np.full(max(n - 1, 1), -r), rhs,  # the wrapper rejects an empty e
-            overwrite_d=1, overwrite_e=1, overwrite_b=1,
-        )
+        d, e = self._d, self._e
+        d.fill(c_n + 2.0 * r)
+        e.fill(-r)
+        _, _, interior, info = self._dptsv(d, e, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"LAPACK dptsv returned info={info}")
         return interior

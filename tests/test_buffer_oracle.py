@@ -151,3 +151,28 @@ def test_matches_deque_buffer_past_pending_limit(kind, reads, seed):
     gaps = np.random.default_rng(seed).uniform(0.5, 1.5, 3 * _PENDING_LIMIT)
     times = (np.cumsum([0.0, *gaps]) * 0.01).tolist()
     replay(POLICIES[kind](0.5), times, None, reads, seed)
+
+
+@given(
+    kind=st.sampled_from(["adaptive-present", "adaptive-gl"]),
+    m=st.integers(1, 4),
+    width=st.sampled_from([1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=12, deadline=None)
+def test_matches_deque_buffer_read_after_every_push(kind, m, width, seed):
+    # how the solvers use a buffer: one read after each push.  A memory
+    # length of m mean steps and 600 jittered steps fill enough subsets for
+    # one push to remove five points or more.  A burst of pushes past the
+    # pending limit and a shorter one, each followed by one read, then
+    # exercise the compaction of many removals.
+    gaps = np.random.default_rng(seed).uniform(0.5, 1.5, 600 + _PENDING_LIMIT + 200)
+    times = (np.cumsum([0.0, *gaps]) * 0.01).tolist()
+    policy = POLICIES[kind](m * 0.01)
+    ref, most_removed = DequeBuffer(policy), 0
+    for t in times[:601]:
+        stored = ref.count_stored()
+        ref.push(t, 0.0)
+        most_removed = max(most_removed, stored + 1 - ref.count_stored())
+    assert most_removed >= 5
+    replay(policy, times, width, set(range(601)) | {650 + _PENDING_LIMIT}, seed)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmem import HistoryBuffer, MemoryPolicy, PolicyKind, evaluate_caputo, evaluate_gl
-from fracmem.memory import gl_weights
+from fracmem.core import l1_history, weighted_rows
+from fracmem.memory import gl_history, gl_weights
 
 
 def push_uniform(policy, dt, n_steps, fn=lambda t: 0.0):
@@ -291,6 +293,14 @@ class TestEvaluateGL:
         with pytest.raises(ValueError, match=message):
             evaluate_caputo(times, values, 0.5)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1])
+    def test_rejects_bad_dt(self, dt):
+        # before any arithmetic on dt: a NaN step warns of no cast
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"dt must be positive and finite, got {dt}")):
+                evaluate_gl([0.0, 0.1, 0.2], [0.0, 1.0, 2.0], 0.5, dt)
+
     def test_vector_rows_match_scalar_columns(self):
         alpha, dt = 0.3, 0.1
         times = np.arange(0.0, 1.05, dt)[[0, 2, 4, 6, 8, 9, 10]]
@@ -306,3 +316,81 @@ class TestEvaluateGL:
         present = push_uniform(MemoryPolicy.adaptive_present(1.0), dt, 160)
         assert np.array_equal(gl.times(), present.times())
         assert gl.policy.kind is PolicyKind.ADAPTIVE_GL
+
+
+def l1_history_by_diffs(times, values, t_n, alpha):
+    """``core.l1_history`` written with ``np.diff`` and an explicitly built
+    summation-by-parts vector: the bit oracle of the library's version."""
+    gamma = math.gamma(1.0 - alpha)
+    dt_n = t_n - float(times[-1])
+    c = dt_n ** (1.0 - alpha) / (1.0 - alpha) / (gamma * dt_n)
+    if times.size < 2:
+        return c, 0.0
+    p = (t_n - times) ** (1.0 - alpha)
+    coeff = (p[:-1] - p[1:]) / (1.0 - alpha) / np.diff(times)
+    if values.ndim == 1:
+        return c, float(weighted_rows(coeff, np.diff(values))) / gamma
+    g = np.empty(times.size)
+    g[0] = -coeff[0]
+    g[1:-1] = coeff[:-1] - coeff[1:]
+    g[-1] = coeff[-1]
+    return c, weighted_rows(g, values) / gamma
+
+
+def gl_history_by_diffs(times, values, t_n, alpha, dt):
+    """``memory.gl_history`` written with ``np.diff``: the bit oracle of the
+    library's version."""
+    scale = dt ** (-alpha)
+    idx = np.rint(times / dt).astype(int)
+    n = round(t_n / dt)
+    gap = n - int(idx[-1])
+    c = gap * scale
+    if times.size < 2:
+        return c, 0.0
+    lags = n - idx[1:]
+    scaled = gl_weights(int(lags[0]), alpha)[lags] * np.diff(times) / dt
+    scaled[-1] += gap
+    h = (weighted_rows(scaled, values[1:]) - scaled.sum() * values[0]) * scale
+    return c, float(h) if values.ndim == 1 else h
+
+
+def same_bits(got, want) -> bool:
+    """Equal type class (float or array), shape and bytes."""
+    if isinstance(want, float):
+        return isinstance(got, float) and np.float64(got).tobytes() == np.float64(want).tobytes()
+    return isinstance(got, np.ndarray) and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestHistoryOperatorBits:
+    """Both history operators return the bits of their difference-form
+    oracles, on random strictly increasing histories."""
+
+    @pytest.mark.parametrize("width", [None, 99], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 40, 700])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_l1_history(self, seed, size, width):
+        rng = np.random.default_rng([seed, size])
+        start = rng.uniform(-5.0, 5.0)
+        times = start + np.cumsum(np.concatenate([[0.0], 10.0 ** rng.uniform(-3.0, 0.5, size - 1)]))
+        values = rng.standard_normal(size if width is None else (size, width))
+        for alpha in (0.5, rng.uniform(0.05, 0.95)):
+            t_n = times[-1] + 10.0 ** rng.uniform(-3.0, 0.0)
+            got = l1_history(times, values, t_n, alpha)
+            want = l1_history_by_diffs(times, values, t_n, alpha)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    @pytest.mark.parametrize("width", [None, 99], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 40, 700])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gl_history(self, seed, size, width):
+        rng = np.random.default_rng([seed, size])
+        dt = 10.0 ** rng.uniform(-3.0, 0.0)
+        # the initial time and a random thinning of the grid after it
+        idx = np.concatenate([[0], np.sort(rng.choice(np.arange(1, 3 * size), size - 1, replace=False))])
+        times = idx * dt
+        values = rng.standard_normal(size if width is None else (size, width))
+        for alpha in (0.5, rng.uniform(0.05, 0.95)):
+            t_n = (idx[-1] + rng.integers(1, 4)) * dt
+            got = gl_history(times, values, t_n, alpha, dt)
+            want = gl_history_by_diffs(times, values, t_n, alpha, dt)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])

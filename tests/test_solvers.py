@@ -176,6 +176,30 @@ class TestDiffusionStepping:
             errors.append(float(np.max(np.abs(sim.field - exact))))
         assert errors[1] < errors[0] / 2.5
 
+    @pytest.mark.parametrize("policy", [
+        MemoryPolicy.full(),
+        MemoryPolicy.adaptive_present(0.2),
+    ], ids=["full", "present"])
+    def test_later_steps_leave_earlier_states_and_stored_rows_alone(self, policy):
+        # the solve refills one diagonal pair that dptsv overwrites every
+        # step; no state returned or row stored may share memory with it
+        sim = self.make_sim(policy)
+        states = [sim.step() for _ in range(60)]
+        copies = [state.copy() for state in states]
+        for _ in range(60):
+            sim.step()
+        for state, copy in zip(states, copies):
+            assert state.tobytes() == copy.tobytes()
+        rows = sim.buffer.values()
+        checked = 0
+        for t, row in zip(sim.buffer.times(), rows):
+            k = round(t / sim.config.dt)
+            if 1 <= k <= 60:
+                assert row.tobytes() == copies[k - 1].tobytes()
+                checked += 1
+        assert checked >= (60 if policy.kind is PolicyKind.FULL else 3)
+        assert rows[-1].tobytes() == sim.field[1:-1].tobytes()
+
     def test_gl_full_agrees_with_exact_weights_at_unit_time(self):
         l1 = self.make_sim(MemoryPolicy.full(), dt=0.01)
         gl = self.make_sim(MemoryPolicy.adaptive_gl(100.0), dt=0.01)
