@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import order_value
+from .core import check_dt, order_value
 from .memory import PolicyKind
 
 __all__ = [
@@ -29,10 +29,17 @@ __all__ = [
 ]
 
 
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def fixed_memory_bound(M: float, t: float, T: float, alpha) -> float:
     """Truncation-error bound of the fixed memory method:
     M / Gamma(2-a) * (t^(1-a) - T^(1-a)), with M = max |f'| on [0, t]."""
     a = order_value(alpha)
+    _check_finite(M=M, t=t, T=T)
     if T > t:
         raise ValueError(f"memory length T={T} exceeds elapsed time t={t}")
     if T <= 0.0:
@@ -71,6 +78,8 @@ def b_func(m: int, alpha: float) -> float:
 def adaptive_bound_terms(M: float, dt: float, m: int, L: int, alpha) -> np.ndarray:
     """Per-subset contributions [U_0, U_1, .., U_L] to the adaptive bound."""
     a = order_value(alpha)
+    _check_finite(M=M)
+    check_dt(dt)
     if L < 0:
         raise ValueError(f"need L >= 0, got {L}")
     pref = M / (2.0 * math.gamma(3.0 - a))
@@ -119,13 +128,17 @@ def op_count(policy: PolicyKind | str, m: int, L: int) -> int:
     raise ValueError(f"no operation-count model for policy {kind}")
 
 
+def _check_interval(t_n: float, t_k: float, t_k1: float) -> None:
+    if not -math.inf < t_k < t_k1 <= t_n < math.inf:
+        raise ValueError(f"need finite t_k < t_k1 <= t_n, got ({t_k}, {t_k1}, {t_n})")
+
+
 def trapezoid_gap(t_n: float, t_k: float, t_k1: float, alpha) -> float:
     """Exact trapezoid-rule error for the kernel antiderivative
     (t_n - tau)^(1-a) over [t_k, t_k1]; positive for every admissible
     interval since the integrand is concave there."""
     a = order_value(alpha)
-    if not t_k < t_k1 <= t_n:
-        raise ValueError(f"need t_k < t_k1 <= t_n, got ({t_k}, {t_k1}, {t_n})")
+    _check_interval(t_n, t_k, t_k1)
     left = t_n - t_k
     right = t_n - t_k1
     exact = (left ** (2.0 - a) - right ** (2.0 - a)) / (2.0 - a)
@@ -137,6 +150,7 @@ def interval_error_term(t_n: float, t_k: float, t_k1: float, alpha) -> float:
     """Per-interval summand of the adaptive error bound; equals
     2 * (2 - a) * trapezoid_gap and is non-negative."""
     a = order_value(alpha)
+    _check_interval(t_n, t_k, t_k1)
     left = t_n - t_k
     right = t_n - t_k1
     h = t_k1 - t_k

@@ -38,6 +38,12 @@ def order_value(alpha: float) -> float:
     return a
 
 
+def check_dt(dt: float) -> None:
+    """Raise ``ValueError`` unless the step ``dt`` is positive and finite."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+
+
 def caputo_weight(t_n: float, t_k: float, t_k1: float, alpha: float) -> float:
     """Closed-form convolution weight over [t_k, t_k1] for current time t_n.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import fit_loglog_slope, op_count
-from .core import newest_derivative, order_value
+from .core import check_dt, newest_derivative, order_value
 from .memory import HistoryBuffer, MemoryPolicy, PolicyKind
 from .solvers import (
     DiffusionConfig,
@@ -74,6 +74,7 @@ def _record_steps(n_total: int, n_records: int) -> set[int]:
 
 def step_count(t_end: float, dt: float) -> int:
     """The whole, positive number of steps ``dt`` to ``t_end``, or ``ValueError``."""
+    check_dt(dt)
     steps = t_end / dt
     if not (0.5 < steps < math.inf and abs(steps - round(steps)) <= 1e-9):
         raise ValueError(f"t_end={t_end} is not a multiple of dt={dt}")
@@ -167,7 +168,9 @@ def run_order_study(
     serving every alpha; records come in sweep order, alpha-major.  The
     sweep values must be distinct: the slopes are keyed by alpha, and a fit
     over a repeated dt is rank-deficient.  Each alpha needs a nonzero error
-    at 3 or more step sizes, or the fit raises ``ValueError``."""
+    at 3 or more step sizes, or the fit raises ``ValueError``.  The
+    summary's ``peak_stored`` is the largest ``stored_points`` among the
+    final records, not over every step."""
     per_dt = []
     for dt in dts:
         runs = run_derivative_error(policy, alphas, dt, t_end, n_records=1)
@@ -197,14 +200,20 @@ def _run_simulation(
 ) -> tuple[list[SimulationRecord], dict]:
     """Step ``sim`` to ``t_end`` and record ``value()`` against ``exact(t)``
     at ``n_records`` evenly spaced steps; the record loop of both
-    application benchmarks."""
+    application benchmarks.  The summary's ``peak_stored`` is the most
+    points the history held after any step."""
     n_total = step_count(t_end, sim.config.dt)
     record_at = _record_steps(n_total, n_records)
     records: list[SimulationRecord] = []
+    buffer = sim.buffer
+    peak = 0
     elapsed = 0.0
     tic = time.perf_counter()
     for i in range(1, n_total + 1):
         sim.step()
+        stored = buffer.count_stored()
+        if stored > peak:
+            peak = stored
         if i in record_at:
             elapsed += time.perf_counter() - tic
             got, want = value(), exact(sim.t)
@@ -214,14 +223,14 @@ def _run_simulation(
                     value=got,
                     analytic=want,
                     abs_error=abs(got - want),
-                    stored_points=sim.buffer.count_stored(),
-                    conv_terms=sim.buffer.count_conv_terms(),
+                    stored_points=stored,
+                    conv_terms=buffer.count_conv_terms(),
                     wall_clock=elapsed,
                 )
             )
             tic = time.perf_counter()
     summary = {
-        "peak_stored": max(r.stored_points for r in records),
+        "peak_stored": peak,
         "final_error": records[-1].abs_error,
         "stepping_seconds": records[-1].wall_clock,
     }

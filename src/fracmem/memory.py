@@ -6,10 +6,11 @@ first.  U_0 spans at most the memory length T after maintenance; U_l spans
 at most 2^(l-1) * T.  Interval comparisons are strict: a span exactly equal
 to the threshold does not trigger maintenance.
 
-``HistoryBuffer`` copies each pushed row and serves reads as read-only views
-of array arenas: a view stays valid until the next push, and since a read
-also brings the arenas up to date, reads of one buffer must not run
-concurrently with each other or with pushes.
+``HistoryBuffer`` copies each pushed row into array arenas once, at push,
+and serves reads as read-only views of them: a view stays valid until the
+next push, and since a read also drops the rows that maintenance removed,
+reads of one buffer must not run concurrently with each other or with
+pushes.
 
 Each policy owns one history operator, ``MemoryPolicy.history``: given the
 stored times and values and a new time ``t_n > times[-1]`` it returns
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_history, l1_history, newest_derivative, order_value, weighted_rows
+from .core import check_dt, check_history, l1_history, newest_derivative, order_value, weighted_rows
 
 __all__ = [
     "PolicyKind",
@@ -54,6 +55,8 @@ class MemoryPolicy:
     T: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, PolicyKind):
+            raise TypeError(f"policy kind must be a PolicyKind, got {self.kind!r}")
         if self.kind is PolicyKind.FULL:
             return
         if self.T is None or not (math.isfinite(self.T) and self.T > 0.0):
@@ -95,8 +98,6 @@ class MemoryPolicy:
         return l1_history(times, values, t_n, alpha)
 
 
-# rows a buffer holds pending before a push brings its arenas up to date
-_PENDING_LIMIT = 4096
 # removals a read drops by shifting the rows after each one; more than this
 # are dropped by one boolean compaction
 _SHIFT_LIMIT = 16
@@ -107,17 +108,19 @@ class HistoryBuffer:
 
     The subsets hold the stored times as deques, oldest first; the rows live
     in two arenas, ``times`` of shape ``(cap,)`` and ``values`` of shape
-    ``(cap,) + row_shape``, grown by doubling.  A push appends the row to a
-    pending list, runs the policy's maintenance on the deques and notes every
-    time it removes; a read brings the arenas up to date and returns ``[:n]``
-    views.  It copies one pending row in by item assignment, several by one
-    slice assignment, and finds the removed times with one ``searchsorted``.
-    A few removed rows (up to ``_SHIFT_LIMIT``, as after a push between
-    reads) are dropped by moving each run of kept rows after them left once;
-    more (a long run of pushes without reads) by one boolean compaction.
+    ``(cap,) + row_shape``.  A push writes its time and row into the arenas
+    after the last row, runs the policy's maintenance on the deques and
+    notes every time it removes; the removed rows stay in the arenas until
+    a read, or a push that finds the arenas full, drops them.  The removed
+    times are found with one ``searchsorted``.  A few removed rows (up to
+    ``_SHIFT_LIMIT``, as after a push between reads) are dropped by moving
+    each run of kept rows after them left once; more (a long run of pushes
+    without reads) by one boolean compaction.  A full push doubles the
+    arenas only if dropping leaves them at least half full.
 
     - Rows are copied at push: changing an array after pushing it does not
-      change the history.  Every row must have the shape of the first one.
+      change the history.  Every row must have the shape of the first one;
+      a push that raises stores nothing.
     - ``times()`` and ``values()`` return read-only views that stay valid
       until the next push; copy them to keep them longer.
     - Reads also update internal state, so no two calls on one buffer may
@@ -135,12 +138,11 @@ class HistoryBuffer:
         self._subsets: list[deque] = [deque()]
         self._newest = -math.inf
         self._shape: tuple | None = None  # row shape, fixed by the first push
-        # rows pushed and times removed since the arenas were last brought
-        # up to date
-        self._pending_t: list = []
-        self._pending_v: list = []
+        # times removed since the arenas last dropped their rows
         self._gone: list = []
+        # rows in the arenas, removed ones included, and the arenas' length
         self._n = 0
+        self._cap = 0
         self._times = np.empty(0)
         self._values = np.empty(0)
 
@@ -159,7 +161,7 @@ class HistoryBuffer:
         return list(self._subsets[l])
 
     def count_stored(self) -> int:
-        return sum(len(s) for s in self._subsets)
+        return self._n - len(self._gone)
 
     def count_conv_terms(self) -> int:
         """Consecutive-pair convolution terms used per evaluation."""
@@ -167,14 +169,16 @@ class HistoryBuffer:
 
     def times(self) -> np.ndarray:
         """Stored times, oldest first (a read-only view, see the class)."""
-        self._sync()
+        if self._gone:
+            self._drop_removed()
         view = self._times[: self._n]
         view.flags.writeable = False
         return view
 
     def values(self) -> np.ndarray:
         """Stored rows, oldest first (a read-only view, see the class)."""
-        self._sync()
+        if self._gone:
+            self._drop_removed()
         view = self._values[: self._n]
         view.flags.writeable = False
         return view
@@ -185,116 +189,109 @@ class HistoryBuffer:
         """Append one sample and run the policy's maintenance.
 
         Times must be finite and increase strictly; one chained comparison
-        rejects a NaN or infinite time on every push.  An array row is
-        copied; its shape must match the stored rows'.
+        rejects a NaN or infinite time on every push.  The row is copied
+        into the arenas; its shape must match the stored rows', and a push
+        that raises stores nothing.
         """
         newest = self._newest
         if not newest < t < math.inf:
             raise ValueError(f"pushed time {t} is not finite or not after newest stored {newest}")
         if value.__class__ is not float or self._shape != ():
-            value = self._row(value)
+            self._check_row(value)
+        n = self._n
+        if n == self._cap:
+            self._make_room()
+            n = self._n
+        # converts the row to floats, and raises on one that does not
+        # convert before anything is committed
+        self._values[n] = value
+        self._times[n] = t
+        self._n = n + 1
         self._newest = t
-        pending = self._pending_t
-        pending.append(t)
-        self._pending_v.append(value)
         subsets = self._subsets
         u0 = subsets[0]
         u0.append(t)
+        if not (self._fixed or self._adaptive):
+            return
+        T = self._T
+        # guard so rounding in t = i * dt cannot shave a point off a span
+        # whose nominal length is a threshold; scaled by max(T, |t|), where
+        # the rounding noise lives, spelled out because the max and abs
+        # calls would cost more than the comparisons they guard
+        a = t if t >= 0.0 else -t
+        tol = 1e-12 * (a if a > T else T)
         if self._fixed:
-            T = self._T
-            # guard so rounding in t = i * dt cannot shave a point off a
-            # window whose nominal span equals T; scaled by the absolute
-            # times because that is where the rounding noise lives
-            limit = T + 1e-12 * max(T, abs(t))
+            limit = T + tol
             while t - u0[0] > limit:
                 self._gone.append(u0.popleft())
-        elif self._adaptive:
-            T = self._T
-            # same rounding guard as the fixed policy on every span comparison
-            tol = 1e-12 * max(T, abs(t))
-            if t - u0[0] > T + tol:
-                if len(subsets) == 1:
+        elif t - u0[0] > T + tol:
+            if len(subsets) == 1:
+                subsets.append(deque())
+            subsets[1].append(u0.popleft())
+            gone = self._gone
+            threshold = T
+            l = 1
+            while l < len(subsets):
+                ul = subsets[l]
+                if len(ul) < 2 or ul[-1] - ul[0] <= threshold + tol:
+                    break
+                gone.append(ul[1])
+                del ul[1]  # second-oldest point is eliminated
+                if l + 1 == len(subsets):
                     subsets.append(deque())
-                subsets[1].append(u0.popleft())
-                gone = self._gone
-                threshold = T
-                l = 1
-                while l < len(subsets):
-                    ul = subsets[l]
-                    if len(ul) < 2 or ul[-1] - ul[0] <= threshold + tol:
-                        break
-                    gone.append(ul[1])
-                    del ul[1]  # second-oldest point is eliminated
-                    if l + 1 == len(subsets):
-                        subsets.append(deque())
-                    subsets[l + 1].append(ul.popleft())
-                    threshold *= 2.0
-                    l += 1
-        # bounds the pending rows of a long run of pushes without reads
-        if len(pending) > _PENDING_LIMIT:
-            self._sync()
+                subsets[l + 1].append(ul.popleft())
+                threshold *= 2.0
+                l += 1
 
-    def _row(self, value):
-        """The row to store for ``value``: a float as it is, anything else
-        as a new float array; the first push fixes the row shape."""
-        if isinstance(value, float):
-            row, shape = value, ()
-        else:
-            row = np.array(value, dtype=float)
-            shape = row.shape
+    def _check_row(self, value) -> None:
+        """Raise ``ValueError`` unless ``value`` has the stored rows' shape;
+        the first push fixes the shape once its row converts to floats."""
         if self._shape is None:
-            self._shape = shape
-            self._values = np.empty((0,) + shape)
-        elif shape != self._shape:
+            self._shape = np.asarray(value, dtype=float).shape
+            self._values = np.empty((0,) + self._shape)
+            return
+        shape = () if isinstance(value, float) else np.shape(value)
+        if shape != self._shape:
             raise ValueError(f"pushed row of shape {shape}, expected the stored rows' shape {self._shape}")
-        return row
 
-    def _sync(self) -> None:
-        """Bring the arenas up to date with the pushes and removals since
-        the last call."""
-        pending = self._pending_t
-        if pending:
-            n, k = self._n, len(pending)
-            if n + k > self._times.shape[0]:
-                cap = max(16, 2 * (n + k))
-                times, values = np.empty(cap), np.empty((cap,) + self._shape)
-                times[:n], values[:n] = self._times[:n], self._values[:n]
-                self._times, self._values = times, values
-            if k == 1:
-                # a read after every push, as the solvers do
-                self._times[n] = pending[0]
-                self._values[n] = self._pending_v[0]
-            else:
-                self._times[n : n + k] = pending
-                self._values[n : n + k] = self._pending_v
-            self._n = n + k
-            pending.clear()
-            self._pending_v.clear()
+    def _make_room(self) -> None:
+        """Drop the removed rows from full arenas, and double the arenas if
+        that leaves them at least half full."""
+        if self._gone:
+            self._drop_removed()
+        n, cap = self._n, self._cap
+        if 2 * n >= cap:
+            cap = max(16, 2 * cap)
+            times, values = np.empty(cap), np.empty((cap,) + self._shape)
+            times[:n], values[:n] = self._times[:n], self._values[:n]
+            self._times, self._values, self._cap = times, values, cap
+
+    def _drop_removed(self) -> None:
+        """Drop the rows of the times removed since the last call."""
         gone = self._gone
-        if gone:
-            n = self._n
-            times, values = self._times, self._values
-            # exact: stored times are the pushed values, strictly increasing
-            idx = times[:n].searchsorted(gone)
-            m = n - len(gone)
-            if len(gone) <= _SHIFT_LIMIT:
-                # each run of kept rows between two removed ones moves left
-                # once, by the number of removals before it
-                idx = sorted(idx.tolist())
-                idx.append(n)
-                for j in range(len(gone)):
-                    lo, hi = idx[j] + 1, idx[j + 1]
-                    if lo < hi:
-                        times[lo - j - 1 : hi - j - 1] = times[lo:hi]
-                        values[lo - j - 1 : hi - j - 1] = values[lo:hi]
-            else:
-                lo = int(idx.min())
-                keep = np.ones(n - lo, dtype=bool)
-                keep[idx - lo] = False
-                times[lo:m] = times[lo:n][keep]
-                values[lo:m] = values[lo:n][keep]
-            self._n = m
-            gone.clear()
+        n = self._n
+        times, values = self._times, self._values
+        # exact: stored times are the pushed values, strictly increasing
+        idx = times[:n].searchsorted(gone)
+        m = n - len(gone)
+        if len(gone) <= _SHIFT_LIMIT:
+            # each run of kept rows between two removed ones moves left
+            # once, by the number of removals before it
+            idx = sorted(idx.tolist())
+            idx.append(n)
+            for j in range(len(gone)):
+                lo, hi = idx[j] + 1, idx[j + 1]
+                if lo < hi:
+                    times[lo - j - 1 : hi - j - 1] = times[lo:hi]
+                    values[lo - j - 1 : hi - j - 1] = values[lo:hi]
+        else:
+            lo = int(idx.min())
+            keep = np.ones(n - lo, dtype=bool)
+            keep[idx - lo] = False
+            times[lo:m] = times[lo:n][keep]
+            values[lo:m] = values[lo:n][keep]
+        self._n = m
+        gone.clear()
 
 
 # -- Grunwald-Letnikov weights ------------------------------------------------
@@ -370,8 +367,7 @@ def evaluate_gl(
     ``times[0]`` is the initial time; ``dt`` must be positive and finite.
     This is ``gl_history`` on ``times[:-1]`` evaluated at ``t_n = times[-1]``.
     """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    check_dt(dt)
     times, values = check_history(times, values)
     idx = np.rint(times / dt).astype(int)
     if np.max(np.abs(times - idx * dt)) > 1e-9 * dt * max(idx[-1], 1):

@@ -34,6 +34,16 @@ class TestFixedBound:
         with pytest.raises(ValueError):
             fixed_memory_bound(1.0, 1.0, 2.0, 0.5)
 
+    @pytest.mark.parametrize("M, t, T, name", [
+        (1.0, 2.0, math.nan, "T"),
+        (1.0, math.nan, 1.0, "t"),
+        (1.0, math.inf, 1.0, "t"),
+        (math.nan, 2.0, 1.0, "M"),
+    ])
+    def test_rejects_non_finite_arguments(self, M, t, T, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            fixed_memory_bound(M, t, T, 0.5)
+
     @given(
         M=st.floats(0.1, 10.0),
         t=st.floats(1.0, 100.0),
@@ -102,6 +112,18 @@ class TestAdaptiveBound:
         with pytest.raises(ValueError):
             adaptive_bound(1.0, 0.01, 10, -1, 0.5)
 
+    @pytest.mark.parametrize("M, dt, message", [
+        (1.0, math.nan, "dt must be positive and finite"),
+        (1.0, math.inf, "dt must be positive and finite"),
+        (1.0, 0.0, "dt must be positive and finite"),
+        (1.0, -0.01, "dt must be positive and finite"),
+        (math.nan, 0.01, "M must be finite"),
+    ])
+    def test_rejects_bad_arguments(self, M, dt, message):
+        for bound in (adaptive_bound, adaptive_bound_terms):
+            with pytest.raises(ValueError, match=message):
+                bound(M, dt, 10, 2, 0.5)
+
 
 class TestIntervalTerms:
     def test_positive_on_seeded_random_triples(self):
@@ -126,6 +148,21 @@ class TestIntervalTerms:
     def test_trapezoid_gap_rejects_degenerate_interval(self):
         with pytest.raises(ValueError):
             trapezoid_gap(2.0, 1.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("term", [trapezoid_gap, interval_error_term])
+    @pytest.mark.parametrize("t_n, t_k, t_k1", [
+        (1.0, 2.0, 3.0),
+        (2.0, 1.0, 1.0),
+        (2.0, 1.5, 1.0),
+        (math.nan, 1.0, 2.0),
+        (3.0, math.nan, 2.0),
+        (3.0, 1.0, math.nan),
+        (math.inf, 1.0, 2.0),
+        (3.0, -math.inf, 2.0),
+    ])
+    def test_rejects_limits_out_of_order_or_not_finite(self, term, t_n, t_k, t_k1):
+        with pytest.raises(ValueError, match="need finite t_k < t_k1 <= t_n"):
+            term(t_n, t_k, t_k1, 0.5)
 
 
 class TestOpCounts:

@@ -14,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmem import HistoryBuffer, MemoryPolicy, PolicyKind
-from fracmem.memory import _PENDING_LIMIT
+
+# sets the length of the long runs of pushes without reads below: within
+# one run the arenas fill and drop their removed rows many times
+_PENDING_LIMIT = 4096
 
 
 class DequeBuffer:
@@ -146,8 +149,8 @@ def test_matches_deque_buffer(kind, T, start, gaps, width, reads, seed):
 )
 @settings(max_examples=8, deadline=None)
 def test_matches_deque_buffer_past_pending_limit(kind, reads, seed):
-    # more pushes between reads than the buffer holds pending, on a
-    # non-uniform grid with the memory length of 50 mean steps
+    # long runs of pushes between reads, which fill the arenas with removed
+    # rows, on a non-uniform grid with the memory length of 50 mean steps
     gaps = np.random.default_rng(seed).uniform(0.5, 1.5, 3 * _PENDING_LIMIT)
     times = (np.cumsum([0.0, *gaps]) * 0.01).tolist()
     replay(POLICIES[kind](0.5), times, None, reads, seed)
@@ -163,9 +166,9 @@ def test_matches_deque_buffer_past_pending_limit(kind, reads, seed):
 def test_matches_deque_buffer_read_after_every_push(kind, m, width, seed):
     # how the solvers use a buffer: one read after each push.  A memory
     # length of m mean steps and 600 jittered steps fill enough subsets for
-    # one push to remove five points or more.  A burst of pushes past the
-    # pending limit and a shorter one, each followed by one read, then
-    # exercise the compaction of many removals.
+    # one push to remove five points or more.  A long burst of pushes and a
+    # shorter one, each followed by one read, then exercise the compaction
+    # of many removals.
     gaps = np.random.default_rng(seed).uniform(0.5, 1.5, 600 + _PENDING_LIMIT + 200)
     times = (np.cumsum([0.0, *gaps]) * 0.01).tolist()
     policy = POLICIES[kind](m * 0.01)

@@ -2,10 +2,11 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 
-from fracmem import DiffusionConfig, KelvinVoigtConfig, MemoryPolicy
+from fracmem import DiffusionConfig, HistoryBuffer, KelvinVoigtConfig, MemoryPolicy, PolicyKind
 from fracmem.experiments import (
     accumulated_conv_terms,
     retention_count,
@@ -69,3 +70,37 @@ def test_runs_reject_a_horizon_off_the_grid(t_end):
 def test_derivative_error_rejects_fixed_window_shorter_than_step():
     with pytest.raises(ValueError, match="fixed memory_length=0.001 is shorter than dt=0.01"):
         run_derivative_error(MemoryPolicy.fixed(0.001), (0.5,), 0.01, 1.0)
+
+
+def grid_peak(policy, dt, n_steps):
+    # the most points a buffer holds over the pushes of the whole time grid
+    buf, peak = HistoryBuffer(policy), 0
+    for i in range(n_steps + 1):
+        buf.push(i * dt, 0.0)
+        peak = max(peak, buf.count_stored())
+    return peak
+
+
+@pytest.mark.parametrize("policy", [
+    MemoryPolicy.full(),
+    MemoryPolicy.fixed(0.1),
+    MemoryPolicy.adaptive_present(0.1),
+    MemoryPolicy.adaptive_gl(0.1),
+], ids=["full", "fixed", "present", "gl"])
+def test_peak_stored_covers_every_step(policy):
+    kv = KelvinVoigtConfig(eta=1.0, k=1.0, load=1.0, alpha=0.5, dt=0.01, policy=policy)
+    diffusion = DiffusionConfig(length=10.0, dx=1.0, dt=0.01, mu=1.0, alpha=0.5, policy=policy)
+    for records, summary in (run_kelvin_voigt(kv, 4.0, 4), run_diffusion(diffusion, 4.0, 4)):
+        assert summary["peak_stored"] == grid_peak(policy, 0.01, 400)
+        if policy.kind is PolicyKind.ADAPTIVE_PRESENT:
+            # the four records miss the peak, so the test tells the two apart
+            assert max(r.stored_points for r in records) < summary["peak_stored"]
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+def test_step_count_rejects_a_bad_step(dt):
+    message = re.escape(f"dt must be positive and finite, got {dt}")
+    with pytest.raises(ValueError, match=message):
+        step_count(1.0, dt)
+    with pytest.raises(ValueError, match=message):
+        retention_count(MemoryPolicy.adaptive_present(0.5), dt, 1.0)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,6 +36,12 @@ class TestPolicyConstruction:
     def test_truncating_policies_require_finite_length(self, maker, T):
         with pytest.raises(ValueError, match="finite"):
             getattr(MemoryPolicy, maker)(T)
+
+    @pytest.mark.parametrize("kind", ["fixed", "full", None])
+    def test_kind_must_be_a_policy_kind(self, kind):
+        # a string kind once passed and kept every point, as full memory does
+        with pytest.raises(TypeError, match=re.escape(f"policy kind must be a PolicyKind, got {kind!r}")):
+            MemoryPolicy(kind, 1.0)
 
 
 POLICY_IDS = ["full", "fixed", "present", "gl"]
@@ -131,6 +138,66 @@ class TestBufferBasics:
         assert buf.count_stored() == 1
         buf.push(1.0, np.ones(3))
         assert buf.values().tolist() == [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+
+    @pytest.mark.parametrize("shape, bad, error", [
+        ((), "abc", ValueError),
+        ((), 1j, TypeError),
+        ((), np.zeros(3), ValueError),
+        ((3,), [1.0, "x", 2.0], ValueError),
+        ((3,), 5.0, ValueError),
+        ((3,), np.zeros(2), ValueError),
+    ], ids=["string", "complex", "scalar-wide", "string-entry", "vector-scalar", "vector-narrow"])
+    @pytest.mark.parametrize("policy", [MemoryPolicy.full(), MemoryPolicy.fixed(0.05)], ids=["full", "fixed"])
+    def test_failed_push_commits_nothing(self, policy, shape, bad, error):
+        # 1..40 earlier pushes meet the arenas full at every capacity
+        # boundary, the fixed window with removed rows still in them; the
+        # twin buffer gets the same pushes but the failed one
+        def row(i):
+            return float(i) if shape == () else np.full(shape, float(i))
+
+        def assert_same(buf, twin):
+            assert buf.count_stored() == twin.count_stored()
+            assert buf.times().tolist() == twin.times().tolist()
+            assert buf.values().tolist() == twin.values().tolist()
+
+        for k in range(1, 41):
+            buf, twin = HistoryBuffer(policy), HistoryBuffer(policy)
+            for i in range(k):
+                buf.push(i * 0.01, row(i))
+                twin.push(i * 0.01, row(i))
+            with pytest.raises(error):
+                buf.push(k * 0.01, bad)
+            assert_same(buf, twin)
+            buf.push(k * 0.01, row(k))
+            twin.push(k * 0.01, row(k))
+            assert_same(buf, twin)
+
+    @pytest.mark.parametrize("bad, error", [("abc", ValueError), (1j, TypeError)], ids=["string", "complex"])
+    def test_failed_first_push_fixes_no_row_shape(self, bad, error):
+        buf = HistoryBuffer(MemoryPolicy.full())
+        with pytest.raises(error):
+            buf.push(0.0, bad)
+        assert buf.count_stored() == 0
+        buf.push(0.0, np.ones(3))
+        assert buf.values().tolist() == [[1.0, 1.0, 1.0]]
+
+    def test_arenas_stay_bounded_without_reads(self):
+        # 100k pushes and no read: removed rows are dropped whenever the
+        # arenas fill, so the traced memory (arenas and subset deques) peaks
+        # at a small multiple of the bytes of the stored times and rows,
+        # where arenas that kept every pushed row would need 1.6 MB
+        buf = HistoryBuffer(MemoryPolicy.adaptive_present(1.0))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for i in range(100_000):
+                buf.push(i * 0.0025, 0.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        stored_bytes = 16 * buf.count_stored()
+        assert peak <= 16 * stored_bytes
+        assert buf.count_stored() == buf.times().size
 
     def test_reads_are_read_only(self):
         buf = push_uniform(MemoryPolicy.full(), 0.1, 3)
