@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import check_dt, order_value
+from .core import check_count, check_positive, order_value
 from .memory import PolicyKind
 
 __all__ = [
@@ -40,11 +40,18 @@ def fixed_memory_bound(M: float, t: float, T: float, alpha) -> float:
     M / Gamma(2-a) * (t^(1-a) - T^(1-a)), with M = max |f'| on [0, t]."""
     a = order_value(alpha)
     _check_finite(M=M, t=t, T=T)
+    check_positive("T", T)
     if T > t:
         raise ValueError(f"memory length T={T} exceeds elapsed time t={t}")
-    if T <= 0.0:
-        raise ValueError(f"memory length must be positive, got {T}")
     return M / math.gamma(2.0 - a) * (t ** (1.0 - a) - T ** (1.0 - a))
+
+
+def _closed_order(alpha: float) -> float:
+    # the A/B coefficient sums are defined on the closed interval [0, 1]
+    a = float(alpha)
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {a}")
+    return a
 
 
 def _ab_sum(base: np.ndarray, alpha: float) -> float:
@@ -60,28 +67,25 @@ def _ab_sum(base: np.ndarray, alpha: float) -> float:
 def a_func(m: int, alpha: float) -> float:
     """Coefficient sum of the U_0 contribution to the adaptive bound.
     Defined for alpha in [0, 1]; A(m, 0) = 0 and A(m, 1) = 1."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    check_count("m", m, 1)
     k = np.arange(m)
-    return _ab_sum(m - k, alpha)
+    return _ab_sum(m - k, _closed_order(alpha))
 
 
 def b_func(m: int, alpha: float) -> float:
     """Coefficient sum of the per-subset U_l contribution to the adaptive
-    bound.  B(m, 0) = 0 and B(m, 1) = 0."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    bound.  Defined for alpha in [0, 1]; B(m, 0) = 0 and B(m, 1) = 0."""
+    check_count("m", m, 1)
     k = np.arange(m)
-    return _ab_sum(2 * m - k, alpha)
+    return _ab_sum(2 * m - k, _closed_order(alpha))
 
 
 def adaptive_bound_terms(M: float, dt: float, m: int, L: int, alpha) -> np.ndarray:
     """Per-subset contributions [U_0, U_1, .., U_L] to the adaptive bound."""
     a = order_value(alpha)
     _check_finite(M=M)
-    check_dt(dt)
-    if L < 0:
-        raise ValueError(f"need L >= 0, got {L}")
+    check_positive("dt", dt)
+    check_count("L", L, 0)
     pref = M / (2.0 * math.gamma(3.0 - a))
     terms = [pref * dt ** (2.0 - a) * a_func(m, a)]
     if L > 0:
@@ -101,10 +105,10 @@ def b_approx_bracket(m: int, alpha: float) -> tuple[float, float]:
     """Bracket for the power-law approximation B(m, a) ~ c(a) * m^(-a).
 
     The proportionality constant is only bracketed, not pinned:
-    c(a) = a(1-a)(2-a)/6 * s with s in (2^(-a-1), 1).
+    c(a) = a(1-a)(2-a)/6 * s with s in (2^(-a-1), 1); alpha lies in [0, 1].
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    check_count("m", m, 1)
+    alpha = _closed_order(alpha)
     base = alpha * (1.0 - alpha) * (2.0 - alpha) / 6.0 * m ** (-alpha)
     return (base * 2.0 ** (-alpha - 1.0), base)
 
@@ -112,8 +116,8 @@ def b_approx_bracket(m: int, alpha: float) -> tuple[float, float]:
 def op_count(policy: PolicyKind | str, m: int, L: int) -> int:
     """Closed-form convolution-operation counts accumulated from t = 0 to
     2^L * T with T = m * dt."""
-    if m < 1 or L < 0:
-        raise ValueError(f"need m >= 1 and L >= 0, got m={m}, L={L}")
+    check_count("m", m, 1)
+    check_count("L", L, 0)
     kind = PolicyKind(policy) if isinstance(policy, str) else policy
     if kind is PolicyKind.FULL:
         n = 2**L * m
@@ -121,10 +125,12 @@ def op_count(policy: PolicyKind | str, m: int, L: int) -> int:
     if kind is PolicyKind.FIXED:
         return m * (m + 1) // 2 + m * m * (2**L - 1)
     if kind is PolicyKind.ADAPTIVE_PRESENT:
-        total = m * (m + 1) / 2.0
+        # twice the count, m(m+1) + sum 2^(l-1) ((2l+1) m^2 + m), in exact
+        # integers; every term is even
+        twice = m * (m + 1)
         for l in range(1, L + 1):
-            total += 2.0 ** (l - 2) * ((2 * l + 1) * m * m + m)
-        return round(total)
+            twice += 2 ** (l - 1) * ((2 * l + 1) * m * m + m)
+        return twice // 2
     raise ValueError(f"no operation-count model for policy {kind}")
 
 
@@ -166,5 +172,7 @@ def fit_loglog_slope(points) -> float:
         raise ValueError("need at least 3 (h, err) pairs")
     if np.any(pts <= 0.0):
         raise ValueError("slope fit requires positive abscissae and errors")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("slope fit requires finite abscissae and errors")
     slope, _ = np.polyfit(np.log(pts[:, 0]), np.log(pts[:, 1]), 1)
     return float(slope)

@@ -20,8 +20,10 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .core import check_count, check_positive, order_value
 from .experiments import (
     SimulationRecord,
+    check_sweep,
     run_cost_model,
     run_derivative_error,
     run_diffusion,
@@ -92,39 +94,24 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.policy not in _POLICY_NAMES:
             raise ConfigError(f"unknown policy {self.policy!r}; choose from {sorted(_POLICY_NAMES)}")
-        numeric = [
-            ("memory_length", self.memory_length),
-            ("t_end", self.t_end),
-            ("length", self.length),
-            ("dx", self.dx),
-            ("eta", self.eta),
-            ("k", self.k),
-            ("load", self.load),
-            *(("dt", dt) for dt in self.dt),
-        ]
-        if self.mu is not None:
-            numeric.append(("mu", self.mu))
-        for name, value in numeric:
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
-        for name, values in (("alpha", self.alpha), ("dt", self.dt)):
-            if self.experiment != "order-study" and len(values) > 1:
-                # only the order study sweeps; the others would run the first value
-                raise ConfigError(f"{self.experiment} takes one {name}, got {len(values)}")
-            for i, value in enumerate(values):
-                if value in values[:i]:
-                    # the slopes are keyed by alpha, and a fit needs distinct dts
-                    raise ConfigError(f"{self.experiment} repeats {name}={value!r}")
-        if self.experiment == "order-study" and len(self.dt) < 3:
-            raise ConfigError(f"order-study fits its slopes over 3 or more dt values, got {len(self.dt)}")
-        for a in self.alpha:
-            if not 0.0 < a < 1.0:
-                raise ConfigError(f"alpha must lie in (0, 1), got {a}")
-        counts = [("n_records", self.n_records, 1), ("m", self.m, 1)]
-        for name, value, least in counts + [("levels", l, 0) for l in self.levels]:
-            if value < least:
-                raise ConfigError(f"{name} must be >= {least}, got {value}")
         try:
+            # step_count checks each dt
+            for name in ("memory_length", "t_end", "length", "dx", "mu", "eta", "k", "load"):
+                value = getattr(self, name)
+                if value is not None:
+                    check_positive(name, value)
+            if self.experiment == "order-study":
+                check_sweep(self.alpha, self.dt)
+            else:
+                # only the order study sweeps; the others would run the first value
+                for name, values in (("alpha", self.alpha), ("dt", self.dt)):
+                    if len(values) > 1:
+                        raise ConfigError(f"{self.experiment} takes one {name}, got {len(values)}")
+            for a in self.alpha:
+                order_value(a)
+            counts = [("n_records", self.n_records, 1), ("m", self.m, 1)]
+            for name, value, least in counts + [("levels", l, 0) for l in self.levels]:
+                check_count(name, value, least)
             policy = self.memory_policy()
             for dt in self.dt:
                 step_count(self.t_end, dt)

@@ -38,10 +38,18 @@ def order_value(alpha: float) -> float:
     return a
 
 
-def check_dt(dt: float) -> None:
-    """Raise ``ValueError`` unless the step ``dt`` is positive and finite."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+def check_positive(name: str, value: float) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is positive and finite."""
+    if value is None or not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_count(name: str, value: int, least: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``least``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def caputo_weight(t_n: float, t_k: float, t_k1: float, alpha: float) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import fit_loglog_slope, op_count
-from .core import check_dt, newest_derivative, order_value
+from .core import check_count, check_positive, newest_derivative, order_value
 from .memory import HistoryBuffer, MemoryPolicy, PolicyKind
 from .solvers import (
     DiffusionConfig,
@@ -32,6 +32,7 @@ from .solvers import (
 
 __all__ = [
     "SimulationRecord",
+    "check_sweep",
     "run_derivative_error",
     "run_order_study",
     "run_diffusion",
@@ -68,13 +69,14 @@ def _record_steps(n_total: int, n_records: int) -> set[int]:
     # steps ceil(k n_total / n_records), k = 1..n_records, in integers: the
     # multiples of the stride when n_records divides n_total, and always
     # the last step; every step when there are fewer steps than rows
+    check_count("n_records", n_records, 1)
     n = min(n_records, n_total)
     return {-(-k * n_total // n) for k in range(1, n + 1)}
 
 
 def step_count(t_end: float, dt: float) -> int:
     """The whole, positive number of steps ``dt`` to ``t_end``, or ``ValueError``."""
-    check_dt(dt)
+    check_positive("dt", dt)
     steps = t_end / dt
     if not (0.5 < steps < math.inf and abs(steps - round(steps)) <= 1e-9):
         raise ValueError(f"t_end={t_end} is not a multiple of dt={dt}")
@@ -157,6 +159,18 @@ def run_derivative_error(
     return runs
 
 
+def check_sweep(alphas, dts) -> None:
+    """Raise ``ValueError`` unless an order study can fit its slopes: the
+    slopes are keyed by alpha, so no order repeats, and each fit needs 3 or
+    more distinct step sizes."""
+    for name, values in (("alpha", alphas), ("dt", dts)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"order-study repeats {name}={value!r}")
+    if len(dts) < 3:
+        raise ValueError(f"order-study fits its slopes over 3 or more dt values, got {len(dts)}")
+
+
 def run_order_study(
     policy: MemoryPolicy,
     alphas,
@@ -166,11 +180,11 @@ def run_order_study(
     """Final-time error for every (alpha, dt) pair plus fitted log-log slopes
     of error versus dt per alpha.  Runs serially, one push stream per dt
     serving every alpha; records come in sweep order, alpha-major.  The
-    sweep values must be distinct: the slopes are keyed by alpha, and a fit
-    over a repeated dt is rank-deficient.  Each alpha needs a nonzero error
-    at 3 or more step sizes, or the fit raises ``ValueError``.  The
-    summary's ``peak_stored`` is the largest ``stored_points`` among the
-    final records, not over every step."""
+    sweep must pass ``check_sweep``, and each alpha needs a nonzero error at
+    3 or more step sizes, or the fit raises ``ValueError``.  The summary's
+    ``peak_stored`` is the largest ``stored_points`` among the final
+    records, not over every step."""
+    check_sweep(alphas, dts)
     per_dt = []
     for dt in dts:
         runs = run_derivative_error(policy, alphas, dt, t_end, n_records=1)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_dt, check_history, l1_history, newest_derivative, order_value, weighted_rows
+from .core import check_history, check_positive, l1_history, newest_derivative, order_value, weighted_rows
 
 __all__ = [
     "PolicyKind",
@@ -57,10 +57,8 @@ class MemoryPolicy:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, PolicyKind):
             raise TypeError(f"policy kind must be a PolicyKind, got {self.kind!r}")
-        if self.kind is PolicyKind.FULL:
-            return
-        if self.T is None or not (math.isfinite(self.T) and self.T > 0.0):
-            raise ValueError(f"{self.kind.value} policy requires a finite memory length T > 0")
+        if self.kind is not PolicyKind.FULL:
+            check_positive("T", self.T)
 
     @classmethod
     def full(cls) -> "MemoryPolicy":
@@ -190,8 +188,8 @@ class HistoryBuffer:
 
         Times must be finite and increase strictly; one chained comparison
         rejects a NaN or infinite time on every push.  The row is copied
-        into the arenas; its shape must match the stored rows', and a push
-        that raises stores nothing.
+        into the arenas; its shape must match the stored rows', it may hold
+        no ``None``, and a push that raises stores nothing.
         """
         newest = self._newest
         if not newest < t < math.inf:
@@ -244,13 +242,18 @@ class HistoryBuffer:
                 l += 1
 
     def _check_row(self, value) -> None:
-        """Raise ``ValueError`` unless ``value`` has the stored rows' shape;
-        the first push fixes the shape once its row converts to floats."""
+        """Raise ``TypeError`` for a ``None`` row or entry, which numpy would
+        store as NaN, and ``ValueError`` unless ``value`` has the stored
+        rows' shape; the first push fixes the shape once its row converts to
+        floats."""
+        row = value if isinstance(value, (float, np.ndarray)) else np.asarray(value)
+        if isinstance(row, np.ndarray) and row.dtype.hasobject:
+            raise TypeError(f"pushed row must be numeric, got {value!r}")
         if self._shape is None:
             self._shape = np.asarray(value, dtype=float).shape
             self._values = np.empty((0,) + self._shape)
             return
-        shape = () if isinstance(value, float) else np.shape(value)
+        shape = () if isinstance(row, float) else row.shape
         if shape != self._shape:
             raise ValueError(f"pushed row of shape {shape}, expected the stored rows' shape {self._shape}")
 
@@ -367,7 +370,7 @@ def evaluate_gl(
     ``times[0]`` is the initial time; ``dt`` must be positive and finite.
     This is ``gl_history`` on ``times[:-1]`` evaluated at ``t_n = times[-1]``.
     """
-    check_dt(dt)
+    check_positive("dt", dt)
     times, values = check_history(times, values)
     idx = np.rint(times / dt).astype(int)
     if np.max(np.abs(times - idx * dt)) > 1e-9 * dt * max(idx[-1], 1):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import order_value
+from .core import check_positive, order_value
 from .memory import HistoryBuffer, MemoryPolicy
 from .special import mittag_leffler
 
@@ -94,10 +94,6 @@ def _lapack_dptsv():
     return dptsv
 
 
-def _positive_finite(x: float) -> bool:
-    return math.isfinite(x) and x > 0.0
-
-
 class _ImplicitStepper:
     """The implicit step both problems share.  A subclass passes its initial
     state and supplies ``_solve(c, h, dt_n)``: the new state from the history
@@ -153,8 +149,8 @@ class DiffusionConfig:
 
     def __post_init__(self) -> None:
         order_value(self.alpha)
-        if not all(_positive_finite(v) for v in (self.length, self.dx, self.dt, self.mu)):
-            raise ValueError("diffusion parameters must be positive and finite")
+        for name in ("length", "dx", "dt", "mu"):
+            check_positive(name, getattr(self, name))
         self.policy.check_step(self.dt)
         n = self.length / self.dx
         if abs(n - round(n)) > 1e-9:
@@ -177,9 +173,15 @@ class DiffusionConfig:
         return np.sin(np.pi * self.grid() / self.length)
 
 
+def _check_time(t: float) -> None:
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be non-negative and finite, got {t}")
+
+
 def analytic_diffusion(x: float | np.ndarray, t: float, config: DiffusionConfig):
     """Separable analytic solution sin(pi x / L) * E_a(-mu (pi/L)^2 t^a)."""
     a = order_value(config.alpha)
+    _check_time(t)
     rate = config.mu * (math.pi / config.length) ** 2
     amp = mittag_leffler(a, -rate * t**a) if t > 0.0 else 1.0
     return np.sin(np.pi * np.asarray(x) / config.length) * amp
@@ -239,8 +241,8 @@ class KelvinVoigtConfig:
 
     def __post_init__(self) -> None:
         order_value(self.alpha)
-        if not all(_positive_finite(v) for v in (self.eta, self.k, self.load, self.dt)):
-            raise ValueError("Kelvin-Voigt parameters must be positive and finite")
+        for name in ("eta", "k", "load", "dt"):
+            check_positive(name, getattr(self, name))
         self.policy.check_step(self.dt)
 
     @property
@@ -252,6 +254,7 @@ class KelvinVoigtConfig:
 def analytic_creep(t: float, config: KelvinVoigtConfig) -> float:
     """Creep response f/k * [1 - E_a(-(t/tau)^a)]."""
     a = order_value(config.alpha)
+    _check_time(t)
     if t == 0.0:
         return 0.0
     z = -(t**a) / config.tau_alpha

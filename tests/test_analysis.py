@@ -1,6 +1,8 @@
 """Error bounds, coefficient sums, and cost models."""
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +31,11 @@ class TestFixedBound:
 
     def test_zero_when_window_covers_everything(self):
         assert fixed_memory_bound(1.0, 3.0, 3.0, 0.3) == 0.0
+
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_rejects_a_window_that_is_not_positive(self, T):
+        with pytest.raises(ValueError, match=re.escape(f"T must be positive and finite, got {T}")):
+            fixed_memory_bound(1.0, 2.0, T, 0.5)
 
     def test_rejects_window_longer_than_elapsed(self):
         with pytest.raises(ValueError):
@@ -89,6 +96,32 @@ class TestCoefficientSums:
     def test_b_inside_power_law_bracket(self, alpha, m):
         lo, hi = b_approx_bracket(m, alpha)
         assert lo < b_func(m, alpha) < hi
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("func", [a_func, b_func, b_approx_bracket])
+    @pytest.mark.parametrize("alpha", [math.nan, 1.5, -0.5, math.inf])
+    def test_order_outside_the_closed_unit_interval_is_named(self, func, alpha):
+        with pytest.raises(ValueError, match=re.escape(f"alpha must lie in [0, 1], got {alpha}")):
+            func(10, alpha)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bracket_accepts_the_interval_ends(self):
+        assert b_approx_bracket(10, 0.0) == (0.0, 0.0)
+        assert b_approx_bracket(10, 1.0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: b_func(2.5, 0.5), "m must be an integer, got 2.5"),
+        (lambda: a_func(0, 0.5), "m must be >= 1, got 0"),
+        (lambda: b_approx_bracket(3.0, 0.5), "m must be an integer, got 3.0"),
+        (lambda: adaptive_bound(1.0, 0.01, 10, 1.5, 0.5), "L must be an integer, got 1.5"),
+        (lambda: adaptive_bound(1.0, 0.01, 10, -1, 0.5), "L must be >= 0, got -1"),
+        (lambda: op_count("full", 10, 2.0), "L must be an integer, got 2.0"),
+        (lambda: op_count("fixed", 0, 2), "m must be >= 1, got 0"),
+    ], ids=["b-m-fraction", "a-m-zero", "bracket-m-float", "bound-L-fraction", "bound-L-negative",
+            "op-L-float", "op-m-zero"])
+    def test_counts_are_whole_numbers_from_their_least(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
     def test_subset_ratio_approaches_geometric_factor(self):
         # consecutive coarsened-subset contributions differ by 2^(2-a)
@@ -183,6 +216,17 @@ class TestOpCounts:
         for L in (2, 3, 4, 6):
             assert op_count(PolicyKind.ADAPTIVE_PRESENT, 10, L) < op_count(PolicyKind.FULL, 10, L)
 
+    @pytest.mark.parametrize("L", [3, 45, 60, 1100])
+    def test_adaptive_count_is_exact(self, L):
+        # the closed form m(m+1)/2 + sum 2^(l-2) ((2l+1) m^2 + m) in exact rationals
+        m = 10
+        exact = Fraction(m * (m + 1), 2) + sum(
+            Fraction(2) ** (l - 2) * ((2 * l + 1) * m * m + m) for l in range(1, L + 1)
+        )
+        got = op_count(PolicyKind.ADAPTIVE_PRESENT, m, L)
+        assert type(got) is int
+        assert got == exact
+
     def test_no_model_for_gl_policy(self):
         with pytest.raises(ValueError):
             op_count(PolicyKind.ADAPTIVE_GL, 10, 3)
@@ -200,3 +244,10 @@ class TestSlopeFit:
     def test_rejects_nonpositive_errors(self):
         with pytest.raises(ValueError):
             fit_loglog_slope([(0.1, 1.0), (0.2, 0.0), (0.4, 2.0)])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("pair", [(0.2, math.nan), (0.2, math.inf), (math.nan, 1.5), (math.inf, 1.5)],
+                             ids=["nan-error", "inf-error", "nan-step", "inf-step"])
+    def test_rejects_non_finite_pairs(self, pair):
+        with pytest.raises(ValueError, match="slope fit requires finite abscissae and errors"):
+            fit_loglog_slope([(0.1, 1.0), pair, (0.4, 2.0)])

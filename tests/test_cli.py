@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 import os
 import subprocess
 import sys
@@ -302,6 +303,22 @@ class TestMainExitCodes:
         assert rc == 2
         assert f"configuration error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    def test_order_outside_unit_interval_is_two(self, tmp_path, capsys):
+        rc = main(["kelvin-voigt", "--alpha", "1.5", "--t-end", "1", "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert "configuration error: fractional order must lie in (0, 1), got 1.5" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_cost_model_counts_are_exact_at_high_levels(self, tmp_path):
+        out = tmp_path / "o.csv"
+        rc = main(["cost-model", "--m", "10", "--levels", "45,1100", "--out", str(out)])
+        assert rc == 0
+        _, fieldnames, rows = read_csv(out)
+        counts = {row[2]: int(row[3]) for row in rows if row[0] == "adaptive-present"}
+        assert counts["45"] == 156746377655746660
+        exact = 55 + sum(Fraction(2) ** (l - 2) * ((2 * l + 1) * 100 + 10) for l in range(1, 1101))
+        assert counts["1100"] == exact
 
     @pytest.mark.parametrize("line, message", [
         ("bogus=1", "unknown configuration key 'bogus'"),

@@ -1,6 +1,7 @@
 """Convolution weights and Caputo evaluation against independent oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fracmem import caputo_weight, evaluate_caputo
-from fracmem.core import caputo_weights, l1_history, order_value, weighted_rows
+from fracmem.core import (
+    caputo_weights,
+    check_count,
+    check_positive,
+    l1_history,
+    order_value,
+    weighted_rows,
+)
 
 
 def quad_weight(t_n, t_k, t_k1, alpha):
@@ -36,6 +44,31 @@ class TestValidation:
             got = order_value(given_alpha)
             assert type(got) is float
             assert got == float(given_alpha)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf, None])
+    def test_check_positive_names_the_parameter(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"width must be positive and finite, got {value}")):
+            check_positive("width", value)
+
+    @pytest.mark.parametrize("value", [1e-300, 2.5, np.float64(3.0), 7])
+    def test_check_positive_accepts_positive_finite_numbers(self, value):
+        check_positive("width", value)
+
+    @pytest.mark.parametrize("value, least, message", [
+        (0, 1, "n must be >= 1, got 0"),
+        (-1, 0, "n must be >= 0, got -1"),
+        (2.5, 1, "n must be an integer, got 2.5"),
+        (2.0, 1, "n must be an integer, got 2.0"),
+        (math.nan, 0, "n must be an integer, got nan"),
+        ("3", 1, "n must be an integer, got 3"),
+    ], ids=["below-one", "below-zero", "fraction", "integral-float", "nan", "string"])
+    def test_check_count_names_the_parameter(self, value, least, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_count("n", value, least)
+
+    @pytest.mark.parametrize("value, least", [(1, 1), (0, 0), (np.int64(5), 1), (10**30, 0)])
+    def test_check_count_accepts_whole_numbers_from_least(self, value, least):
+        check_count("n", value, least)
 
     def test_weight_triple_ordering(self):
         assert caputo_weight(2.0, 0.5, 1.0, 0.5) == pytest.approx(

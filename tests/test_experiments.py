@@ -9,10 +9,12 @@ import pytest
 from fracmem import DiffusionConfig, HistoryBuffer, KelvinVoigtConfig, MemoryPolicy, PolicyKind
 from fracmem.experiments import (
     accumulated_conv_terms,
+    check_sweep,
     retention_count,
     run_derivative_error,
     run_diffusion,
     run_kelvin_voigt,
+    run_order_study,
     step_count,
 )
 
@@ -104,3 +106,34 @@ def test_step_count_rejects_a_bad_step(dt):
         step_count(1.0, dt)
     with pytest.raises(ValueError, match=message):
         retention_count(MemoryPolicy.adaptive_present(0.5), dt, 1.0)
+
+
+@pytest.mark.parametrize("n_records, message", [
+    (0, "n_records must be >= 1, got 0"),
+    (-3, "n_records must be >= 1, got -3"),
+    (2.5, "n_records must be an integer, got 2.5"),
+], ids=["zero", "negative", "fraction"])
+def test_runs_reject_a_bad_record_count(n_records, message):
+    policy = MemoryPolicy.adaptive_present(0.5)
+    kv = KelvinVoigtConfig(eta=1.0, k=1.0, load=1.0, alpha=0.5, dt=0.01, policy=policy)
+    diffusion = DiffusionConfig(length=10.0, dx=1.0, dt=0.01, mu=1.0, alpha=0.5, policy=policy)
+    runs = [
+        lambda: run_kelvin_voigt(kv, 1.0, n_records),
+        lambda: run_diffusion(diffusion, 1.0, n_records),
+        lambda: run_derivative_error(policy, (0.5,), 0.01, 1.0, n_records),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run()
+
+
+@pytest.mark.parametrize("alphas, dts, message", [
+    ((0.5,), (0.1, 0.1, 0.05), "order-study repeats dt=0.1"),
+    ((0.5, 0.3, 0.5), (0.1, 0.05, 0.025), "order-study repeats alpha=0.5"),
+    ((0.5,), (0.1, 0.05), "order-study fits its slopes over 3 or more dt values, got 2"),
+], ids=["repeated-dt", "repeated-alpha", "two-dts"])
+def test_order_study_checks_its_sweep(alphas, dts, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_sweep(alphas, dts)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_order_study(MemoryPolicy.full(), alphas, dts, 1.0)

@@ -146,7 +146,12 @@ class TestBufferBasics:
         ((3,), [1.0, "x", 2.0], ValueError),
         ((3,), 5.0, ValueError),
         ((3,), np.zeros(2), ValueError),
-    ], ids=["string", "complex", "scalar-wide", "string-entry", "vector-scalar", "vector-narrow"])
+        ((), None, TypeError),
+        ((3,), None, TypeError),
+        ((3,), np.array([1.0, None, 2.0]), TypeError),
+        ((3,), [1.0, None, 2.0], TypeError),
+    ], ids=["string", "complex", "scalar-wide", "string-entry", "vector-scalar", "vector-narrow",
+            "none", "vector-none", "none-entry", "none-entry-list"])
     @pytest.mark.parametrize("policy", [MemoryPolicy.full(), MemoryPolicy.fixed(0.05)], ids=["full", "fixed"])
     def test_failed_push_commits_nothing(self, policy, shape, bad, error):
         # 1..40 earlier pushes meet the arenas full at every capacity
@@ -172,7 +177,9 @@ class TestBufferBasics:
             twin.push(k * 0.01, row(k))
             assert_same(buf, twin)
 
-    @pytest.mark.parametrize("bad, error", [("abc", ValueError), (1j, TypeError)], ids=["string", "complex"])
+    @pytest.mark.parametrize("bad, error", [
+        ("abc", ValueError), (1j, TypeError), (None, TypeError), ([1.0, None], TypeError),
+    ], ids=["string", "complex", "none", "none-entry"])
     def test_failed_first_push_fixes_no_row_shape(self, bad, error):
         buf = HistoryBuffer(MemoryPolicy.full())
         with pytest.raises(error):

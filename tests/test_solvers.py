@@ -1,6 +1,7 @@
 """Tridiagonal solver and the two application integrators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -447,3 +448,33 @@ class TestKelvinVoigt:
         kwargs[field] = bad
         with pytest.raises(ValueError, match="finite"):
             KelvinVoigtConfig(**kwargs)
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("field", ["length", "dx", "dt", "mu"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_diffusion_config_names_the_bad_parameter(self, field, bad):
+        kwargs = dict(length=10.0, dx=0.1, dt=0.01, mu=1.0, alpha=0.5, policy=MemoryPolicy.full())
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be positive and finite, got {bad}")):
+            DiffusionConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["eta", "k", "load", "dt"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_kelvin_voigt_config_names_the_bad_parameter(self, field, bad):
+        kwargs = dict(eta=1.0, k=1.0, load=1.0, alpha=0.5, dt=0.01, policy=MemoryPolicy.full())
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be positive and finite, got {bad}")):
+            KelvinVoigtConfig(**kwargs)
+
+    @pytest.mark.parametrize("t", [-1.0, -math.inf, math.nan, math.inf])
+    def test_analytic_solutions_reject_a_bad_time(self, t):
+        diffusion = DiffusionConfig(length=10.0, dx=0.1, dt=0.01, mu=1.0, alpha=0.5,
+                                    policy=MemoryPolicy.full())
+        creep = KelvinVoigtConfig(eta=1.0, k=1.0, load=1.0, alpha=0.5, dt=0.01,
+                                  policy=MemoryPolicy.full())
+        message = re.escape(f"t must be non-negative and finite, got {t}")
+        with pytest.raises(ValueError, match=message):
+            analytic_diffusion(5.0, t, diffusion)
+        with pytest.raises(ValueError, match=message):
+            analytic_creep(t, creep)
