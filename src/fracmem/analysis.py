@@ -16,6 +16,7 @@ from .core import check_count, check_positive, order_value
 from .memory import PolicyKind
 
 __all__ = [
+    "MAX_LEVEL",
     "fixed_memory_bound",
     "a_func",
     "b_func",
@@ -113,11 +114,17 @@ def b_approx_bracket(m: int, alpha: float) -> tuple[float, float]:
     return (base * 2.0 ** (-alpha - 1.0), base)
 
 
+# the largest count, the full history's ~4^L m^2 / 2, has ~2466 + 2 log10(m)
+# digits at this level: it prints within Python's 4300-digit int-to-string
+# limit for any m below 10^900, and 2^L stays quick to compute
+MAX_LEVEL = 4096
+
+
 def op_count(policy: PolicyKind | str, m: int, L: int) -> int:
     """Closed-form convolution-operation counts accumulated from t = 0 to
-    2^L * T with T = m * dt."""
+    2^L * T with T = m * dt; L is at most ``MAX_LEVEL``."""
     check_count("m", m, 1)
-    check_count("L", L, 0)
+    check_count("L", L, 0, MAX_LEVEL)
     kind = PolicyKind(policy) if isinstance(policy, str) else policy
     if kind is PolicyKind.FULL:
         n = 2**L * m

@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .analysis import MAX_LEVEL
 from .core import check_count, check_positive, order_value
 from .experiments import (
     SimulationRecord,
@@ -109,9 +110,10 @@ class ExperimentConfig:
                         raise ConfigError(f"{self.experiment} takes one {name}, got {len(values)}")
             for a in self.alpha:
                 order_value(a)
-            counts = [("n_records", self.n_records, 1), ("m", self.m, 1)]
-            for name, value, least in counts + [("levels", l, 0) for l in self.levels]:
-                check_count(name, value, least)
+            check_count("n_records", self.n_records, 1)
+            check_count("m", self.m, 1)
+            for level in self.levels:
+                check_count("levels", level, 0, MAX_LEVEL)
             policy = self.memory_policy()
             for dt in self.dt:
                 step_count(self.t_end, dt)

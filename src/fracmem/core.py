@@ -44,12 +44,15 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def check_count(name: str, value: int, least: int) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``least``."""
+def check_count(name: str, value: int, least: int, most: int | None = None) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >=
+    ``least`` and, when ``most`` is given, <= ``most``."""
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}, got {value}")
 
 
 def caputo_weight(t_n: float, t_k: float, t_k1: float, alpha: float) -> float:

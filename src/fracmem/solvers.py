@@ -13,22 +13,27 @@ weights for the adaptive GL policy), solves for u(t_n), rejects a non-finite
 state and pushes it.  The creep solve is a scalar formula.  The diffusion
 history holds the interior nodes, its unknowns, and each step solves one
 symmetric positive-definite tridiagonal system with LAPACK ``dptsv`` (an
-LDL^T elimination without pivoting).  ``dptsv`` is imported from
-``scipy.linalg.lapack`` when a ``DiffusionConfig`` is built, at set-up, so
-that only diffusion runs load scipy, and each ``DiffusionSimulation`` binds it
-once.  The simulation also allocates the system's diagonal and off-diagonal
-once and refills them every step, since ``dptsv`` overwrites them; their
-entries come from each step's own interval ``dt_n``.  The right-hand side,
-which ``dptsv`` overwrites with the new state, is a new array every step, so
-a later step overwrites no state returned or stored before it.
+LDL^T elimination without pivoting).  ``dptsv`` is loaded from scipy's
+``_flapack`` extension alone, without the ``scipy.linalg`` package, when a
+``DiffusionConfig`` is built, at set-up, so that only diffusion runs load
+scipy, and each ``DiffusionSimulation`` binds it once.  The simulation also
+allocates the system's diagonal and off-diagonal once and refills them every
+step, since ``dptsv`` overwrites them; their entries come from each step's
+own interval ``dt_n``.  The right-hand side, which ``dptsv`` overwrites
+with the new state, is a new array every step, so a later step overwrites no
+state returned or stored before it.
 ``thomas_solve`` is the general non-pivoting tridiagonal solver, kept as the
 pure-Python reference for that solve.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib import machinery
 
 import numpy as np
 
@@ -86,12 +91,44 @@ def thomas_solve(
     return x
 
 
-def _lapack_dptsv():
-    """LAPACK ``dptsv`` from ``scipy.linalg.lapack``, imported only when a
-    diffusion problem asks for it: the other runs load no scipy module."""
-    from scipy.linalg.lapack import dptsv
+def _flapack_spec():
+    """The spec of scipy's LAPACK extension ``scipy/linalg/_flapack*``, found
+    without importing scipy, or None where there is no such file."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        return None
+    for root in scipy_spec.submodule_search_locations or ():
+        finder = machinery.FileFinder(
+            os.path.join(root, "linalg"),
+            (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
+        )
+        spec = finder.find_spec("scipy.linalg._flapack")
+        if spec is not None:
+            return spec
+    return None
 
-    return dptsv
+
+def _lapack_dptsv():
+    """LAPACK ``dptsv``, loaded only when a diffusion problem asks for it:
+    the other runs load no scipy module.
+
+    It comes from scipy's ``_flapack`` extension, loaded on its own, which
+    skips the ``scipy.linalg`` package init (~0.2 s).  The extension puts
+    itself in ``sys.modules`` as ``scipy.linalg._flapack``, so a later
+    ``import scipy.linalg`` reuses it and hands back this same ``dptsv``;
+    one already there is used as it is.  Where the file is not found,
+    ``dptsv`` is imported from ``scipy.linalg.lapack``.
+    """
+    flapack = sys.modules.get("scipy.linalg._flapack")
+    if flapack is None:
+        spec = _flapack_spec()
+        if spec is None:
+            from scipy.linalg.lapack import dptsv
+
+            return dptsv
+        flapack = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(flapack)
+    return flapack.dptsv
 
 
 class _ImplicitStepper:

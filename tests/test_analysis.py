@@ -18,7 +18,12 @@ from fracmem import (
     fixed_memory_bound,
     op_count,
 )
-from fracmem.analysis import adaptive_bound_terms, interval_error_term, trapezoid_gap
+from fracmem.analysis import (
+    MAX_LEVEL,
+    adaptive_bound_terms,
+    interval_error_term,
+    trapezoid_gap,
+)
 from fracmem.memory import PolicyKind
 
 
@@ -226,6 +231,12 @@ class TestOpCounts:
         got = op_count(PolicyKind.ADAPTIVE_PRESENT, m, L)
         assert type(got) is int
         assert got == exact
+
+    def test_levels_stop_at_the_cap(self):
+        # the largest count at the cap still prints for m below 10^900
+        assert len(str(op_count(PolicyKind.FULL, 10**900 - 1, MAX_LEVEL))) < 4300
+        with pytest.raises(ValueError, match=f"L must be <= {MAX_LEVEL}, got {MAX_LEVEL + 1}"):
+            op_count(PolicyKind.ADAPTIVE_PRESENT, 10, MAX_LEVEL + 1)
 
     def test_no_model_for_gl_policy(self):
         with pytest.raises(ValueError):

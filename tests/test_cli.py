@@ -304,6 +304,15 @@ class TestMainExitCodes:
         assert f"configuration error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("level", ["20000", "1000000000"])
+    def test_level_above_the_cap_is_two(self, tmp_path, capsys, level):
+        # the full count at level 20000 has ~12000 digits, too many to print,
+        # and 2^L at 10^9 would not finish
+        rc = main(["cost-model", "--levels", f"2,{level}", "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert f"configuration error: levels must be <= 4096, got {level}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_order_outside_unit_interval_is_two(self, tmp_path, capsys):
         rc = main(["kelvin-voigt", "--alpha", "1.5", "--t-end", "1", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
@@ -407,16 +416,53 @@ from fracmem.cli import ExperimentConfig, run_experiment
 before = {LOADED_SCIPY}
 config = ExperimentConfig(experiment="diffusion", t_end=1.0, out=sys.argv[1])
 built = {LOADED_SCIPY}
+has_dptsv = any(hasattr(sys.modules[m], "dptsv") for m in built)
 run_experiment(config)
-print(json.dumps([before, built, {LOADED_SCIPY}]))
+print(json.dumps([before, built, has_dptsv, {LOADED_SCIPY}]))
 """
-        before, built, after = run_python(code, str(tmp_path / "o.csv"))
+        before, built, has_dptsv, after = run_python(code, str(tmp_path / "o.csv"))
         assert before == []
-        assert "scipy.linalg.lapack" in built
+        assert has_dptsv
+        # LAPACK alone: neither scipy's nor scipy.linalg's package init ran
+        assert "scipy" not in built and "scipy.linalg" not in built
         # the run itself imports nothing more from scipy
         assert after == built
-        public = {m.split(".")[1] for m in built if "." in m and not m.split(".")[1].startswith("_")}
-        assert public <= {"linalg", "version"}
+
+    def test_later_scipy_linalg_import_hands_back_the_same_dptsv(self, tmp_path):
+        code = f"""
+import json, sys
+from fracmem import solvers
+from fracmem.cli import ExperimentConfig
+config = ExperimentConfig(experiment="diffusion", t_end=1.0, out=sys.argv[1])
+import scipy.linalg
+from scipy.linalg.lapack import dptsv
+print(json.dumps([dptsv is solvers._lapack_dptsv(),
+                  dptsv is solvers.DiffusionSimulation(config.solver)._dptsv]))
+"""
+        assert run_python(code, str(tmp_path / "o.csv")) == [True, True]
+
+    def test_fallback_to_scipy_linalg_gives_identical_records(self, tmp_path):
+        # the extension's file is not found: dptsv comes from scipy.linalg.lapack
+        config = ExperimentConfig(experiment="diffusion", policy="full", t_end=2.0,
+                                  n_records=8, out=str(tmp_path / "o.csv"))
+        records, _ = run_experiment(config)
+        code = f"""
+import dataclasses, json, sys
+from fracmem import solvers
+solvers._flapack_spec = lambda: None
+from fracmem.cli import ExperimentConfig, run_experiment
+config = ExperimentConfig(experiment="diffusion", policy="full", t_end=2.0, n_records=8,
+                          out=sys.argv[1])
+records, _ = run_experiment(config)
+loaded = [m in sys.modules for m in ("scipy.linalg", "scipy.linalg.lapack")]
+from scipy.linalg.lapack import dptsv
+print(json.dumps([loaded, dptsv is solvers._lapack_dptsv(),
+                  [dataclasses.astuple(r)[:-1] for r in records]]))
+"""
+        loaded, same, rows = run_python(code, str(tmp_path / "o.csv"))
+        assert loaded == [True, True]
+        assert same
+        assert rows == [list(dataclasses.astuple(r)[:-1]) for r in records]
 
 
 class TestDeterminism:

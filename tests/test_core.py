@@ -70,6 +70,11 @@ class TestValidation:
     def test_check_count_accepts_whole_numbers_from_least(self, value, least):
         check_count("n", value, least)
 
+    def test_check_count_caps_from_above(self):
+        check_count("n", 7, 0, 7)
+        with pytest.raises(ValueError, match=re.escape("n must be <= 7, got 8")):
+            check_count("n", 8, 0, 7)
+
     def test_weight_triple_ordering(self):
         assert caputo_weight(2.0, 0.5, 1.0, 0.5) == pytest.approx(
             quad_weight(2.0, 0.5, 1.0, 0.5), rel=1e-12

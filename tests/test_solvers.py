@@ -276,6 +276,15 @@ class TestDiffusionAgainstReference:
         if policy.kind is not PolicyKind.FULL:
             assert sim.buffer.count_stored() < 301
 
+    def test_dptsv_of_an_imported_scipy_linalg_is_used_as_it_is(self, monkeypatch):
+        from scipy.linalg.lapack import dptsv
+
+        def no_second_load():
+            raise AssertionError("searched for the LAPACK extension again")
+
+        monkeypatch.setattr(solvers, "_flapack_spec", no_second_load)
+        assert solvers._lapack_dptsv() is dptsv
+
     def test_failed_solve_names_step_and_time(self, monkeypatch):
         # a negated diagonal is not positive definite, so LAPACK rejects it
         real = solvers._lapack_dptsv()
