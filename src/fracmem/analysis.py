@@ -17,6 +17,7 @@ from .memory import PolicyKind
 
 __all__ = [
     "MAX_LEVEL",
+    "MAX_M",
     "fixed_memory_bound",
     "a_func",
     "b_func",
@@ -116,14 +117,16 @@ def b_approx_bracket(m: int, alpha: float) -> tuple[float, float]:
 
 # the largest count, the full history's ~4^L m^2 / 2, has ~2466 + 2 log10(m)
 # digits at this level: it prints within Python's 4300-digit int-to-string
-# limit for any m below 10^900, and 2^L stays quick to compute
+# limit for any m up to MAX_M, and 2^L stays quick to compute
 MAX_LEVEL = 4096
+MAX_M = 10**900 - 1
 
 
 def op_count(policy: PolicyKind | str, m: int, L: int) -> int:
     """Closed-form convolution-operation counts accumulated from t = 0 to
-    2^L * T with T = m * dt; L is at most ``MAX_LEVEL``."""
-    check_count("m", m, 1)
+    2^L * T with T = m * dt; L is at most ``MAX_LEVEL`` and m at most
+    ``MAX_M``."""
+    check_count("m", m, 1, MAX_M)
     check_count("L", L, 0, MAX_LEVEL)
     kind = PolicyKind(policy) if isinstance(policy, str) else policy
     if kind is PolicyKind.FULL:

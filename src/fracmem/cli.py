@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .analysis import MAX_LEVEL
+from .analysis import MAX_LEVEL, MAX_M
 from .core import check_count, check_positive, order_value
 from .experiments import (
     SimulationRecord,
@@ -30,7 +30,7 @@ from .experiments import (
     run_diffusion,
     run_kelvin_voigt,
     run_order_study,
-    step_count,
+    time_grid,
 )
 from .memory import MemoryPolicy, PolicyKind
 from .solvers import DiffusionConfig, KelvinVoigtConfig
@@ -96,7 +96,7 @@ class ExperimentConfig:
         if self.policy not in _POLICY_NAMES:
             raise ConfigError(f"unknown policy {self.policy!r}; choose from {sorted(_POLICY_NAMES)}")
         try:
-            # step_count checks each dt
+            # time_grid checks each dt and n_records
             for name in ("memory_length", "t_end", "length", "dx", "mu", "eta", "k", "load"):
                 value = getattr(self, name)
                 if value is not None:
@@ -110,13 +110,12 @@ class ExperimentConfig:
                         raise ConfigError(f"{self.experiment} takes one {name}, got {len(values)}")
             for a in self.alpha:
                 order_value(a)
-            check_count("n_records", self.n_records, 1)
-            check_count("m", self.m, 1)
+            check_count("m", self.m, 1, MAX_M)
             for level in self.levels:
                 check_count("levels", level, 0, MAX_LEVEL)
             policy = self.memory_policy()
             for dt in self.dt:
-                step_count(self.t_end, dt)
+                time_grid(self.t_end, dt, self.n_records)
                 policy.check_step(dt)
             if self.experiment == "diffusion":
                 solver = DiffusionConfig(

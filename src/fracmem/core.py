@@ -52,7 +52,13 @@ def check_count(name: str, value: int, least: int, most: int | None = None) -> N
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     if most is not None and value > most:
-        raise ValueError(f"{name} must be <= {most}, got {value}")
+        raise ValueError(f"{name} must be <= {_shown(most)}, got {_shown(value)}")
+
+
+def _shown(n: int) -> str:
+    # a count too long to read is shown by its first digits and its length
+    text = str(n)
+    return text if len(text) <= 20 else f"{text[:3]}... ({len(text)} digits)"
 
 
 def caputo_weight(t_n: float, t_k: float, t_k1: float, alpha: float) -> float:
@@ -144,8 +150,8 @@ def l1_history(
     """
     a = order_value(alpha)
     gamma = math.gamma(1.0 - a)
-    if not times[-1] < t_n:
-        raise ValueError(f"t_n={t_n} must lie after the last history time {times[-1]}")
+    if not times[-1] < t_n < math.inf:
+        raise ValueError(f"t_n={t_n} must be finite and after the last history time {times[-1]}")
     # the newest interval's weight is (t_n - t_last)^(1-a) / (1-a), taken as
     # a Python float power: numpy's vectorised power can differ from it by an
     # ulp, and a numpy scalar c would make the solvers' arithmetic warn

@@ -6,15 +6,17 @@ wall-clock column varies between identical runs.  Wall clock measures the
 stepping loop alone, not record assembly or I/O.  The derivative studies
 push samples that do not depend on the order, so one push stream per time
 grid serves every alpha of a sweep; sweeps run serially in one process.
-Every runner steps on the grid t = i * dt, and ``step_count`` raises
-``ValueError`` before the first step unless ``t_end`` is a whole number of them.
+Every runner walks ``time_grid``, the one home of the step times t = i * dt,
+segment by segment: it times a segment's steps, then records once.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -39,7 +41,7 @@ __all__ = [
     "run_kelvin_voigt",
     "run_cost_model",
     "retention_count",
-    "step_count",
+    "time_grid",
     "matched_fixed_policy",
     "accumulated_conv_terms",
 ]
@@ -65,30 +67,30 @@ class SimulationRecord:
                 raise ValueError(f"non-finite {name} {getattr(self, name)} at t={self.t}")
 
 
-def _record_steps(n_total: int, n_records: int) -> set[int]:
-    # steps ceil(k n_total / n_records), k = 1..n_records, in integers: the
-    # multiples of the stride when n_records divides n_total, and always
-    # the last step; every step when there are fewer steps than rows
-    check_count("n_records", n_records, 1)
-    n = min(n_records, n_total)
-    return {-(-k * n_total // n) for k in range(1, n + 1)}
-
-
-def step_count(t_end: float, dt: float) -> int:
-    """The whole, positive number of steps ``dt`` to ``t_end``, or ``ValueError``."""
+def time_grid(t_end: float, dt: float, n_records: int = 1) -> list[Iterator[float]]:
+    """The step times i * dt, i = 1..n, to ``t_end = n * dt``, as one lazy
+    iterator per record step, each ending on its record step.  The record
+    steps are ceil(k n / n_records), k = 1..n_records, or every step when
+    n_records > n.  Raises ``ValueError`` unless ``t_end`` is a whole,
+    positive number of steps ``dt`` and ``n_records`` a count >= 1."""
     check_positive("dt", dt)
     steps = t_end / dt
     if not (0.5 < steps < math.inf and abs(steps - round(steps)) <= 1e-9):
         raise ValueError(f"t_end={t_end} is not a multiple of dt={dt}")
-    return round(steps)
+    check_count("n_records", n_records, 1)
+    n_total = round(steps)
+    n = min(n_records, n_total)
+    ends = [-(-k * n_total // n) for k in range(n + 1)]
+    # dt.__rmul__(i) is i * dt, bit for bit, with no Python frame per step
+    return [map(dt.__rmul__, range(lo + 1, hi + 1)) for lo, hi in zip(ends, ends[1:])]
 
 
 def retention_count(policy: MemoryPolicy, dt: float, t_end: float) -> int:
     """Stored-point count of a policy after stepping to t_end; depends only
     on the time sequence, not on values."""
     buf = HistoryBuffer(policy)
-    for i in range(step_count(t_end, dt) + 1):
-        buf.push(i * dt, 0.0)
+    for t in chain([0.0], *time_grid(t_end, dt)):
+        buf.push(t, 0.0)
     return buf.count_stored()
 
 
@@ -128,34 +130,30 @@ def run_derivative_error(
     orders = [order_value(a) for a in alphas]
     f, exact_derivative = _test_function(policy)
     policy.check_step(dt)
-    n_total = step_count(t_end, dt)
-    record_at = _record_steps(n_total, n_records)
     buf = HistoryBuffer(policy)
     buf.push(0.0, f(0.0))
     runs: list[list[SimulationRecord]] = [[] for _ in orders]
     elapsed = 0.0
-    tic = time.perf_counter()
-    for i in range(1, n_total + 1):
-        t = i * dt
-        buf.push(t, f(t))
-        if i in record_at:
-            elapsed += time.perf_counter() - tic
-            times, values = buf.times(), buf.values()
-            for a, records in zip(orders, runs):
-                value = newest_derivative(policy.history, times, values, a, dt)
-                exact = exact_derivative(t, a)
-                records.append(
-                    SimulationRecord(
-                        t=t,
-                        value=value,
-                        analytic=exact,
-                        abs_error=abs(value - exact),
-                        stored_points=buf.count_stored(),
-                        conv_terms=buf.count_conv_terms(),
-                        wall_clock=elapsed,
-                    )
+    for segment in time_grid(t_end, dt, n_records):
+        tic = time.perf_counter()
+        for t in segment:
+            buf.push(t, f(t))
+        elapsed += time.perf_counter() - tic
+        times, values = buf.times(), buf.values()
+        for a, records in zip(orders, runs):
+            value = newest_derivative(policy.history, times, values, a, dt)
+            exact = exact_derivative(t, a)
+            records.append(
+                SimulationRecord(
+                    t=t,
+                    value=value,
+                    analytic=exact,
+                    abs_error=abs(value - exact),
+                    stored_points=buf.count_stored(),
+                    conv_terms=buf.count_conv_terms(),
+                    wall_clock=elapsed,
                 )
-            tic = time.perf_counter()
+            )
     return runs
 
 
@@ -216,33 +214,30 @@ def _run_simulation(
     at ``n_records`` evenly spaced steps; the record loop of both
     application benchmarks.  The summary's ``peak_stored`` is the most
     points the history held after any step."""
-    n_total = step_count(t_end, sim.config.dt)
-    record_at = _record_steps(n_total, n_records)
     records: list[SimulationRecord] = []
     buffer = sim.buffer
     peak = 0
     elapsed = 0.0
-    tic = time.perf_counter()
-    for i in range(1, n_total + 1):
-        sim.step()
-        stored = buffer.count_stored()
-        if stored > peak:
-            peak = stored
-        if i in record_at:
-            elapsed += time.perf_counter() - tic
-            got, want = value(), exact(sim.t)
-            records.append(
-                SimulationRecord(
-                    t=sim.t,
-                    value=got,
-                    analytic=want,
-                    abs_error=abs(got - want),
-                    stored_points=stored,
-                    conv_terms=buffer.count_conv_terms(),
-                    wall_clock=elapsed,
-                )
+    for segment in time_grid(t_end, sim.config.dt, n_records):
+        tic = time.perf_counter()
+        for t in segment:
+            sim.step(t)
+            stored = buffer.count_stored()
+            if stored > peak:
+                peak = stored
+        elapsed += time.perf_counter() - tic
+        got, want = value(), exact(t)
+        records.append(
+            SimulationRecord(
+                t=t,
+                value=got,
+                analytic=want,
+                abs_error=abs(got - want),
+                stored_points=stored,
+                conv_terms=buffer.count_conv_terms(),
+                wall_clock=elapsed,
             )
-            tic = time.perf_counter()
+        )
     summary = {
         "peak_stored": peak,
         "final_error": records[-1].abs_error,
@@ -290,7 +285,7 @@ def accumulated_conv_terms(policy: MemoryPolicy, dt: float, t_end: float) -> int
     buf = HistoryBuffer(policy)
     buf.push(0.0, 0.0)
     total = 0
-    for i in range(1, step_count(t_end, dt) + 1):
-        buf.push(i * dt, 0.0)
+    for t in chain(*time_grid(t_end, dt)):
+        buf.push(t, 0.0)
         total += buf.count_conv_terms()
     return total

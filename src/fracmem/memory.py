@@ -14,9 +14,10 @@ pushes.
 
 Each policy owns one history operator, ``MemoryPolicy.history``: given the
 stored times and values and a new time ``t_n > times[-1]`` it returns
-``(c, h)`` with D f(t_n) ~= c * (f(t_n) - values[-1]) + h; an earlier t_n
-raises ``ValueError``.  The adaptive GL policy uses ``gl_history`` below;
-the others use the exact L1 weights of ``core.l1_history``.
+``(c, h)`` with D f(t_n) ~= c * (f(t_n) - values[-1]) + h; an earlier or
+non-finite t_n raises ``ValueError``.  The adaptive GL policy uses
+``gl_history`` below; the others use the exact L1 weights of
+``core.l1_history``.
 """
 
 from __future__ import annotations
@@ -334,15 +335,18 @@ def gl_history(
     The times sit on the uniform grid of step ``dt`` (to rounding) and
     ``times[0]`` is the initial time, whose value the GL sum subtracts.  A
     stored point k carries the weight of its lag, rescaled by the grid steps
-    its interval spans; the new point's interval is counted in whole steps.
-    ``h`` is a float for scalar (1-D) rows and an array for vector rows.
+    its interval spans; the new point's interval is counted in whole steps,
+    and a ``t_n`` off the grid raises ``ValueError``.  ``h`` is a float for
+    scalar (1-D) rows and an array for vector rows.
     """
     a = order_value(alpha)
-    if not times[-1] < t_n:
-        raise ValueError(f"t_n={t_n} must lie after the last history time {times[-1]}")
+    if not times[-1] < t_n < math.inf:
+        raise ValueError(f"t_n={t_n} must be finite and after the last history time {times[-1]}")
+    n = round(t_n / dt)
+    if abs(t_n - n * dt) > 1e-9 * dt * max(n, 1):
+        raise ValueError(f"t_n={t_n} does not sit on the uniform base grid of step dt={dt}")
     scale = dt ** (-a)
     idx = np.rint(times / dt).astype(int)
-    n = round(t_n / dt)
     gap = n - int(idx[-1])
     c = gap * scale
     if times.size < 2:

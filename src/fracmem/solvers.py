@@ -6,7 +6,8 @@ homogeneous Dirichlet boundaries and a half-sine initial condition,
 discretized with central differences in space and implicitly in time.
 
 Both solvers are policy-agnostic and share one step, ``_ImplicitStepper.step``.
-At t_n = n * dt it asks the memory policy for its history operator,
+It steps to the time t_n it is given, so the solvers do not know the time
+grid.  It asks the memory policy for its history operator,
 ``c, h = policy.history(times, values, t_n, alpha, dt)``, meaning
 D u(t_n) ~= c * (u(t_n) - values[-1]) + h (exact L1 weights, or rescaled GL
 weights for the adaptive GL policy), solves for u(t_n), rejects a non-finite
@@ -147,13 +148,13 @@ class _ImplicitStepper:
         self._state = state
         self.buffer.push(0.0, state)
 
-    def step(self):
-        """Advance one time step; returns the new state as stored (the creep
-        elongation, or the diffusion interior nodes).  A failed solve or a
-        non-finite state raises, naming the step, and commits nothing."""
+    def step(self, t_new: float):
+        """Advance to time ``t_new``, finite and after ``t``; returns the new
+        state as stored (the creep elongation, or the diffusion interior
+        nodes).  A bad time (the history operator checks it), a failed solve
+        or a non-finite state raises, naming the time, and commits nothing."""
         cfg = self.config
         step_index = self._step_index + 1
-        t_new = step_index * cfg.dt
         times = self.buffer.times()
         c, h = cfg.policy.history(times, self.buffer.values(), t_new, self.alpha, cfg.dt)
         try:
@@ -195,6 +196,11 @@ class DiffusionConfig:
         if self.n_nodes < 3:
             raise ValueError(
                 f"domain length {self.length} with dx={self.dx} leaves no interior node"
+            )
+        if self.n_nodes % 2 == 0:
+            raise ValueError(
+                f"domain length {self.length} with dx={self.dx} is an odd number of "
+                "intervals, so no node sits at the midpoint the benchmark records"
             )
         # the solver's import belongs to set-up, not to the first step
         _lapack_dptsv()

@@ -377,8 +377,8 @@ def test_property_suite_and_cost_linearity():
                               alpha=0.5, policy=policy)
         sim = DiffusionSimulation(cfg)
         prev = float(np.max(np.abs(sim.field)))
-        for _ in range(1000):
-            sim.step()
+        for i in range(1, 1001):
+            sim.step(i * cfg.dt)
             cur = float(np.max(np.abs(sim.field)))
             sup_ok = sup_ok and cur <= prev * (1.0 + 1e-12)
             prev = cur

@@ -20,6 +20,7 @@ from fracmem import (
 )
 from fracmem.analysis import (
     MAX_LEVEL,
+    MAX_M,
     adaptive_bound_terms,
     interval_error_term,
     trapezoid_gap,
@@ -237,6 +238,13 @@ class TestOpCounts:
         assert len(str(op_count(PolicyKind.FULL, 10**900 - 1, MAX_LEVEL))) < 4300
         with pytest.raises(ValueError, match=f"L must be <= {MAX_LEVEL}, got {MAX_LEVEL + 1}"):
             op_count(PolicyKind.ADAPTIVE_PRESENT, 10, MAX_LEVEL + 1)
+
+    def test_m_stops_at_the_cap(self):
+        # every count up to the level cap prints at the largest m
+        for kind in (PolicyKind.FULL, PolicyKind.FIXED, PolicyKind.ADAPTIVE_PRESENT):
+            assert len(str(op_count(kind, MAX_M, MAX_LEVEL))) < 4300
+        with pytest.raises(ValueError, match=re.escape("m must be <= 999... (900 digits), got 100... (901 digits)")):
+            op_count(PolicyKind.FULL, MAX_M + 1, 0)
 
     def test_no_model_for_gl_policy(self):
         with pytest.raises(ValueError):

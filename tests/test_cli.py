@@ -202,7 +202,8 @@ class TestMainExitCodes:
         ("0.3", "domain length 10.0 must be a multiple of dx=0.3"),
         ("20", "domain length 10.0 must be a multiple of dx=20.0"),
         ("10", "domain length 10.0 with dx=10.0 leaves no interior node"),
-    ], ids=["off-grid", "coarser-than-domain", "no-interior-node"])
+        ("2", "domain length 10.0 with dx=2.0 is an odd number of intervals"),
+    ], ids=["off-grid", "coarser-than-domain", "no-interior-node", "odd-intervals"])
     def test_grid_the_solver_rejects_is_two(self, tmp_path, capsys, dx, message):
         rc = main(["diffusion", "--dx", dx, "--t-end", "1", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
@@ -311,6 +312,16 @@ class TestMainExitCodes:
         rc = main(["cost-model", "--levels", f"2,{level}", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert f"configuration error: levels must be <= 4096, got {level}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_m_above_the_cap_is_two(self, tmp_path, capsys):
+        # even the level-0 full count m(m+1)/2 of a 2200-digit m has too
+        # many digits to print; the message names the sizes, not the digits
+        rc = main(["cost-model", "--m", "9" * 2200, "--levels", "0", "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error: m must be <= 999... (900 digits), got 999... (2200 digits)" in err
+        assert len(err) < 200
         assert not (tmp_path / "o.csv").exists()
 
     def test_order_outside_unit_interval_is_two(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Experiment runners: one push stream serving an alpha sweep."""
 
 import dataclasses
+import itertools
 import math
 import re
 
@@ -15,7 +16,7 @@ from fracmem.experiments import (
     run_diffusion,
     run_kelvin_voigt,
     run_order_study,
-    step_count,
+    time_grid,
 )
 
 
@@ -41,13 +42,40 @@ def test_alpha_sweep_matches_single_alpha_runs(policy):
 
 @pytest.mark.parametrize("t_end, dt, steps", [(1.0, 0.01, 100), (0.3, 0.1, 3), (16.0, 0.0625, 256)])
 def test_step_count_on_the_grid(t_end, dt, steps):
-    assert step_count(t_end, dt) == steps
+    times = list(itertools.chain(*time_grid(t_end, dt)))
+    assert times == [i * dt for i in range(1, steps + 1)]
 
 
 @pytest.mark.parametrize("t_end", [1.005, 0.004, 0.0, -1.0, math.inf, math.nan])
 def test_step_count_off_the_grid_raises(t_end):
     with pytest.raises(ValueError, match=f"t_end={t_end} is not a multiple of dt=0.01"):
-        step_count(t_end, 0.01)
+        time_grid(t_end, 0.01)
+
+
+def record_steps(t_end, dt, n_records):
+    # the step index each segment of the grid ends on
+    ends = itertools.accumulate(len(list(segment)) for segment in time_grid(t_end, dt, n_records))
+    return list(ends)
+
+
+@pytest.mark.parametrize("t_end, dt, n_records, steps", [
+    (1.0, 0.1, 3, [4, 7, 10]),
+    (1.0, 0.1, 64, list(range(1, 11))),
+    (1.0, 0.1, 5, [2, 4, 6, 8, 10]),
+    (1.0, 0.01, 4, [25, 50, 75, 100]),
+    (1.0, 0.1, 1, [10]),
+], ids=["three", "more-than-steps", "stride-2", "stride-25", "one"])
+def test_time_grid_ends_each_segment_on_its_record_step(t_end, dt, n_records, steps):
+    assert record_steps(t_end, dt, n_records) == steps
+
+
+def test_time_grid_cuts_the_same_times_at_any_record_count():
+    whole = list(itertools.chain(*time_grid(4.0, 0.01)))
+    for n_records in (1, 3, 64, 400, 1000):
+        segments = time_grid(4.0, 0.01, n_records)
+        # the segments are computed as they are walked, not stored
+        assert all(iter(segment) is segment for segment in segments)
+        assert list(itertools.chain(*segments)) == whole
 
 
 @pytest.mark.parametrize("t_end", [1.005, 0.004])
@@ -103,7 +131,7 @@ def test_peak_stored_covers_every_step(policy):
 def test_step_count_rejects_a_bad_step(dt):
     message = re.escape(f"dt must be positive and finite, got {dt}")
     with pytest.raises(ValueError, match=message):
-        step_count(1.0, dt)
+        time_grid(1.0, dt)
     with pytest.raises(ValueError, match=message):
         retention_count(MemoryPolicy.adaptive_present(0.5), dt, 1.0)
 
@@ -118,6 +146,7 @@ def test_runs_reject_a_bad_record_count(n_records, message):
     kv = KelvinVoigtConfig(eta=1.0, k=1.0, load=1.0, alpha=0.5, dt=0.01, policy=policy)
     diffusion = DiffusionConfig(length=10.0, dx=1.0, dt=0.01, mu=1.0, alpha=0.5, policy=policy)
     runs = [
+        lambda: time_grid(1.0, 0.01, n_records),
         lambda: run_kelvin_voigt(kv, 1.0, n_records),
         lambda: run_diffusion(diffusion, 1.0, n_records),
         lambda: run_derivative_error(policy, (0.5,), 0.01, 1.0, n_records),

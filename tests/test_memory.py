@@ -355,6 +355,25 @@ class TestEvaluateGL:
         with pytest.raises(ValueError):
             evaluate_gl([0.0, 0.05, 0.1], [0.0, 1.0, 2.0], 0.5, 0.1)
 
+    @pytest.mark.parametrize("t_n", [0.2, 0.1, math.inf, math.nan])
+    def test_history_operators_reject_a_new_time_not_finite_and_later(self, t_n):
+        # unchecked, an infinite t_n gives a NaN (L1) or an OverflowError (GL)
+        times, values = np.array([0.0, 0.1, 0.2]), np.array([0.0, 1.0, 2.0])
+        message = re.escape(f"t_n={t_n} must be finite and after the last history time 0.2")
+        with pytest.raises(ValueError, match=message):
+            l1_history(times, values, t_n, 0.5)
+        with pytest.raises(ValueError, match=message):
+            gl_history(times, values, t_n, 0.5, 0.1)
+
+    @pytest.mark.parametrize("t_n", [0.25, 0.2 + 1e-6, 3.0 + 1e-7])
+    def test_history_operator_rejects_a_new_time_off_the_grid(self, t_n):
+        times, values = np.array([0.0, 0.1, 0.2]), np.array([0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match=re.escape(f"t_n={t_n} does not sit on the uniform base grid")):
+            gl_history(times, values, t_n, 0.5, 0.1)
+        # rounding of i * dt stays on the grid, as evaluate_gl allows it
+        for i in (3, 30, 3000):
+            gl_history(times, values, i * 0.1, 0.5, 0.1)
+
     @pytest.mark.parametrize("times, values, message", [
         ([0.0, 0.1, 0.1], [0.0, 1.0, 2.0], "strictly increasing"),
         ([0.0, 0.2, 0.1], [0.0, 1.0, 2.0], "strictly increasing"),

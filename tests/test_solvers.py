@@ -90,6 +90,14 @@ class TestDiffusionSetup:
             DiffusionConfig(length=1.0, dx=0.3, dt=0.01, mu=1.0, alpha=0.5,
                             policy=MemoryPolicy.full())
 
+    @pytest.mark.parametrize("length, dx", [(1.01, 0.01), (10.0, 10.0 / 3.0), (0.3, 0.1)])
+    def test_rejects_an_odd_number_of_intervals(self, length, dx):
+        # the benchmark records the node at length / 2, which must be a node
+        message = f"domain length {length} with dx={dx} is an odd number of intervals"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DiffusionConfig(length=length, dx=dx, dt=0.01, mu=1.0, alpha=0.5,
+                            policy=MemoryPolicy.full())
+
     def test_rejects_grid_without_interior_node(self):
         with pytest.raises(ValueError, match="length 10.0 with dx=10.0 leaves no interior node"):
             DiffusionConfig(length=10.0, dx=10.0, dt=0.01, mu=1.0, alpha=0.5,
@@ -103,7 +111,7 @@ class TestDiffusionSetup:
     def test_single_interior_node_steps(self):
         sim = DiffusionSimulation(DiffusionConfig(length=10.0, dx=5.0, dt=0.01, mu=1.0,
                                                   alpha=0.5, policy=MemoryPolicy.full()))
-        sim.step()
+        sim.step(0.01)
         assert sim.field.shape == (3,)
         assert 0.0 < sim.midpoint_value < 1.0
 
@@ -130,22 +138,22 @@ class TestDiffusionStepping:
 
     def test_full_memory_tracks_analytic_solution(self):
         sim = self.make_sim(MemoryPolicy.full(), dt=0.01)
-        for _ in range(100):
-            sim.step()
+        for i in range(1, 101):
+            sim.step(i * sim.config.dt)
         expect = float(analytic_diffusion(5.0, sim.t, sim.config))
         assert sim.midpoint_value == pytest.approx(expect, abs=2e-3)
 
     def test_boundary_values_stay_zero(self):
         sim = self.make_sim(MemoryPolicy.adaptive_present(0.5))
-        for _ in range(40):
-            sim.step()
+        for i in range(1, 41):
+            sim.step(i * sim.config.dt)
         assert sim.field[0] == 0.0
         assert sim.field[-1] == 0.0
 
     def test_field_stays_symmetric(self):
         sim = self.make_sim(MemoryPolicy.adaptive_present(0.5))
-        for _ in range(60):
-            sim.step()
+        for i in range(1, 61):
+            sim.step(i * sim.config.dt)
         assert np.allclose(sim.field, sim.field[::-1], atol=1e-12)
 
     @pytest.mark.parametrize("policy", [
@@ -157,8 +165,8 @@ class TestDiffusionStepping:
     def test_sup_norm_never_increases(self, policy):
         sim = self.make_sim(policy, dt=0.05)
         prev = float(np.max(np.abs(sim.field)))
-        for _ in range(200):
-            sim.step()
+        for i in range(1, 201):
+            sim.step(i * sim.config.dt)
             cur = float(np.max(np.abs(sim.field)))
             assert cur <= prev * (1.0 + 1e-12)
             prev = cur
@@ -171,8 +179,8 @@ class TestDiffusionStepping:
             cfg = DiffusionConfig(length=10.0, dx=dx, dt=1e-4, mu=(10.0 / math.pi) ** 2,
                                   alpha=1.0 - 1e-10, policy=MemoryPolicy.fixed(1e-4))
             sim = DiffusionSimulation(cfg)
-            for _ in range(1000):
-                sim.step()
+            for i in range(1, 1001):
+                sim.step(i * cfg.dt)
             exact = analytic_diffusion(cfg.grid(), sim.t, cfg)
             errors.append(float(np.max(np.abs(sim.field - exact))))
         assert errors[1] < errors[0] / 2.5
@@ -185,10 +193,10 @@ class TestDiffusionStepping:
         # the solve refills one diagonal pair that dptsv overwrites every
         # step; no state returned or row stored may share memory with it
         sim = self.make_sim(policy)
-        states = [sim.step() for _ in range(60)]
+        states = [sim.step(i * sim.config.dt) for i in range(1, 61)]
         copies = [state.copy() for state in states]
-        for _ in range(60):
-            sim.step()
+        for i in range(61, 121):
+            sim.step(i * sim.config.dt)
         for state, copy in zip(states, copies):
             assert state.tobytes() == copy.tobytes()
         rows = sim.buffer.values()
@@ -204,9 +212,9 @@ class TestDiffusionStepping:
     def test_gl_full_agrees_with_exact_weights_at_unit_time(self):
         l1 = self.make_sim(MemoryPolicy.full(), dt=0.01)
         gl = self.make_sim(MemoryPolicy.adaptive_gl(100.0), dt=0.01)
-        for _ in range(100):
-            l1.step()
-            gl.step()
+        for i in range(1, 101):
+            l1.step(i * l1.config.dt)
+            gl.step(i * gl.config.dt)
         assert gl.midpoint_value == pytest.approx(l1.midpoint_value, abs=1e-2)
 
 
@@ -266,8 +274,8 @@ class TestDiffusionAgainstReference:
                               alpha=0.5, policy=policy)
         sim = DiffusionSimulation(cfg)
         ref = ReferenceDiffusion(cfg)
-        for _ in range(300):
-            sim.step()
+        for i in range(1, 301):
+            sim.step(i * cfg.dt)
             ref.step()
             np.testing.assert_allclose(sim.field, ref.field, rtol=1e-12, atol=0.0)
         assert sim.buffer.count_stored() == ref.buffer.count_stored()
@@ -295,7 +303,7 @@ class TestDiffusionAgainstReference:
                               policy=MemoryPolicy.full())
         sim = DiffusionSimulation(cfg)
         with pytest.raises(np.linalg.LinAlgError, match=r"step 1 \(t=0\.01\).*info=1"):
-            sim.step()
+            sim.step(0.01)
         assert sim.t == 0.0
         assert sim.buffer.count_stored() == 1
 
@@ -315,9 +323,9 @@ class TestDiffusionAgainstReference:
         cfg = DiffusionConfig(length=10.0, dx=0.1, dt=0.01, mu=1.0, alpha=0.5,
                               policy=MemoryPolicy.full())
         sim = DiffusionSimulation(cfg)
-        sim.step()
+        sim.step(0.01)
         with pytest.raises(ValueError, match=r"non-finite state at step 2 \(t=0\.02\)"):
-            sim.step()
+            sim.step(0.02)
         assert sim.t == 0.01
         assert sim.buffer.count_stored() == 2
         assert np.all(np.isfinite(sim.field))
@@ -373,8 +381,8 @@ class TestKelvinVoigtAgainstReference:
         sim = KelvinVoigtSimulation(cfg)
         ref = ReferenceKelvinVoigt(cfg)
         got, want = [], []
-        for _ in range(300):
-            got.append(sim.step())
+        for i in range(1, 301):
+            got.append(sim.step(i * cfg.dt))
             ref.step()
             want.append(ref.x)
         if policy.kind is PolicyKind.ADAPTIVE_GL:
@@ -406,8 +414,8 @@ class TestKelvinVoigt:
         # carry an O(dt^alpha) startup error; judge accuracy past it
         sim = KelvinVoigtSimulation(self.make_cfg(MemoryPolicy.full()))
         worst = 0.0
-        for _ in range(800):
-            sim.step()
+        for i in range(1, 801):
+            sim.step(i * sim.config.dt)
             if sim.t >= 0.5:
                 worst = max(worst, abs(sim.x - analytic_creep(sim.t, sim.config)))
         assert worst < 2e-3
@@ -415,16 +423,16 @@ class TestKelvinVoigt:
     def test_elongation_monotone_and_bounded(self):
         sim = KelvinVoigtSimulation(self.make_cfg(MemoryPolicy.adaptive_present(1.0)))
         prev = 0.0
-        for _ in range(500):
-            sim.step()
+        for i in range(1, 501):
+            sim.step(i * sim.config.dt)
             assert prev <= sim.x + 1e-12
             assert sim.x <= 1.0
             prev = sim.x
 
     def test_gl_policy_runs_and_stays_close(self):
         sim = KelvinVoigtSimulation(self.make_cfg(MemoryPolicy.adaptive_gl(1.0)))
-        for _ in range(400):
-            sim.step()
+        for i in range(1, 401):
+            sim.step(i * sim.config.dt)
         expect = analytic_creep(sim.t, sim.config)
         assert sim.x == pytest.approx(expect, abs=5e-2)
 
@@ -436,7 +444,7 @@ class TestKelvinVoigt:
                                 policy=MemoryPolicy.full())
         sim = KelvinVoigtSimulation(cfg)
         with pytest.raises(ValueError, match=r"non-finite state at step 1 \(t=0\.01\)"):
-            sim.step()
+            sim.step(0.01)
         assert (sim.t, sim.x) == (0.0, 0.0)
         assert sim.buffer.count_stored() == 1
 
@@ -457,6 +465,50 @@ class TestKelvinVoigt:
         kwargs[field] = bad
         with pytest.raises(ValueError, match="finite"):
             KelvinVoigtConfig(**kwargs)
+
+
+class TestStepTime:
+    def make_sims(self, policy):
+        diffusion = DiffusionConfig(length=10.0, dx=0.5, dt=0.01, mu=1.0, alpha=0.5, policy=policy)
+        creep = KelvinVoigtConfig(eta=1.0, k=1.0, load=1.0, alpha=0.5, dt=0.01, policy=policy)
+        return DiffusionSimulation(diffusion), KelvinVoigtSimulation(creep)
+
+    @pytest.mark.parametrize("policy", [
+        MemoryPolicy.full(),
+        MemoryPolicy.fixed(0.1),
+        MemoryPolicy.adaptive_present(0.1),
+        MemoryPolicy.adaptive_gl(0.1),
+    ], ids=["full", "fixed", "present", "gl"])
+    @pytest.mark.parametrize("t", [0.01, 0.005, math.nan, math.inf], ids=["equal", "earlier", "nan", "inf"])
+    def test_rejects_a_time_not_after_the_current_one(self, policy, t):
+        for sim in self.make_sims(policy):
+            sim.step(0.01)
+            state, stored = np.copy(sim._state), sim.buffer.count_stored()
+            message = re.escape(f"t_n={t} must be finite and after the last history time 0.01")
+            with pytest.raises(ValueError, match=message):
+                sim.step(t)
+            assert sim.t == 0.01
+            assert np.array_equal(sim._state, state)
+            assert sim.buffer.count_stored() == stored
+
+    @pytest.mark.parametrize("policy", [
+        MemoryPolicy.full(), MemoryPolicy.fixed(0.1), MemoryPolicy.adaptive_present(0.1),
+    ], ids=["full", "fixed", "present"])
+    def test_l1_policies_step_to_any_later_time(self, policy):
+        # the L1 weights are exact on any grid, so the steps need not be dt
+        for sim in self.make_sims(policy):
+            for t in (0.003, 0.01, 0.025, 0.5):
+                sim.step(t)
+                assert sim.t == t
+            assert list(sim.buffer.times())[-1] == 0.5
+
+    def test_gl_policy_rejects_a_time_off_its_grid(self):
+        for sim in self.make_sims(MemoryPolicy.adaptive_gl(0.1)):
+            sim.step(0.01)
+            with pytest.raises(ValueError, match="t_n=0.015 does not sit on the uniform base grid"):
+                sim.step(0.015)
+            assert sim.t == 0.01
+            assert sim.buffer.count_stored() == 2
 
 
 class TestParameterChecks:
