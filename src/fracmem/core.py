@@ -55,6 +55,20 @@ def check_count(name: str, value: int, least: int, most: int | None = None) -> N
         raise ValueError(f"{name} must be <= {_shown(most)}, got {_shown(value)}")
 
 
+# relative, since the rounding of a decimal x / step grows with its size
+GRID_RTOL = 1e-9
+
+
+def grid_steps(x: float, step: float) -> int | None:
+    """The whole number n nearest ``x / step``, or None when that ratio is
+    not finite or lies more than ``GRID_RTOL * max(|n|, 1)`` from n."""
+    r = x / step
+    if not math.isfinite(r):
+        return None
+    n = round(r)
+    return n if abs(r - n) <= GRID_RTOL * max(abs(n), 1) else None
+
+
 def _shown(n: int) -> str:
     # a count too long to read is shown by its first digits and its length
     text = str(n)
@@ -95,15 +109,20 @@ def caputo_weights(
 
 def check_history(times, values) -> tuple[np.ndarray, np.ndarray]:
     """``times`` and ``values`` as float arrays, checked: at least 2 times,
-    strictly increasing, and one row of ``values`` per time."""
+    all finite and strictly increasing, and one finite row of ``values`` per
+    time."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("history must contain at least 2 time points")
+    if not np.isfinite(times).all():
+        raise ValueError("history times must be finite")
     if not np.all(np.diff(times) > 0.0):
         raise ValueError("history times must be strictly increasing")
     values = np.asarray(values, dtype=float)
     if values.ndim == 0 or values.shape[0] != times.size:
         raise ValueError("values must have one row per time point")
+    if not np.isfinite(values).all():
+        raise ValueError("history values must be finite")
     return times, values
 
 

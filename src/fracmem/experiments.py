@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .analysis import fit_loglog_slope, op_count
-from .core import check_count, check_positive, newest_derivative, order_value
+from .core import check_count, check_positive, grid_steps, newest_derivative, order_value
 from .memory import HistoryBuffer, MemoryPolicy, PolicyKind
 from .solvers import (
     DiffusionConfig,
@@ -42,7 +42,6 @@ __all__ = [
     "run_cost_model",
     "retention_count",
     "time_grid",
-    "matched_fixed_policy",
     "accumulated_conv_terms",
 ]
 
@@ -71,14 +70,13 @@ def time_grid(t_end: float, dt: float, n_records: int = 1) -> list[Iterator[floa
     """The step times i * dt, i = 1..n, to ``t_end = n * dt``, as one lazy
     iterator per record step, each ending on its record step.  The record
     steps are ceil(k n / n_records), k = 1..n_records, or every step when
-    n_records > n.  Raises ``ValueError`` unless ``t_end`` is a whole,
-    positive number of steps ``dt`` and ``n_records`` a count >= 1."""
+    n_records > n.  Raises ``ValueError`` unless ``t_end`` is a whole
+    (``grid_steps``), positive number of steps ``dt`` and ``n_records`` >= 1."""
     check_positive("dt", dt)
-    steps = t_end / dt
-    if not (0.5 < steps < math.inf and abs(steps - round(steps)) <= 1e-9):
+    n_total = grid_steps(t_end, dt)
+    if n_total is None or n_total < 1:
         raise ValueError(f"t_end={t_end} is not a multiple of dt={dt}")
     check_count("n_records", n_records, 1)
-    n_total = round(steps)
     n = min(n_records, n_total)
     ends = [-(-k * n_total // n) for k in range(n + 1)]
     # dt.__rmul__(i) is i * dt, bit for bit, with no Python frame per step
@@ -92,13 +90,6 @@ def retention_count(policy: MemoryPolicy, dt: float, t_end: float) -> int:
     for t in chain([0.0], *time_grid(t_end, dt)):
         buf.push(t, 0.0)
     return buf.count_stored()
-
-
-def matched_fixed_policy(adaptive_T: float, dt: float, t_end: float) -> MemoryPolicy:
-    """Fixed policy granted the same steady point budget the adaptive method
-    reaches at the experiment horizon (the fair-comparison convention)."""
-    count = retention_count(MemoryPolicy.adaptive_present(adaptive_T), dt, t_end)
-    return MemoryPolicy.fixed((count - 1) * dt)
 
 
 # -- derivative error studies -------------------------------------------------

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_history, check_positive, l1_history, newest_derivative, order_value, weighted_rows
+from .core import GRID_RTOL, check_count, check_history, check_positive, grid_steps
+from .core import l1_history, newest_derivative, order_value, weighted_rows
 
 __all__ = [
     "PolicyKind",
@@ -311,6 +312,7 @@ def gl_weights(jmax: int, alpha: float) -> np.ndarray:
     c_0 = 1 in Python floats, which avoids Gamma evaluations at negative
     arguments; the cached array grows by doubling.
     """
+    check_count("jmax", jmax, 0)
     a = order_value(alpha)
     w = _GL_CACHE.get(a)
     if w is None or w.shape[0] <= jmax:
@@ -342,8 +344,8 @@ def gl_history(
     a = order_value(alpha)
     if not times[-1] < t_n < math.inf:
         raise ValueError(f"t_n={t_n} must be finite and after the last history time {times[-1]}")
-    n = round(t_n / dt)
-    if abs(t_n - n * dt) > 1e-9 * dt * max(n, 1):
+    n = grid_steps(t_n, dt)
+    if n is None:
         raise ValueError(f"t_n={t_n} does not sit on the uniform base grid of step dt={dt}")
     scale = dt ** (-a)
     idx = np.rint(times / dt).astype(int)
@@ -376,7 +378,8 @@ def evaluate_gl(
     """
     check_positive("dt", dt)
     times, values = check_history(times, values)
-    idx = np.rint(times / dt).astype(int)
-    if np.max(np.abs(times - idx * dt)) > 1e-9 * dt * max(idx[-1], 1):
+    steps = times / dt  # the rule of grid_steps, for every time at once
+    idx = np.rint(steps)
+    if not np.all(np.abs(steps - idx) <= GRID_RTOL * np.maximum(np.abs(idx), 1.0)):
         raise ValueError("history times do not sit on the uniform base grid")
     return newest_derivative(gl_history, times, values, alpha, dt)

@@ -38,7 +38,7 @@ from importlib import machinery
 
 import numpy as np
 
-from .core import check_positive, order_value
+from .core import check_positive, grid_steps, order_value
 from .memory import HistoryBuffer, MemoryPolicy
 from .special import mittag_leffler
 
@@ -190,8 +190,7 @@ class DiffusionConfig:
         for name in ("length", "dx", "dt", "mu"):
             check_positive(name, getattr(self, name))
         self.policy.check_step(self.dt)
-        n = self.length / self.dx
-        if abs(n - round(n)) > 1e-9:
+        if grid_steps(self.length, self.dx) is None:
             raise ValueError(f"domain length {self.length} must be a multiple of dx={self.dx}")
         if self.n_nodes < 3:
             raise ValueError(
@@ -207,7 +206,7 @@ class DiffusionConfig:
 
     @property
     def n_nodes(self) -> int:
-        return round(self.length / self.dx) + 1
+        return grid_steps(self.length, self.dx) + 1
 
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.length, self.n_nodes)

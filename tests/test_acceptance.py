@@ -24,7 +24,6 @@ from fracmem.analysis import adaptive_bound, interval_error_term, op_count
 from fracmem.core import caputo_weights
 from fracmem.experiments import (
     accumulated_conv_terms,
-    matched_fixed_policy,
     retention_count,
     run_derivative_error,
     run_diffusion,
@@ -42,6 +41,13 @@ BOUND_SLACK = 1.0 + 1e-8  # the bounds are identities for polynomial inputs
 
 def report(name, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'}: {name}: {detail}")
+
+
+def matched_fixed_policy(adaptive_T, dt, t_end):
+    """Fixed policy granted the same steady point budget the adaptive method
+    reaches at the experiment horizon (the fair-comparison convention)."""
+    count = retention_count(MemoryPolicy.adaptive_present(adaptive_T), dt, t_end)
+    return MemoryPolicy.fixed((count - 1) * dt)
 
 
 def final_error_slope(runs, alpha):

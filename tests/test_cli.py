@@ -61,6 +61,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="diffusion", dt=(0.3,), t_end=1.0)
 
+    def test_long_decimal_horizon_builds(self):
+        # exactly 10000002 steps; validated only, not run
+        cfg = ExperimentConfig(experiment="derivative-error", t_end=1000000.2, dt=(0.1,))
+        assert cfg.t_end == 1000000.2
+
     def test_default_diffusivity_normalizes_decay_rate(self):
         cfg = ExperimentConfig(experiment="diffusion", length=10.0)
         import math

@@ -46,6 +46,18 @@ def test_step_count_on_the_grid(t_end, dt, steps):
     assert times == [i * dt for i in range(1, steps + 1)]
 
 
+def test_time_grid_counts_a_long_decimal_horizon():
+    # 1000000.2 / 0.1 misses 10000002 by more than 1e-9: a long horizon is
+    # counted by the relative rule of core.grid_steps
+    n = 10_000_002
+    segments = time_grid(1000000.2, 0.1, 64)
+    assert len(segments) == 64
+    # the last segment runs from record step ceil(63 n / 64) to step n
+    last = list(segments[-1])
+    assert last[0] == (-(-63 * n // 64) + 1) * 0.1
+    assert last[-1] == n * 0.1
+
+
 @pytest.mark.parametrize("t_end", [1.005, 0.004, 0.0, -1.0, math.inf, math.nan])
 def test_step_count_off_the_grid_raises(t_end):
     with pytest.raises(ValueError, match=f"t_end={t_end} is not a multiple of dt=0.01"):

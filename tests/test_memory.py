@@ -292,6 +292,7 @@ class TestGLWeights:
 
     def test_first_weights(self):
         a = 0.5
+        assert gl_weights(0, a).tolist() == [1.0]
         w = gl_weights(2, a)
         assert w[0] == 1.0
         assert w[1] == pytest.approx(-a)
@@ -310,6 +311,15 @@ class TestGLWeights:
             seq.append(seq[-1] * (j - 1.0 - alpha) / j)
         for jmax in (3, 1000, 17, 600):
             assert gl_weights(jmax, alpha).tolist() == seq[: jmax + 1]
+
+    @pytest.mark.parametrize("jmax, message", [
+        (-3, "jmax must be >= 0, got -3"),
+        (2.7, "jmax must be an integer, got 2.7"),
+    ], ids=["negative", "fraction"])
+    def test_rejects_a_bad_jmax(self, jmax, message):
+        # unchecked, -3 gives an empty array and 2.7 a TypeError from slicing
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gl_weights(jmax, 0.5)
 
     def test_weight_sum_partial_unity(self):
         # sum_{j=0}^J w_j = (-1)^J C(alpha-1, J) -> 0, staying positive
@@ -355,6 +365,12 @@ class TestEvaluateGL:
         with pytest.raises(ValueError):
             evaluate_gl([0.0, 0.05, 0.1], [0.0, 1.0, 2.0], 0.5, 0.1)
 
+    def test_rejects_an_early_time_off_the_grid_of_a_long_history(self):
+        # each time is held to its own step count: half a step off at step 1
+        # stays off the grid however long the history
+        with pytest.raises(ValueError, match="history times do not sit on the uniform base grid"):
+            evaluate_gl([0.0, 0.105, 1e7], [0.0, 1.0, 2.0], 0.5, 0.1)
+
     @pytest.mark.parametrize("t_n", [0.2, 0.1, math.inf, math.nan])
     def test_history_operators_reject_a_new_time_not_finite_and_later(self, t_n):
         # unchecked, an infinite t_n gives a NaN (L1) or an OverflowError (GL)
@@ -379,7 +395,14 @@ class TestEvaluateGL:
         ([0.0, 0.2, 0.1], [0.0, 1.0, 2.0], "strictly increasing"),
         ([0.0, 0.1, 0.2], [0.0, 1.0], "one row per time point"),
         ([0.1], [1.0], "at least 2 time points"),
-    ], ids=["repeated-time", "unsorted", "row-count", "one-point"])
+        # unchecked, a non-finite history gives a silent NaN
+        ([0.0, 0.1, 0.2], [0.0, math.nan, 2.0], "history values must be finite"),
+        ([0.0, 0.1, 0.2], [0.0, math.inf, 2.0], "history values must be finite"),
+        ([0.0, 0.1, 0.2], [[0.0, 1.0], [1.0, 2.0], [-math.inf, 3.0]], "history values must be finite"),
+        ([-math.inf, 0.1, 0.2], [0.0, 1.0, 2.0], "history times must be finite"),
+        ([0.0, 0.1, math.nan], [0.0, 1.0, 2.0], "history times must be finite"),
+    ], ids=["repeated-time", "unsorted", "row-count", "one-point",
+            "nan-value", "inf-value", "inf-entry", "-inf-time", "nan-time"])
     def test_rejects_what_evaluate_caputo_rejects(self, times, values, message):
         with pytest.raises(ValueError, match=message):
             evaluate_gl(times, values, 0.5, 0.1)

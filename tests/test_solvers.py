@@ -85,6 +85,13 @@ class TestDiffusionSetup:
         with pytest.raises(ValueError, match="finite"):
             DiffusionConfig(**kwargs)
 
+    def test_counts_a_long_decimal_domain(self):
+        # 1000000.2 / 0.1 misses 10000002 by more than 1e-9 and is accepted
+        # by the relative rule of core.grid_steps
+        cfg = DiffusionConfig(length=1000000.2, dx=0.1, dt=0.01, mu=1.0, alpha=0.5,
+                              policy=MemoryPolicy.full())
+        assert cfg.n_nodes == 10_000_003
+
     def test_rejects_incommensurate_grid(self):
         with pytest.raises(ValueError):
             DiffusionConfig(length=1.0, dx=0.3, dt=0.01, mu=1.0, alpha=0.5,
