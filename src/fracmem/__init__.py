@@ -17,7 +17,7 @@ from .analysis import (
     fixed_memory_bound,
     op_count,
 )
-from .core import caputo_weight, evaluate_caputo
+from .core import evaluate_caputo
 from .memory import (
     HistoryBuffer,
     MemoryPolicy,
@@ -31,7 +31,6 @@ from .solvers import (
     KelvinVoigtSimulation,
     analytic_creep,
     analytic_diffusion,
-    thomas_solve,
 )
 from .special import mittag_leffler
 

@@ -128,6 +128,8 @@ def op_count(policy: PolicyKind | str, m: int, L: int) -> int:
     ``MAX_M``."""
     check_count("m", m, 1, MAX_M)
     check_count("L", L, 0, MAX_LEVEL)
+    # numpy integers would overflow in 2**L and the products below
+    m, L = int(m), int(L)
     kind = PolicyKind(policy) if isinstance(policy, str) else policy
     if kind is PolicyKind.FULL:
         n = 2**L * m

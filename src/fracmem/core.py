@@ -110,7 +110,7 @@ def caputo_weights(
 def check_history(times, values) -> tuple[np.ndarray, np.ndarray]:
     """``times`` and ``values`` as float arrays, checked: at least 2 times,
     all finite and strictly increasing, and one finite row of ``values`` per
-    time."""
+    time, each a scalar or a non-empty vector."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("history must contain at least 2 time points")
@@ -119,8 +119,8 @@ def check_history(times, values) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.diff(times) > 0.0):
         raise ValueError("history times must be strictly increasing")
     values = np.asarray(values, dtype=float)
-    if values.ndim == 0 or values.shape[0] != times.size:
-        raise ValueError("values must have one row per time point")
+    if values.ndim not in (1, 2) or values.shape[0] != times.size or values.size == 0:
+        raise ValueError("values must have one row per time point, a scalar or a non-empty vector")
     if not np.isfinite(values).all():
         raise ValueError("history values must be finite")
     return times, values

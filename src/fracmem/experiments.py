@@ -119,6 +119,8 @@ def run_derivative_error(
     order, in input order.
     """
     orders = [order_value(a) for a in alphas]
+    if not orders:
+        raise ValueError("alphas must hold at least one order, got none")
     f, exact_derivative = _test_function(policy)
     policy.check_step(dt)
     buf = HistoryBuffer(policy)

@@ -2,9 +2,12 @@
 Grunwald-Letnikov (GL) history operator.
 
 The buffer keeps time points grouped into subsets U_0..U_L, newest subset
-first.  U_0 spans at most the memory length T after maintenance; U_l spans
-at most 2^(l-1) * T.  Interval comparisons are strict: a span exactly equal
-to the threshold does not trigger maintenance.
+first, as ``HistoryBuffer.subsets()`` returns them.  On a uniform grid U_0
+spans at most the memory length T after every push, and U_l at most
+2^(l-1) * T; adaptive maintenance moves at most one point out of U_0 per
+push, so U_0 can span more than T when the steps grow.  Interval
+comparisons are strict: a span exactly equal to the threshold does not
+trigger maintenance.
 
 ``HistoryBuffer`` copies each pushed row into array arenas once, at push,
 and serves reads as read-only views of them: a view stays valid until the
@@ -119,8 +122,9 @@ class HistoryBuffer:
     arenas only if dropping leaves them at least half full.
 
     - Rows are copied at push: changing an array after pushing it does not
-      change the history.  Every row must have the shape of the first one;
-      a push that raises stores nothing.
+      change the history.  The first row must be a scalar or a non-empty
+      vector, and every row must have its shape; a push that raises stores
+      nothing.
     - ``times()`` and ``values()`` return read-only views that stay valid
       until the next push; copy them to keep them longer.
     - Reads also update internal state, so no two calls on one buffer may
@@ -148,17 +152,10 @@ class HistoryBuffer:
 
     # -- queries ----------------------------------------------------------
 
-    @property
-    def num_subsets(self) -> int:
-        return len(self._subsets)
-
-    @property
-    def num_active_subsets(self) -> int:
-        """Number of nonempty subsets (L + 1 in the power-law layout)."""
-        return sum(1 for s in self._subsets if s)
-
-    def subset_times(self, l: int) -> list[float]:
-        return list(self._subsets[l])
+    def subsets(self) -> tuple[tuple[float, ...], ...]:
+        """The layout: the stored times of U_0..U_L, U_0 first, each oldest
+        first; a subset that maintenance emptied keeps its place."""
+        return tuple(map(tuple, self._subsets))
 
     def count_stored(self) -> int:
         return self._n - len(self._gone)
@@ -247,12 +244,15 @@ class HistoryBuffer:
         """Raise ``TypeError`` for a ``None`` row or entry, which numpy would
         store as NaN, and ``ValueError`` unless ``value`` has the stored
         rows' shape; the first push fixes the shape once its row converts to
-        floats."""
+        floats and is a scalar or a non-empty vector."""
         row = value if isinstance(value, (float, np.ndarray)) else np.asarray(value)
         if isinstance(row, np.ndarray) and row.dtype.hasobject:
             raise TypeError(f"pushed row must be numeric, got {value!r}")
         if self._shape is None:
-            self._shape = np.asarray(value, dtype=float).shape
+            shape = np.asarray(value, dtype=float).shape
+            if len(shape) > 1 or 0 in shape:
+                raise ValueError(f"pushed row of shape {shape} is not a scalar or a non-empty vector")
+            self._shape = shape
             self._values = np.empty((0,) + self._shape)
             return
         shape = () if isinstance(row, float) else row.shape

@@ -98,15 +98,8 @@ def _flapack_spec():
     scipy_spec = importlib.util.find_spec("scipy")
     if scipy_spec is None:
         return None
-    for root in scipy_spec.submodule_search_locations or ():
-        finder = machinery.FileFinder(
-            os.path.join(root, "linalg"),
-            (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
-        )
-        spec = finder.find_spec("scipy.linalg._flapack")
-        if spec is not None:
-            return spec
-    return None
+    linalg = [os.path.join(root, "linalg") for root in scipy_spec.submodule_search_locations or ()]
+    return machinery.PathFinder.find_spec("scipy.linalg._flapack", linalg)
 
 
 def _lapack_dptsv():

@@ -18,7 +18,6 @@ from fracmem import (
     fit_loglog_slope,
     fixed_memory_bound,
     mittag_leffler,
-    thomas_solve,
 )
 from fracmem.analysis import adaptive_bound, interval_error_term, op_count
 from fracmem.core import caputo_weights
@@ -30,7 +29,7 @@ from fracmem.experiments import (
     run_kelvin_voigt,
 )
 from fracmem.memory import PolicyKind
-from fracmem.solvers import DiffusionConfig, DiffusionSimulation, KelvinVoigtConfig
+from fracmem.solvers import DiffusionConfig, DiffusionSimulation, KelvinVoigtConfig, thomas_solve
 
 ALPHAS = (0.1, 0.5, 0.9)
 DTS = (0.02, 0.01, 0.005, 0.0025)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -232,6 +233,16 @@ class TestOpCounts:
         got = op_count(PolicyKind.ADAPTIVE_PRESENT, m, L)
         assert type(got) is int
         assert got == exact
+
+    @pytest.mark.parametrize("L", [62, 63, 70, 4096])
+    @pytest.mark.parametrize("kind", [PolicyKind.FULL, PolicyKind.FIXED, PolicyKind.ADAPTIVE_PRESENT])
+    def test_numpy_integers_count_as_python_ones(self, kind, L):
+        # int64 arithmetic would overflow in 2**L and the products
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = op_count(kind, np.int64(10), np.int64(L))
+        assert type(got) is int
+        assert got == op_count(kind, 10, L)
 
     def test_levels_stop_at_the_cap(self):
         # the largest count at the cap still prints for m below 10^900

@@ -27,12 +27,8 @@ class DequeBuffer:
         self.policy = policy
         self._subsets: list[deque] = [deque()]
 
-    @property
-    def num_subsets(self) -> int:
-        return len(self._subsets)
-
-    def subset_times(self, l: int) -> list[float]:
-        return [t for t, _ in self._subsets[l]]
+    def subsets(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(t for t, _ in s) for s in self._subsets)
 
     def count_stored(self) -> int:
         return sum(len(s) for s in self._subsets)
@@ -107,9 +103,7 @@ def assert_same(buf: HistoryBuffer, ref: DequeBuffer) -> None:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert buf.count_stored() == ref.count_stored()
-    assert buf.num_subsets == ref.num_subsets
-    for l in range(ref.num_subsets):
-        assert buf.subset_times(l) == ref.subset_times(l)
+    assert buf.subsets() == ref.subsets()
 
 
 def replay(policy, times, width, reads, seed) -> None:

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracmem import caputo_weight, evaluate_caputo
+from fracmem import evaluate_caputo
 from fracmem.core import (
+    caputo_weight,
     caputo_weights,
     check_count,
     check_positive,

@@ -178,3 +178,15 @@ def test_order_study_checks_its_sweep(alphas, dts, message):
         check_sweep(alphas, dts)
     with pytest.raises(ValueError, match=re.escape(message)):
         run_order_study(MemoryPolicy.full(), alphas, dts, 1.0)
+
+
+def test_derivative_studies_reject_no_orders_before_pushing(monkeypatch):
+    def push(self, t, value):
+        raise AssertionError("pushed before the orders were checked")
+
+    monkeypatch.setattr(HistoryBuffer, "push", push)
+    message = "alphas must hold at least one order, got none"
+    with pytest.raises(ValueError, match=message):
+        run_derivative_error(MemoryPolicy.full(), [], 0.1, 1.0)
+    with pytest.raises(ValueError, match=message):
+        run_order_study(MemoryPolicy.full(), (), (0.1, 0.05, 0.025), 1.0)

@@ -179,7 +179,9 @@ class TestBufferBasics:
 
     @pytest.mark.parametrize("bad, error", [
         ("abc", ValueError), (1j, TypeError), (None, TypeError), ([1.0, None], TypeError),
-    ], ids=["string", "complex", "none", "none-entry"])
+        # no history operator contracts matrix or empty rows
+        (np.zeros((2, 3)), ValueError), (np.zeros(0), ValueError),
+    ], ids=["string", "complex", "none", "none-entry", "matrix", "empty"])
     def test_failed_first_push_fixes_no_row_shape(self, bad, error):
         buf = HistoryBuffer(MemoryPolicy.full())
         with pytest.raises(error):
@@ -223,14 +225,12 @@ class TestAdaptiveMaintenance:
         # T = 2 with unit steps: pushing t = 0..6 must land in subsets
         # {4,5,6}, {2,3}, {0} (the t=1 point is thinned away)
         buf = push_uniform(MemoryPolicy.adaptive_present(2.0), 1.0, 6)
-        assert buf.subset_times(0) == [4.0, 5.0, 6.0]
-        assert buf.subset_times(1) == [2.0, 3.0]
-        assert buf.subset_times(2) == [0.0]
+        assert buf.subsets() == ((4.0, 5.0, 6.0), (2.0, 3.0), (0.0,))
         assert list(buf.times()) == [0.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_no_thinning_until_window_filled(self):
         buf = push_uniform(MemoryPolicy.adaptive_present(1.0), 0.1, 10)
-        assert buf.num_active_subsets == 1
+        assert len(buf.subsets()) == 1
         assert buf.count_stored() == 11
 
     def test_ideal_layout_at_dyadic_horizon(self):
@@ -239,11 +239,12 @@ class TestAdaptiveMaintenance:
         T, dt, L = 1.0, 0.1, 3
         m = round(T / dt)
         buf = push_uniform(MemoryPolicy.adaptive_present(T), dt, round(2**L * T / dt))
-        sizes = [len(buf.subset_times(l)) for l in range(buf.num_subsets) if buf.subset_times(l)]
+        layout = buf.subsets()
+        sizes = [len(s) for s in layout if s]
         assert sizes[0] == m + 1
         assert all(s == m for s in sizes[1:])
         for l in range(1, len(sizes)):
-            gaps = np.diff(buf.subset_times(l))
+            gaps = np.diff(layout[l])
             assert np.allclose(gaps, 2 ** (l - 1) * dt)
 
     @given(
@@ -261,15 +262,14 @@ class TestAdaptiveMaintenance:
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(n_steps * dt)
         # newest window spans at most T (after maintenance)
-        u0 = buf.subset_times(0)
+        u0, *coarse = layout = buf.subsets()
         assert u0[-1] - u0[0] <= T * (1.0 + 1e-9)
         # each coarsened subset spans at most its doubling threshold
-        for l in range(1, buf.num_subsets):
-            ul = buf.subset_times(l)
+        for l, ul in enumerate(coarse, start=1):
             if len(ul) >= 2:
                 assert ul[-1] - ul[0] <= 2 ** (l - 1) * T * (1.0 + 1e-9)
         # logarithmic storage: at most ~m+1 points per active subset
-        levels = buf.num_active_subsets
+        levels = sum(1 for s in layout if s)
         assert buf.count_stored() <= (levels + 1) * (m + 1)
 
     def test_agrees_with_full_memory_before_thinning_starts(self):
@@ -401,8 +401,14 @@ class TestEvaluateGL:
         ([0.0, 0.1, 0.2], [[0.0, 1.0], [1.0, 2.0], [-math.inf, 3.0]], "history values must be finite"),
         ([-math.inf, 0.1, 0.2], [0.0, 1.0, 2.0], "history times must be finite"),
         ([0.0, 0.1, math.nan], [0.0, 1.0, 2.0], "history times must be finite"),
+        # unchecked, matrix rows give a silently wrong result at 3 times and
+        # a matmul error at 4, and empty rows divide by zero
+        ([0.0, 0.1, 0.2], np.ones((3, 2, 3)), "a scalar or a non-empty vector"),
+        ([0.0, 0.1, 0.2, 0.3], np.ones((4, 2, 3)), "a scalar or a non-empty vector"),
+        ([0.0, 0.1, 0.2], np.zeros((3, 0)), "a scalar or a non-empty vector"),
     ], ids=["repeated-time", "unsorted", "row-count", "one-point",
-            "nan-value", "inf-value", "inf-entry", "-inf-time", "nan-time"])
+            "nan-value", "inf-value", "inf-entry", "-inf-time", "nan-time",
+            "matrix-rows", "matrix-rows-4-times", "empty-rows"])
     def test_rejects_what_evaluate_caputo_rejects(self, times, values, message):
         with pytest.raises(ValueError, match=message):
             evaluate_gl(times, values, 0.5, 0.1)

@@ -18,13 +18,12 @@ from fracmem import (
     PolicyKind,
     analytic_creep,
     analytic_diffusion,
-    caputo_weight,
     mittag_leffler,
-    thomas_solve,
 )
 from fracmem import solvers
-from fracmem.core import caputo_weights
+from fracmem.core import caputo_weight, caputo_weights
 from fracmem.memory import gl_weights
+from fracmem.solvers import thomas_solve
 
 
 def dense_solve(lower, diag, upper, rhs):
