@@ -16,7 +16,7 @@ import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -83,12 +83,24 @@ def time_grid(t_end: float, dt: float, n_records: int = 1) -> list[Iterator[floa
     return [map(dt.__rmul__, range(lo + 1, hi + 1)) for lo, hi in zip(ends, ends[1:])]
 
 
+# rows per HistoryBuffer.extend call where a runner pushes a grid with no
+# read in between; bounds the block arrays a run holds at once
+_PUSH_BLOCK = 4096
+
+
+def _blocks(times: Iterator[float]) -> Iterator[np.ndarray]:
+    """``times`` as consecutive arrays of up to ``_PUSH_BLOCK`` entries."""
+    while (block := np.fromiter(islice(times, _PUSH_BLOCK), float)).size:
+        yield block
+
+
 def retention_count(policy: MemoryPolicy, dt: float, t_end: float) -> int:
     """Stored-point count of a policy after stepping to t_end; depends only
     on the time sequence, not on values."""
     buf = HistoryBuffer(policy)
-    for t in chain([0.0], *time_grid(t_end, dt)):
-        buf.push(t, 0.0)
+    buf.push(0.0, 0.0)
+    for block in _blocks(chain(*time_grid(t_end, dt))):
+        buf.extend(block, np.zeros(block.size))
     return buf.count_stored()
 
 
@@ -114,7 +126,8 @@ def run_derivative_error(
     order in ``alphas``.  The function follows the policy: f(t) = t under
     ``fixed`` (constant f'), f(t) = t^2 under the others (constant f'').
 
-    The grid is pushed once; at each record step every order is evaluated
+    The grid is pushed once, in blocks of ``_PUSH_BLOCK`` steps through
+    ``HistoryBuffer.extend``; at each record step every order is evaluated
     on the same stored times and values.  Returns one record list per
     order, in input order.
     """
@@ -129,9 +142,10 @@ def run_derivative_error(
     elapsed = 0.0
     for segment in time_grid(t_end, dt, n_records):
         tic = time.perf_counter()
-        for t in segment:
-            buf.push(t, f(t))
+        for block in _blocks(segment):
+            buf.extend(block, f(block))
         elapsed += time.perf_counter() - tic
+        t = float(block[-1])
         times, values = buf.times(), buf.values()
         for a, records in zip(orders, runs):
             value = newest_derivative(policy.history, times, values, a, dt)

@@ -2,18 +2,17 @@
 Grunwald-Letnikov (GL) history operator.
 
 The buffer keeps time points grouped into subsets U_0..U_L, newest subset
-first, as ``HistoryBuffer.subsets()`` returns them.  On a uniform grid U_0
-spans at most the memory length T after every push, and U_l at most
-2^(l-1) * T; adaptive maintenance moves at most one point out of U_0 per
-push, so U_0 can span more than T when the steps grow.  Interval
-comparisons are strict: a span exactly equal to the threshold does not
-trigger maintenance.
+first, as ``HistoryBuffer.subsets()`` returns them.  After every push U_0
+spans at most the memory length T, on any grid, since maintenance moves
+points out of U_0 until it does; on a uniform grid U_l spans at most
+2^(l-1) * T.  Interval comparisons are strict: a span exactly equal to the
+threshold does not trigger maintenance.
 
-``HistoryBuffer`` copies each pushed row into array arenas once, at push,
-and serves reads as read-only views of them: a view stays valid until the
-next push, and since a read also drops the rows that maintenance removed,
-reads of one buffer must not run concurrently with each other or with
-pushes.
+``HistoryBuffer`` copies each pushed row, or block of rows
+(``HistoryBuffer.extend``), into array arenas once, and serves reads as
+read-only views of them: a view stays valid until the next push, and since
+a read also drops the rows that maintenance removed, reads of one buffer
+must not run concurrently with each other or with pushes.
 
 Each policy owns one history operator, ``MemoryPolicy.history``: given the
 stored times and values and a new time ``t_n > times[-1]`` it returns
@@ -101,6 +100,8 @@ class MemoryPolicy:
         return l1_history(times, values, t_n, alpha)
 
 
+_FLOAT = np.dtype(float)
+
 # removals a read drops by shifting the rows after each one; more than this
 # are dropped by one boolean compaction
 _SHIFT_LIMIT = 16
@@ -114,17 +115,22 @@ class HistoryBuffer:
     ``(cap,) + row_shape``.  A push writes its time and row into the arenas
     after the last row, runs the policy's maintenance on the deques and
     notes every time it removes; the removed rows stay in the arenas until
-    a read, or a push that finds the arenas full, drops them.  The removed
-    times are found with one ``searchsorted``.  A few removed rows (up to
-    ``_SHIFT_LIMIT``, as after a push between reads) are dropped by moving
-    each run of kept rows after them left once; more (a long run of pushes
-    without reads) by one boolean compaction.  A full push doubles the
-    arenas only if dropping leaves them at least half full.
+    a read, or a push that finds the arenas too full, drops them.  The
+    removed times are found with one ``searchsorted``.  A few removed rows
+    (up to ``_SHIFT_LIMIT``, as after a push between reads) are dropped by
+    moving each run of kept rows after them left once; more (a long run of
+    pushes without reads) by one boolean compaction.  A push that finds the
+    arenas too full doubles them only if dropping leaves them at least half
+    full, or grows them to fit a block that still does not fit.
 
+    - ``extend(times, values)`` stores a block of samples as that many
+      pushes would, with one slice copy per arena and one maintenance loop;
+      a write-heavy caller with no reads between its pushes saves the fixed
+      cost of one call per row.
     - Rows are copied at push: changing an array after pushing it does not
       change the history.  The first row must be a scalar or a non-empty
-      vector, and every row must have its shape; a push that raises stores
-      nothing.
+      vector, and every row must have its shape and be real; a push or
+      block that raises stores nothing.
     - ``times()`` and ``values()`` return read-only views that stay valid
       until the next push; copy them to keep them longer.
     - Reads also update internal state, so no two calls on one buffer may
@@ -135,8 +141,8 @@ class HistoryBuffer:
         self.policy = policy
         # the policy's kind and length as plain attributes: an enum member
         # lookup costs more than the rest of a push's bookkeeping
+        self._full = policy.kind is PolicyKind.FULL
         self._fixed = policy.kind is PolicyKind.FIXED
-        self._adaptive = policy.kind in (PolicyKind.ADAPTIVE_PRESENT, PolicyKind.ADAPTIVE_GL)
         self._T = policy.T
         # subsets[l] = U_l, each deque of times ordered oldest-first
         self._subsets: list[deque] = [deque()]
@@ -187,8 +193,8 @@ class HistoryBuffer:
 
         Times must be finite and increase strictly; one chained comparison
         rejects a NaN or infinite time on every push.  The row is copied
-        into the arenas; its shape must match the stored rows', it may hold
-        no ``None``, and a push that raises stores nothing.
+        into the arenas; its shape must match the stored rows', it must be
+        real and hold no ``None``, and a push that raises stores nothing.
         """
         newest = self._newest
         if not newest < t < math.inf:
@@ -197,7 +203,7 @@ class HistoryBuffer:
             self._check_row(value)
         n = self._n
         if n == self._cap:
-            self._make_room()
+            self._make_room(1)
             n = self._n
         # converts the row to floats, and raises on one that does not
         # convert before anything is committed
@@ -205,68 +211,142 @@ class HistoryBuffer:
         self._times[n] = t
         self._n = n + 1
         self._newest = t
+        self._maintain((t,))
+
+    def extend(self, times, values) -> None:
+        """Append a block of samples, oldest first, as that many pushes would.
+
+        ``values`` holds one row per entry of ``times``.  The whole block is
+        checked before anything is stored, by the rules of ``push`` (with
+        its exception types): the times are real numbers, finite, strictly
+        increasing and after the newest stored one, and every row is real,
+        holds no ``None`` and has the stored rows' shape.  The block is copied into
+        each arena with one slice assignment, then the policy's maintenance
+        runs once per time.
+        """
+        times = np.asarray(times)
+        if times.dtype.kind not in "biuf":
+            raise TypeError(f"pushed times must be real numbers, got {times!r}")
+        times = times.astype(float, copy=False)
+        rows = np.asarray(values)
+        if rows.dtype.hasobject or rows.dtype.kind == "c":
+            raise TypeError(f"pushed rows must hold real numbers, got {values!r}")
+        rows = rows.astype(float, copy=False)
+        k = times.size
+        if times.ndim != 1 or rows.shape[:1] != (k,):
+            raise ValueError(
+                f"a block of times of shape {times.shape} needs one row per time, "
+                f"got rows of shape {rows.shape}"
+            )
+        if k == 0:
+            return
+        newest = self._newest
+        if not (newest < times[0] and times[-1] < math.inf and (times[1:] > times[:-1]).all()):
+            raise ValueError(
+                f"pushed times are not finite, not increasing or not after newest stored {newest}"
+            )
+        if rows.shape[1:] != self._shape:
+            self._set_shape(rows.shape[1:])
+        n = self._n
+        if n + k > self._cap:
+            self._make_room(k)
+            n = self._n
+        self._times[n : n + k] = times
+        self._values[n : n + k] = rows
+        self._n = n + k
+        added = times.tolist()
+        self._newest = added[-1]
+        self._maintain(added)
+
+    def _maintain(self, times) -> None:
+        """Add the newly stored ``times``, oldest first, to U_0 and run the
+        policy's maintenance after each one, noting every time it removes.
+
+        The fixed window drops its oldest points while U_0 spans more than
+        T.  The adaptive policies move the oldest point of U_0 into U_1
+        while U_0 spans more than T; each move cascades: a U_l that then
+        spans more than 2^(l-1) * T moves its oldest point into U_(l+1)
+        and removes its second-oldest.
+        """
         subsets = self._subsets
         u0 = subsets[0]
-        u0.append(t)
-        if not (self._fixed or self._adaptive):
+        if self._full:
+            u0.extend(times)
             return
         T = self._T
-        # guard so rounding in t = i * dt cannot shave a point off a span
-        # whose nominal length is a threshold; scaled by max(T, |t|), where
-        # the rounding noise lives, spelled out because the max and abs
-        # calls would cost more than the comparisons they guard
-        a = t if t >= 0.0 else -t
-        tol = 1e-12 * (a if a > T else T)
+        gone = self._gone
+        # the tolerance guards against rounding in t = i * dt shaving a
+        # point off a span whose nominal length is a threshold; it scales
+        # with max(T, |t|), where the rounding noise lives, spelled out
+        # because the max and abs calls would cost more than the
+        # comparisons they guard
         if self._fixed:
+            for t in times:
+                u0.append(t)
+                a = t if t >= 0.0 else -t
+                limit = T + 1e-12 * (a if a > T else T)
+                while t - u0[0] > limit:
+                    gone.append(u0.popleft())
+            return
+        for t in times:
+            u0.append(t)
+            a = t if t >= 0.0 else -t
+            tol = 1e-12 * (a if a > T else T)
             limit = T + tol
             while t - u0[0] > limit:
-                self._gone.append(u0.popleft())
-        elif t - u0[0] > T + tol:
-            if len(subsets) == 1:
-                subsets.append(deque())
-            subsets[1].append(u0.popleft())
-            gone = self._gone
-            threshold = T
-            l = 1
-            while l < len(subsets):
-                ul = subsets[l]
-                if len(ul) < 2 or ul[-1] - ul[0] <= threshold + tol:
-                    break
-                gone.append(ul[1])
-                del ul[1]  # second-oldest point is eliminated
-                if l + 1 == len(subsets):
-                    subsets.append(deque())
-                subsets[l + 1].append(ul.popleft())
-                threshold *= 2.0
-                l += 1
+                moved = u0.popleft()
+                threshold = T
+                # an index loop: a range object per move costs more
+                l = 1
+                while l < len(subsets):
+                    ul = subsets[l]
+                    ul.append(moved)
+                    if ul[-1] - ul[0] <= threshold + tol:
+                        break
+                    moved = ul.popleft()
+                    gone.append(ul.popleft())  # the second-oldest is eliminated
+                    threshold *= 2.0
+                    l += 1
+                else:
+                    subsets.append(deque((moved,)))
 
     def _check_row(self, value) -> None:
         """Raise ``TypeError`` for a ``None`` row or entry, which numpy would
-        store as NaN, and ``ValueError`` unless ``value`` has the stored
-        rows' shape; the first push fixes the shape once its row converts to
-        floats and is a scalar or a non-empty vector."""
+        store as NaN, or a complex one, and ``ValueError`` unless ``value``
+        has the stored rows' shape; the first push fixes the shape once its
+        row converts to floats and is a scalar or a non-empty vector."""
         row = value if isinstance(value, (float, np.ndarray)) else np.asarray(value)
-        if isinstance(row, np.ndarray) and row.dtype.hasobject:
-            raise TypeError(f"pushed row must be numeric, got {value!r}")
+        if isinstance(row, np.ndarray):
+            dtype = row.dtype
+            # float64 rows, the solvers', skip the two lookups
+            if dtype is not _FLOAT and (dtype.hasobject or dtype.kind == "c"):
+                raise TypeError(f"pushed row must hold real numbers, got {value!r}")
         if self._shape is None:
             shape = np.asarray(value, dtype=float).shape
-            if len(shape) > 1 or 0 in shape:
-                raise ValueError(f"pushed row of shape {shape} is not a scalar or a non-empty vector")
-            self._shape = shape
-            self._values = np.empty((0,) + self._shape)
-            return
-        shape = () if isinstance(row, float) else row.shape
+        else:
+            shape = () if isinstance(row, float) else row.shape
         if shape != self._shape:
-            raise ValueError(f"pushed row of shape {shape}, expected the stored rows' shape {self._shape}")
+            self._set_shape(shape)
 
-    def _make_room(self) -> None:
-        """Drop the removed rows from full arenas, and double the arenas if
-        that leaves them at least half full."""
+    def _set_shape(self, shape: tuple) -> None:
+        """Take ``shape``, which is not the stored rows' shape, as the row
+        shape at the first write, or raise ``ValueError`` at a later one."""
+        if self._shape is not None:
+            raise ValueError(f"pushed row of shape {shape}, expected the stored rows' shape {self._shape}")
+        if len(shape) > 1 or 0 in shape:
+            raise ValueError(f"pushed row of shape {shape} is not a scalar or a non-empty vector")
+        self._shape = shape
+        self._values = np.empty((0,) + shape)
+
+    def _make_room(self, k: int) -> None:
+        """Make room for ``k`` more rows in arenas too full to take them:
+        drop the removed rows, then double the arenas if that leaves them at
+        least half full, or grow them to fit if the rows still do not."""
         if self._gone:
             self._drop_removed()
         n, cap = self._n, self._cap
-        if 2 * n >= cap:
-            cap = max(16, 2 * cap)
+        if 2 * n >= cap or n + k > cap:
+            cap = max(16, 2 * cap, n + k)
             times, values = np.empty(cap), np.empty((cap,) + self._shape)
             times[:n], values[:n] = self._times[:n], self._values[:n]
             self._times, self._values, self._cap = times, values, cap

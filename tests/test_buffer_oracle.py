@@ -3,7 +3,8 @@
 ``DequeBuffer`` keeps each subset as a deque of ``(t, value)`` pairs and
 rebuilds the history on every read.  It is the reference: the array-backed
 buffer must return the same times, rows, counts and subsets, bit for bit,
-whenever it is read.
+whenever it is read, whether its samples came one by one through ``push`` or
+in blocks through ``extend``.  The reference pushes one sample at a time.
 """
 
 import math
@@ -71,23 +72,23 @@ class DequeBuffer:
         subsets = self._subsets
         u0 = subsets[0]
         tol = 1e-12 * max(T, abs(u0[-1][0]))
-        if u0[-1][0] - u0[0][0] <= T + tol:
-            return
-        if len(subsets) == 1:
-            subsets.append(deque())
-        subsets[1].append(u0.popleft())
-        threshold = T
-        l = 1
-        while l < len(subsets):
-            ul = subsets[l]
-            if len(ul) < 2 or ul[-1][0] - ul[0][0] <= threshold + tol:
-                break
-            del ul[1]
-            if l + 1 == len(subsets):
+        # one move and its cascade at a time, until U_0 spans at most T
+        while u0[-1][0] - u0[0][0] > T + tol:
+            if len(subsets) == 1:
                 subsets.append(deque())
-            subsets[l + 1].append(ul.popleft())
-            threshold *= 2.0
-            l += 1
+            subsets[1].append(u0.popleft())
+            threshold = T
+            l = 1
+            while l < len(subsets):
+                ul = subsets[l]
+                if len(ul) < 2 or ul[-1][0] - ul[0][0] <= threshold + tol:
+                    break
+                del ul[1]
+                if l + 1 == len(subsets):
+                    subsets.append(deque())
+                subsets[l + 1].append(ul.popleft())
+                threshold *= 2.0
+                l += 1
 
 
 POLICIES = {
@@ -134,6 +135,44 @@ def replay(policy, times, width, reads, seed) -> None:
 def test_matches_deque_buffer(kind, T, start, gaps, width, reads, seed):
     times = np.cumsum([start, *gaps]).tolist()
     replay(POLICIES[kind](T), times, width, reads, seed)
+
+
+@given(
+    kind=st.sampled_from(sorted(POLICIES)),
+    T=st.floats(0.05, 4.0),
+    start=st.floats(-5.0, 5.0),
+    gaps=st.lists(st.floats(1e-3, 1.0), min_size=0, max_size=300),
+    width=st.sampled_from([None, 1, 3]),
+    sizes=st.lists(st.integers(1, 40), max_size=30),
+    pushed=st.sets(st.integers(0, 30)),
+    reads=st.sets(st.integers(0, 30)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_extend_matches_deque_buffer(kind, T, start, gaps, width, sizes, pushed, reads, seed):
+    # the times cut into blocks of the drawn sizes, and the rest into one
+    # last block that can outgrow the arenas; block j is written row by row
+    # with push when j is in ``pushed``, else with one extend (its rows as a
+    # list for odd j), and both buffers are compared after it when j is in
+    # ``reads``
+    times = np.cumsum([start, *gaps]).tolist()
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal(len(times) if width is None else (len(times), width))
+    cuts = [c for c in np.cumsum([0, *sizes]).tolist() if c < len(times)]
+    policy = POLICIES[kind](T)
+    buf, ref = HistoryBuffer(policy), DequeBuffer(policy)
+    for j, (lo, hi) in enumerate(zip(cuts, [*cuts[1:], len(times)])):
+        if j in pushed:
+            for i in range(lo, hi):
+                buf.push(times[i], rows[i])
+        else:
+            block = rows[lo:hi]
+            buf.extend(times[lo:hi], block.tolist() if j % 2 else block)
+        for i in range(lo, hi):
+            ref.push(times[i], rows[i])
+        if j in reads:
+            assert_same(buf, ref)
+    assert_same(buf, ref)
 
 
 @given(

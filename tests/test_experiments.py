@@ -8,7 +8,10 @@ import re
 import pytest
 
 from fracmem import DiffusionConfig, HistoryBuffer, KelvinVoigtConfig, MemoryPolicy, PolicyKind
+from fracmem.core import newest_derivative
 from fracmem.experiments import (
+    _PUSH_BLOCK,
+    SimulationRecord,
     accumulated_conv_terms,
     check_sweep,
     retention_count,
@@ -38,6 +41,36 @@ def test_alpha_sweep_matches_single_alpha_runs(policy):
         (single,) = run_derivative_error(policy, (a,), dt, t_end, n_records=8)
         assert len(single) == 8
         assert without_clock(recs) == without_clock(single)
+
+
+@pytest.mark.parametrize("policy", [
+    MemoryPolicy.full(),
+    MemoryPolicy.fixed(0.5),
+    MemoryPolicy.adaptive_present(0.5),
+], ids=["full", "fixed", "present"])
+def test_derivative_records_match_a_push_per_step_replay(policy):
+    # two records of 4500 steps: each segment holds one full block and a
+    # part block, so blocks end both inside a segment and on its record step
+    alphas, dt, n_steps = (0.3, 0.8), 0.01, 9000
+    assert _PUSH_BLOCK < n_steps // 2 < 2 * _PUSH_BLOCK
+    if policy.kind is PolicyKind.FIXED:
+        f, exact = (lambda t: t), (lambda t, a: t ** (1.0 - a) / math.gamma(2.0 - a))
+    else:
+        f, exact = (lambda t: t * t), (lambda t, a: 2.0 * t ** (2.0 - a) / math.gamma(3.0 - a))
+    buf = HistoryBuffer(policy)
+    buf.push(0.0, f(0.0))
+    want = [[] for _ in alphas]
+    for segment in time_grid(n_steps * dt, dt, 2):
+        for t in segment:
+            buf.push(t, f(t))
+        for a, records in zip(alphas, want):
+            value = newest_derivative(policy.history, buf.times(), buf.values(), a, dt)
+            records.append(SimulationRecord(
+                t=t, value=value, analytic=exact(t, a), abs_error=abs(value - exact(t, a)),
+                stored_points=buf.count_stored(), conv_terms=buf.count_conv_terms(), wall_clock=0.0,
+            ))
+    got = run_derivative_error(policy, alphas, dt, n_steps * dt, n_records=2)
+    assert [without_clock(records) for records in got] == want
 
 
 @pytest.mark.parametrize("t_end, dt, steps", [(1.0, 0.01, 100), (0.3, 0.1, 3), (16.0, 0.0625, 256)])

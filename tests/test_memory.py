@@ -178,29 +178,85 @@ class TestBufferBasics:
             assert_same(buf, twin)
 
     @pytest.mark.parametrize("bad, error", [
-        ("abc", ValueError), (1j, TypeError), (None, TypeError), ([1.0, None], TypeError),
+        ("abc", ValueError), (1j, TypeError), (np.array([1j, 2j]), TypeError), (None, TypeError),
+        ([1.0, None], TypeError),
         # no history operator contracts matrix or empty rows
         (np.zeros((2, 3)), ValueError), (np.zeros(0), ValueError),
-    ], ids=["string", "complex", "none", "none-entry", "matrix", "empty"])
+    ], ids=["string", "complex", "complex-vector", "none", "none-entry", "matrix", "empty"])
     def test_failed_first_push_fixes_no_row_shape(self, bad, error):
-        buf = HistoryBuffer(MemoryPolicy.full())
-        with pytest.raises(error):
-            buf.push(0.0, bad)
-        assert buf.count_stored() == 0
-        buf.push(0.0, np.ones(3))
-        assert buf.values().tolist() == [[1.0, 1.0, 1.0]]
+        # as one push and as the rows of a first block
+        for write in (lambda buf: buf.push(0.0, bad), lambda buf: buf.extend([0.0, 1.0], [bad, bad])):
+            buf = HistoryBuffer(MemoryPolicy.full())
+            with pytest.raises(error):
+                write(buf)
+            assert buf.count_stored() == 0
+            buf.push(0.0, np.ones(3))
+            assert buf.values().tolist() == [[1.0, 1.0, 1.0]]
 
-    def test_arenas_stay_bounded_without_reads(self):
-        # 100k pushes and no read: removed rows are dropped whenever the
-        # arenas fill, so the traced memory (arenas and subset deques) peaks
-        # at a small multiple of the bytes of the stored times and rows,
-        # where arenas that kept every pushed row would need 1.6 MB
+    @pytest.mark.parametrize("shape, steps, rows, error", [
+        ((), [0, 1, 1, 2], [0.0] * 4, ValueError),
+        ((), [-1, 0, 1], [0.0] * 3, ValueError),
+        ((), [0, 2, 1], [0.0] * 3, ValueError),
+        ((), [0, math.nan, 2], [0.0] * 3, ValueError),
+        ((), [0, 1, math.inf], [0.0] * 3, ValueError),
+        ((), [0, 1, 2], [0.0] * 2, ValueError),
+        ((), [np.array([0, 1]), np.array([2, 3])], [[0.0, 0.0]] * 2, ValueError),
+        ((), [0, None, 2], [0.0] * 3, TypeError),
+        ((), [0, 1, 2], [1.0, None, 2.0], TypeError),
+        ((), [0, 1, 2], [1.0, 1j, 2.0], TypeError),
+        ((), [0, 1, 2], np.array([1.0, 1j, 2.0]), TypeError),
+        ((), [0, 1, 2], [1.0, "abc", 2.0], ValueError),
+        ((), [0, 1, 2], np.zeros((3, 3)), ValueError),
+        ((3,), [0, 1, 2], np.zeros((3, 2)), ValueError),
+        ((3,), [0, 1, 2], np.zeros(3), ValueError),
+        ((3,), [0, 1, 2], [[0.0] * 3, [0.0, None, 0.0], [0.0] * 3], TypeError),
+    ], ids=["repeated-time", "time-not-after-newest", "decreasing-time", "nan-time", "inf-time",
+            "too-few-rows", "matrix-times", "none-time", "none-entry", "complex-entry", "complex-array",
+            "string-entry", "scalar-wide", "vector-narrow", "vector-scalar", "vector-none-entry"])
+    @pytest.mark.parametrize("policy", [MemoryPolicy.full(), MemoryPolicy.fixed(0.05)], ids=["full", "fixed"])
+    def test_failed_block_commits_nothing(self, policy, shape, steps, rows, error):
+        # a bad time or row anywhere in a block raises push's exception type
+        # for it; 1, 15, 16 and 40 earlier pushes leave the arenas nearly
+        # empty, one row short of full, full, and, under the fixed window,
+        # holding removed rows
+        def row(i):
+            return float(i) if shape == () else np.full(shape, float(i))
+
+        for k in (1, 15, 16, 40):
+            buf, twin = HistoryBuffer(policy), HistoryBuffer(policy)
+            for i in range(k):
+                buf.push(i * 0.01, row(i))
+                twin.push(i * 0.01, row(i))
+            times = [None if d is None else (k + d) * 0.01 for d in steps]
+            with pytest.raises(error):
+                buf.extend(times, rows)
+            # an empty block stores nothing and checks nothing
+            buf.extend([], [])
+            block = [row(k + i) for i in range(20)]
+            buf.extend([(k + i) * 0.01 for i in range(20)], block)
+            for i, value in enumerate(block):
+                twin.push((k + i) * 0.01, value)
+            assert buf.count_stored() == twin.count_stored()
+            assert buf.times().tolist() == twin.times().tolist()
+            assert buf.values().tolist() == twin.values().tolist()
+
+    @pytest.mark.parametrize("block", [1, 4096], ids=["push", "extend"])
+    def test_arenas_stay_bounded_without_reads(self, block):
+        # 100k samples and no read, pushed one at a time or in blocks:
+        # removed rows are dropped whenever the arenas fill, so the traced
+        # memory (arenas, subset deques and the block in flight) peaks at a
+        # small multiple of the bytes of the stored times and rows, where
+        # arenas that kept every pushed row would need 1.6 MB
         buf = HistoryBuffer(MemoryPolicy.adaptive_present(1.0))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            for i in range(100_000):
-                buf.push(i * 0.0025, 0.0)
+            for lo in range(0, 100_000, block):
+                if block == 1:
+                    buf.push(lo * 0.0025, 0.0)
+                else:
+                    times = np.arange(lo, min(lo + block, 100_000)) * 0.0025
+                    buf.extend(times, np.zeros(times.size))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -271,6 +327,24 @@ class TestAdaptiveMaintenance:
         # logarithmic storage: at most ~m+1 points per active subset
         levels = sum(1 for s in layout if s)
         assert buf.count_stored() <= (levels + 1) * (m + 1)
+
+    @pytest.mark.parametrize("times", [
+        # the graded start t_j = (j/100)^3 on [0, 1], then steps of 0.01 to 4
+        [(j / 100) ** 3 for j in range(101)] + [1.0 + 0.01 * i for i in range(1, 301)],
+        # eleven points 0.01 apart, then a jump and steps of 0.05
+        [0.01 * i for i in range(11)] + [0.5 + 0.05 * i for i in range(20)],
+    ], ids=["graded", "steps-grow"])
+    @pytest.mark.parametrize("policy", [
+        MemoryPolicy.fixed(0.1), MemoryPolicy.adaptive_present(0.1), MemoryPolicy.adaptive_gl(0.1),
+    ], ids=["fixed", "present", "gl"])
+    def test_u0_spans_at_most_T_as_steps_grow(self, policy, times):
+        # maintenance moves points out of U_0 until it spans at most T, so a
+        # step longer than the ones before it cannot leave U_0 wide
+        buf = HistoryBuffer(policy)
+        for t in times:
+            buf.push(t, 0.0)
+            u0 = buf.subsets()[0]
+            assert u0[-1] - u0[0] <= 0.1 * (1.0 + 1e-9)
 
     def test_agrees_with_full_memory_before_thinning_starts(self):
         full = push_uniform(MemoryPolicy.full(), 0.1, 10, fn=lambda t: t * t)
