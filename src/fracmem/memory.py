@@ -8,11 +8,11 @@ points out of U_0 until it does; on a uniform grid U_l spans at most
 2^(l-1) * T.  Interval comparisons are strict: a span exactly equal to the
 threshold does not trigger maintenance.
 
-``HistoryBuffer`` copies each pushed row, or block of rows
-(``HistoryBuffer.extend``), into array arenas once, and serves reads as
-read-only views of them: a view stays valid until the next push, and since
-a read also drops the rows that maintenance removed, reads of one buffer
-must not run concurrently with each other or with pushes.
+``HistoryBuffer`` copies each block of rows, a push being a block of one,
+into array arenas once, and serves reads as read-only views of them: a
+view stays valid until the next push, and since a read also drops the rows
+that maintenance removed, reads of one buffer must not run concurrently
+with each other or with pushes.
 
 Each policy owns one history operator, ``MemoryPolicy.history``: given the
 stored times and values and a new time ``t_n > times[-1]`` it returns
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GRID_RTOL, check_count, check_history, check_positive, grid_steps
+from .core import check_count, check_history, check_positive, grid_steps
 from .core import l1_history, newest_derivative, order_value, weighted_rows
 
 __all__ = [
@@ -126,11 +126,11 @@ class HistoryBuffer:
     - ``extend(times, values)`` stores a block of samples as that many
       pushes would, with one slice copy per arena and one maintenance loop;
       a write-heavy caller with no reads between its pushes saves the fixed
-      cost of one call per row.
+      cost of one call per row.  ``push`` is a one-row ``extend``.
     - Rows are copied at push: changing an array after pushing it does not
       change the history.  The first row must be a scalar or a non-empty
-      vector, and every row must have its shape and be real; a push or
-      block that raises stores nothing.
+      vector, every row must have its shape (``ValueError``) and hold real
+      numbers (``TypeError``), and a push or block that raises stores nothing.
     - ``times()`` and ``values()`` return read-only views that stay valid
       until the next push; copy them to keep them longer.
     - Reads also update internal state, so no two calls on one buffer may
@@ -189,48 +189,50 @@ class HistoryBuffer:
     # -- maintenance ------------------------------------------------------
 
     def push(self, t: float, value) -> None:
-        """Append one sample and run the policy's maintenance.
-
-        Times must be finite and increase strictly; one chained comparison
-        rejects a NaN or infinite time on every push.  The row is copied
-        into the arenas; its shape must match the stored rows', it must be
-        real and hold no ``None``, and a push that raises stores nothing.
-        """
+        """Append one sample as a one-row ``extend``, with its checks and
+        exception types, after one chained comparison rejects a NaN,
+        infinite or not later time.  The solvers' rows, a Python float for
+        scalar rows or a float64 array of the stored shape, go straight into
+        arenas with room."""
         newest = self._newest
         if not newest < t < math.inf:
             raise ValueError(f"pushed time {t} is not finite or not after newest stored {newest}")
-        if value.__class__ is not float or self._shape != ():
-            self._check_row(value)
         n = self._n
-        if n == self._cap:
-            self._make_room(1)
-            n = self._n
-        # converts the row to floats, and raises on one that does not
-        # convert before anything is committed
-        self._values[n] = value
-        self._times[n] = t
-        self._n = n + 1
-        self._newest = t
-        self._maintain((t,))
+        if n < self._cap and (
+            self._shape == ()
+            if value.__class__ is float
+            else value.__class__ is np.ndarray and value.dtype is _FLOAT and value.shape == self._shape
+        ):
+            self._values[n] = value
+            self._times[n] = t
+            self._n = n + 1
+            self._newest = t
+            self._maintain((t,))
+        else:
+            self.extend((t,), (value,))
 
     def extend(self, times, values) -> None:
         """Append a block of samples, oldest first, as that many pushes would.
 
         ``values`` holds one row per entry of ``times``.  The whole block is
-        checked before anything is stored, by the rules of ``push`` (with
-        its exception types): the times are real numbers, finite, strictly
-        increasing and after the newest stored one, and every row is real,
-        holds no ``None`` and has the stored rows' shape.  The block is copied into
-        each arena with one slice assignment, then the policy's maintenance
-        runs once per time.
+        checked before anything is stored: the times are real numbers
+        (``TypeError``), finite, strictly increasing and after the newest
+        stored one (``ValueError``); every row holds real numbers
+        (``TypeError``, naming the first row that does not) and has the
+        stored rows' shape (``ValueError``).  The block is copied into each
+        arena with one slice assignment, then the maintenance runs per time.
         """
         times = np.asarray(times)
         if times.dtype.kind not in "biuf":
             raise TypeError(f"pushed times must be real numbers, got {times!r}")
         times = times.astype(float, copy=False)
         rows = np.asarray(values)
-        if rows.dtype.hasobject or rows.dtype.kind == "c":
-            raise TypeError(f"pushed rows must hold real numbers, got {values!r}")
+        if rows.dtype.kind not in "biuf":
+            # numpy would store None as NaN and numeric strings as numbers
+            bad = values if rows.ndim == 0 else next(
+                (row for row in values if np.asarray(row).dtype.kind not in "biuf"), values
+            )
+            raise TypeError(f"pushed row must hold real numbers, got {bad!r}")
         rows = rows.astype(float, copy=False)
         k = times.size
         if times.ndim != 1 or rows.shape[:1] != (k,):
@@ -309,24 +311,6 @@ class HistoryBuffer:
                     l += 1
                 else:
                     subsets.append(deque((moved,)))
-
-    def _check_row(self, value) -> None:
-        """Raise ``TypeError`` for a ``None`` row or entry, which numpy would
-        store as NaN, or a complex one, and ``ValueError`` unless ``value``
-        has the stored rows' shape; the first push fixes the shape once its
-        row converts to floats and is a scalar or a non-empty vector."""
-        row = value if isinstance(value, (float, np.ndarray)) else np.asarray(value)
-        if isinstance(row, np.ndarray):
-            dtype = row.dtype
-            # float64 rows, the solvers', skip the two lookups
-            if dtype is not _FLOAT and (dtype.hasobject or dtype.kind == "c"):
-                raise TypeError(f"pushed row must hold real numbers, got {value!r}")
-        if self._shape is None:
-            shape = np.asarray(value, dtype=float).shape
-        else:
-            shape = () if isinstance(row, float) else row.shape
-        if shape != self._shape:
-            self._set_shape(shape)
 
     def _set_shape(self, shape: tuple) -> None:
         """Take ``shape``, which is not the stored rows' shape, as the row
@@ -458,8 +442,6 @@ def evaluate_gl(
     """
     check_positive("dt", dt)
     times, values = check_history(times, values)
-    steps = times / dt  # the rule of grid_steps, for every time at once
-    idx = np.rint(steps)
-    if not np.all(np.abs(steps - idx) <= GRID_RTOL * np.maximum(np.abs(idx), 1.0)):
+    if any(grid_steps(t, dt) is None for t in times.tolist()):
         raise ValueError("history times do not sit on the uniform base grid")
     return newest_derivative(gl_history, times, values, alpha, dt)

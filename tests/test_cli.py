@@ -373,7 +373,7 @@ class TestMainExitCodes:
         out = tmp_path / "o.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "fracmem.cli", "cost-model", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert out.exists()
@@ -396,15 +396,20 @@ class TestRecords:
         assert t[:3] == first and t[-1] == 4.0
 
 
+def child_env(**variables: str) -> dict:
+    """The environment, plus ``variables``, for a fresh interpreter that
+    imports this fracmem: its ``src`` directory first on PYTHONPATH."""
+    src = str(Path(fracmem.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **variables)
+
+
 def run_python(code: str, *args: str):
     """Run ``code`` in a fresh interpreter that imports this fracmem, and
     return the JSON value its last stdout line holds.  A fresh process is
     needed because the test process itself has loaded scipy."""
-    src = str(Path(fracmem.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -510,10 +515,9 @@ class TestDeterminism:
         procs = {}
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}.csv"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
             procs[out] = subprocess.Popen(
                 [sys.executable, "-m", "fracmem.cli", *args, "--out", str(out)],
-                env=env, stdout=subprocess.DEVNULL,
+                env=child_env(OPENBLAS_NUM_THREADS=threads), stdout=subprocess.DEVNULL,
             )
         assert [proc.wait(timeout=300) for proc in procs.values()] == [0, 0]
         (c1, f1, r1), (c2, f2, r2) = (read_csv(out) for out in procs)

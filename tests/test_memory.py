@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmem import HistoryBuffer, MemoryPolicy, PolicyKind, evaluate_caputo, evaluate_gl
-from fracmem.core import l1_history, weighted_rows
+from fracmem.core import GRID_RTOL, grid_steps, l1_history, weighted_rows
 from fracmem.memory import gl_history, gl_weights
 
 
@@ -140,18 +140,23 @@ class TestBufferBasics:
         assert buf.values().tolist() == [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
 
     @pytest.mark.parametrize("shape, bad, error", [
-        ((), "abc", ValueError),
+        ((), "abc", TypeError),
         ((), 1j, TypeError),
         ((), np.zeros(3), ValueError),
-        ((3,), [1.0, "x", 2.0], ValueError),
+        ((3,), [1.0, "x", 2.0], TypeError),
         ((3,), 5.0, ValueError),
         ((3,), np.zeros(2), ValueError),
         ((), None, TypeError),
         ((3,), None, TypeError),
         ((3,), np.array([1.0, None, 2.0]), TypeError),
         ((3,), [1.0, None, 2.0], TypeError),
+        # numpy would convert these to floats
+        ((), "1.5", TypeError),
+        ((), b"1.5", TypeError),
+        ((2,), np.array(["1", "2"]), TypeError),
     ], ids=["string", "complex", "scalar-wide", "string-entry", "vector-scalar", "vector-narrow",
-            "none", "vector-none", "none-entry", "none-entry-list"])
+            "none", "vector-none", "none-entry", "none-entry-list",
+            "numeric-string", "numeric-bytes", "numeric-string-vector"])
     @pytest.mark.parametrize("policy", [MemoryPolicy.full(), MemoryPolicy.fixed(0.05)], ids=["full", "fixed"])
     def test_failed_push_commits_nothing(self, policy, shape, bad, error):
         # 1..40 earlier pushes meet the arenas full at every capacity
@@ -178,11 +183,13 @@ class TestBufferBasics:
             assert_same(buf, twin)
 
     @pytest.mark.parametrize("bad, error", [
-        ("abc", ValueError), (1j, TypeError), (np.array([1j, 2j]), TypeError), (None, TypeError),
+        ("abc", TypeError), (1j, TypeError), (np.array([1j, 2j]), TypeError), (None, TypeError),
         ([1.0, None], TypeError),
+        ("1.5", TypeError), (b"1.5", TypeError), (np.array(["1", "2"]), TypeError),
         # no history operator contracts matrix or empty rows
         (np.zeros((2, 3)), ValueError), (np.zeros(0), ValueError),
-    ], ids=["string", "complex", "complex-vector", "none", "none-entry", "matrix", "empty"])
+    ], ids=["string", "complex", "complex-vector", "none", "none-entry",
+            "numeric-string", "numeric-bytes", "numeric-string-vector", "matrix", "empty"])
     def test_failed_first_push_fixes_no_row_shape(self, bad, error):
         # as one push and as the rows of a first block
         for write in (lambda buf: buf.push(0.0, bad), lambda buf: buf.extend([0.0, 1.0], [bad, bad])):
@@ -205,14 +212,16 @@ class TestBufferBasics:
         ((), [0, 1, 2], [1.0, None, 2.0], TypeError),
         ((), [0, 1, 2], [1.0, 1j, 2.0], TypeError),
         ((), [0, 1, 2], np.array([1.0, 1j, 2.0]), TypeError),
-        ((), [0, 1, 2], [1.0, "abc", 2.0], ValueError),
+        ((), [0, 1, 2], [1.0, "abc", 2.0], TypeError),
+        ((), [0, 1], ["2.5", "3.5"], TypeError),
         ((), [0, 1, 2], np.zeros((3, 3)), ValueError),
         ((3,), [0, 1, 2], np.zeros((3, 2)), ValueError),
         ((3,), [0, 1, 2], np.zeros(3), ValueError),
         ((3,), [0, 1, 2], [[0.0] * 3, [0.0, None, 0.0], [0.0] * 3], TypeError),
     ], ids=["repeated-time", "time-not-after-newest", "decreasing-time", "nan-time", "inf-time",
             "too-few-rows", "matrix-times", "none-time", "none-entry", "complex-entry", "complex-array",
-            "string-entry", "scalar-wide", "vector-narrow", "vector-scalar", "vector-none-entry"])
+            "string-entry", "numeric-strings", "scalar-wide", "vector-narrow", "vector-scalar",
+            "vector-none-entry"])
     @pytest.mark.parametrize("policy", [MemoryPolicy.full(), MemoryPolicy.fixed(0.05)], ids=["full", "fixed"])
     def test_failed_block_commits_nothing(self, policy, shape, steps, rows, error):
         # a bad time or row anywhere in a block raises push's exception type
@@ -239,6 +248,54 @@ class TestBufferBasics:
             assert buf.count_stored() == twin.count_stored()
             assert buf.times().tolist() == twin.times().tolist()
             assert buf.values().tolist() == twin.values().tolist()
+
+    @pytest.mark.parametrize("write, named", [
+        (lambda buf: buf.push(0.0, "1.5"), "'1.5'"),
+        (lambda buf: buf.push(0.0, [1.0, None]), "[1.0, None]"),
+        (lambda buf: buf.extend([0.0, 1.0, 2.0], [1.0, b"2.5", 3.0]), "b'2.5'"),
+    ], ids=["push", "push-entry", "extend"])
+    def test_non_real_row_error_names_the_row_as_passed(self, write, named):
+        # push's row, not the one-row block it becomes; the first bad row of a block
+        buf = HistoryBuffer(MemoryPolicy.full())
+        with pytest.raises(TypeError, match=re.escape(f"pushed row must hold real numbers, got {named}")):
+            write(buf)
+        assert buf.count_stored() == 0
+
+    @pytest.mark.parametrize("make", [
+        lambda i: i / 3,
+        lambda i: np.float64(i) / 3,
+        lambda i: i,
+        lambda i: i % 3 == 0,
+        lambda i: np.array(i / 3),
+        lambda i: np.arange(3, dtype=np.float32) / (i + 1),
+        lambda i: np.arange(3) * i,
+        lambda i: [i / 3, 1.0, -i],
+        lambda i: (np.arange(3) / (i + 1)).astype(">f8"),
+        lambda i: np.linspace(0.0, i / 3, 6)[::2],
+    ], ids=["float", "float64", "int", "bool", "0-d", "float32", "int-array", "list",
+            "big-endian", "strided-view"])
+    @pytest.mark.parametrize("policy", [
+        MemoryPolicy.full(), MemoryPolicy.adaptive_present(1.0),
+    ], ids=["full", "present"])
+    def test_push_and_extend_store_the_same_bits(self, policy, make):
+        # a row of each kind after 15, 16 and 17 earlier ones, on both sides
+        # of the first arena growth: pushed, pushed after k pushes as a
+        # one-row block, and stored as one block, with removals under the
+        # adaptive policy
+        for k in (15, 16, 17):
+            times, rows = [0.25 * i for i in range(k + 1)], [make(i) for i in range(k + 1)]
+            pushed, one_row, block = (HistoryBuffer(policy) for _ in range(3))
+            for t, row in zip(times, rows):
+                pushed.push(t, row)
+            for t, row in zip(times[:k], rows[:k]):
+                one_row.push(t, row)
+            one_row.extend(times[k:], rows[k:])
+            block.extend(times, rows)
+            want = np.asarray(rows, dtype=float)[[times.index(t) for t in pushed.times().tolist()]]
+            for buf in (pushed, one_row, block):
+                assert buf.subsets() == pushed.subsets()
+                assert buf.times().tobytes() == pushed.times().tobytes()
+                assert buf.values().tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("block", [1, 4096], ids=["push", "extend"])
     def test_arenas_stay_bounded_without_reads(self, block):
@@ -444,6 +501,20 @@ class TestEvaluateGL:
         # stays off the grid however long the history
         with pytest.raises(ValueError, match="history times do not sit on the uniform base grid"):
             evaluate_gl([0.0, 0.105, 1e7], [0.0, 1.0, 2.0], 0.5, 0.1)
+
+    @pytest.mark.parametrize("off", [0.99e-9, 1.01e-9], ids=["inside", "outside"])
+    def test_stored_times_take_the_verdict_of_grid_steps(self, off):
+        # 1000 steps plus a relative part of a step just inside or just
+        # outside GRID_RTOL, as an early time of the history
+        dt, x = 0.5, 500.0 * (1.0 + off)
+        on_grid = grid_steps(x, dt) is not None
+        assert on_grid == (off < GRID_RTOL)
+        times, values = [0.0, x, 600.0], [0.0, 1.0, 2.0]
+        if on_grid:
+            evaluate_gl(times, values, 0.5, dt)
+        else:
+            with pytest.raises(ValueError, match="history times do not sit on the uniform base grid"):
+                evaluate_gl(times, values, 0.5, dt)
 
     @pytest.mark.parametrize("t_n", [0.2, 0.1, math.inf, math.nan])
     def test_history_operators_reject_a_new_time_not_finite_and_later(self, t_n):
