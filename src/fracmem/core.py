@@ -12,7 +12,7 @@ and a new time ``t_n > times[-1]``, it returns ``(c, h)`` with
 
 ``c`` the implicit coefficient of the newest interval and ``h`` the explicit
 sum over the stored intervals.  Rows of ``values`` are scalars or vectors.
-``check_history`` checks a history passed in from outside, and
+``check_samples`` checks samples passed in from outside, and
 ``newest_derivative`` applies any history operator at its newest time.
 """
 
@@ -107,20 +107,55 @@ def caputo_weights(
     return (left ** (1.0 - a) - right ** (1.0 - a)) / (1.0 - a)
 
 
-def check_history(times, values) -> tuple[np.ndarray, np.ndarray]:
-    """``times`` and ``values`` as float arrays, checked: at least 2 times,
-    all finite and strictly increasing, and one finite row of ``values`` per
-    time, each a scalar or a non-empty vector."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise ValueError("history must contain at least 2 time points")
-    if not np.isfinite(times).all():
-        raise ValueError("history times must be finite")
-    if not np.all(np.diff(times) > 0.0):
+def check_samples(times, values, after: float = -math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """``times`` and ``values`` as float arrays, checked by the one rule for
+    a block of samples, which ``HistoryBuffer.extend`` and ``check_history``
+    apply: the times are real numbers (``TypeError``), one-dimensional,
+    finite, strictly increasing and after ``after`` (``ValueError``);
+    ``values`` has one row per time, each a scalar or a non-empty vector of
+    one shape (``ValueError``, naming the first ragged row) that holds real
+    numbers (``TypeError``, naming the first row, as passed, that does not:
+    ``None``, complex, string, bytes or object rows or entries, which numpy
+    would convert).  Values may be non-finite."""
+    times = np.asarray(times)
+    if times.dtype.kind not in "biuf":
+        raise TypeError(f"history times must be real numbers, got {times!r}")
+    times = times.astype(float, copy=False)
+    try:
+        rows = np.asarray(values)
+    except ValueError:
+        # numpy refuses rows of unequal shape: name the first ragged one
+        for bad in values:
+            try:
+                if np.shape(bad) != np.shape(values[0]):
+                    break
+            except ValueError:
+                break
+        raise ValueError(f"history rows must each be a scalar or a non-empty vector: {bad!r}") from None
+    if rows.dtype.kind not in "biuf":
+        bad = values if rows.ndim == 0 else next(
+            (row for row in values if np.asarray(row).dtype.kind not in "biuf"), values
+        )
+        raise TypeError(f"history rows must hold real numbers, got {bad!r}")
+    if times.ndim != 1 or rows.shape[:1] != times.shape or rows.ndim > 2 or 0 in rows.shape[1:]:
+        raise ValueError(
+            f"history values must have one row per time point, each a scalar or a non-empty vector, "
+            f"got shape {rows.shape} for times of shape {times.shape}"
+        )
+    if times.size and not (after < times[0] and times[-1] < math.inf and (times[1:] > times[:-1]).all()):
+        if not np.isfinite(times).all():
+            raise ValueError("history times must be finite")
+        if not after < times[0]:
+            raise ValueError(f"history times must be after the newest stored time {after}, got {times[0]}")
         raise ValueError("history times must be strictly increasing")
-    values = np.asarray(values, dtype=float)
-    if values.ndim not in (1, 2) or values.shape[0] != times.size or values.size == 0:
-        raise ValueError("values must have one row per time point, a scalar or a non-empty vector")
+    return times, rows.astype(float, copy=False)
+
+
+def check_history(times, values) -> tuple[np.ndarray, np.ndarray]:
+    """``check_samples`` plus the evaluators' rules: at least 2 times, finite values."""
+    times, values = check_samples(times, values)
+    if times.size < 2:
+        raise ValueError("history must contain at least 2 time points")
     if not np.isfinite(values).all():
         raise ValueError("history values must be finite")
     return times, values

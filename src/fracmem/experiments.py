@@ -79,8 +79,8 @@ def time_grid(t_end: float, dt: float, n_records: int = 1) -> list[Iterator[floa
     check_count("n_records", n_records, 1)
     n = min(n_records, n_total)
     ends = [-(-k * n_total // n) for k in range(n + 1)]
-    # dt.__rmul__(i) is i * dt, bit for bit, with no Python frame per step
-    return [map(dt.__rmul__, range(lo + 1, hi + 1)) for lo, hi in zip(ends, ends[1:])]
+    # float(dt).__rmul__(i) is the float i * dt, with no Python frame per step
+    return [map(float(dt).__rmul__, range(lo + 1, hi + 1)) for lo, hi in zip(ends, ends[1:])]
 
 
 # rows per HistoryBuffer.extend call where a runner pushes a grid with no

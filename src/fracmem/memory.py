@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_count, check_history, check_positive, grid_steps
+from .core import check_count, check_history, check_positive, check_samples, grid_steps
 from .core import l1_history, newest_derivative, order_value, weighted_rows
 
 __all__ = [
@@ -127,10 +127,8 @@ class HistoryBuffer:
       pushes would, with one slice copy per arena and one maintenance loop;
       a write-heavy caller with no reads between its pushes saves the fixed
       cost of one call per row.  ``push`` is a one-row ``extend``.
-    - Rows are copied at push: changing an array after pushing it does not
-      change the history.  The first row must be a scalar or a non-empty
-      vector, every row must have its shape (``ValueError``) and hold real
-      numbers (``TypeError``), and a push or block that raises stores nothing.
+    - Rows are copied at push.  A push or block that ``core.check_samples``
+      or the stored rows' shape rejects raises and stores nothing.
     - ``times()`` and ``values()`` return read-only views that stay valid
       until the next push; copy them to keep them longer.
     - Reads also update internal state, so no two calls on one buffer may
@@ -191,14 +189,14 @@ class HistoryBuffer:
     def push(self, t: float, value) -> None:
         """Append one sample as a one-row ``extend``, with its checks and
         exception types, after one chained comparison rejects a NaN,
-        infinite or not later time.  The solvers' rows, a Python float for
-        scalar rows or a float64 array of the stored shape, go straight into
-        arenas with room."""
+        infinite or not later time.  A Python float time with the solvers'
+        rows, a Python float or a float64 array of the stored shape, goes
+        straight into arenas with room."""
         newest = self._newest
         if not newest < t < math.inf:
             raise ValueError(f"pushed time {t} is not finite or not after newest stored {newest}")
         n = self._n
-        if n < self._cap and (
+        if n < self._cap and t.__class__ is float and (
             self._shape == ()
             if value.__class__ is float
             else value.__class__ is np.ndarray and value.dtype is _FLOAT and value.shape == self._shape
@@ -212,43 +210,20 @@ class HistoryBuffer:
             self.extend((t,), (value,))
 
     def extend(self, times, values) -> None:
-        """Append a block of samples, oldest first, as that many pushes would.
-
-        ``values`` holds one row per entry of ``times``.  The whole block is
-        checked before anything is stored: the times are real numbers
-        (``TypeError``), finite, strictly increasing and after the newest
-        stored one (``ValueError``); every row holds real numbers
-        (``TypeError``, naming the first row that does not) and has the
-        stored rows' shape (``ValueError``).  The block is copied into each
-        arena with one slice assignment, then the maintenance runs per time.
-        """
-        times = np.asarray(times)
-        if times.dtype.kind not in "biuf":
-            raise TypeError(f"pushed times must be real numbers, got {times!r}")
-        times = times.astype(float, copy=False)
-        rows = np.asarray(values)
-        if rows.dtype.kind not in "biuf":
-            # numpy would store None as NaN and numeric strings as numbers
-            bad = values if rows.ndim == 0 else next(
-                (row for row in values if np.asarray(row).dtype.kind not in "biuf"), values
-            )
-            raise TypeError(f"pushed row must hold real numbers, got {bad!r}")
-        rows = rows.astype(float, copy=False)
+        """Append a block of samples, oldest first, as that many pushes
+        would: checked whole by ``core.check_samples`` after the newest
+        stored time and for the stored rows' shape (``ValueError``), then
+        copied into each arena by one slice, with maintenance per time."""
+        times, rows = check_samples(times, values, self._newest)
         k = times.size
-        if times.ndim != 1 or rows.shape[:1] != (k,):
-            raise ValueError(
-                f"a block of times of shape {times.shape} needs one row per time, "
-                f"got rows of shape {rows.shape}"
-            )
         if k == 0:
             return
-        newest = self._newest
-        if not (newest < times[0] and times[-1] < math.inf and (times[1:] > times[:-1]).all()):
-            raise ValueError(
-                f"pushed times are not finite, not increasing or not after newest stored {newest}"
-            )
-        if rows.shape[1:] != self._shape:
-            self._set_shape(rows.shape[1:])
+        shape = rows.shape[1:]
+        if shape != self._shape:
+            if self._shape is not None:
+                raise ValueError(f"row of shape {shape}, expected the stored rows' shape {self._shape}")
+            self._shape = shape
+            self._values = np.empty((0,) + shape)
         n = self._n
         if n + k > self._cap:
             self._make_room(k)
@@ -311,16 +286,6 @@ class HistoryBuffer:
                     l += 1
                 else:
                     subsets.append(deque((moved,)))
-
-    def _set_shape(self, shape: tuple) -> None:
-        """Take ``shape``, which is not the stored rows' shape, as the row
-        shape at the first write, or raise ``ValueError`` at a later one."""
-        if self._shape is not None:
-            raise ValueError(f"pushed row of shape {shape}, expected the stored rows' shape {self._shape}")
-        if len(shape) > 1 or 0 in shape:
-            raise ValueError(f"pushed row of shape {shape} is not a scalar or a non-empty vector")
-        self._shape = shape
-        self._values = np.empty((0,) + shape)
 
     def _make_room(self, k: int) -> None:
         """Make room for ``k`` more rows in arenas too full to take them:
@@ -411,7 +376,7 @@ def gl_history(
     n = grid_steps(t_n, dt)
     if n is None:
         raise ValueError(f"t_n={t_n} does not sit on the uniform base grid of step dt={dt}")
-    scale = dt ** (-a)
+    scale = float(dt) ** (-a)
     idx = np.rint(times / dt).astype(int)
     gap = n - int(idx[-1])
     c = gap * scale

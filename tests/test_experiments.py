@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 
+import numpy as np
 import pytest
 
 from fracmem import DiffusionConfig, HistoryBuffer, KelvinVoigtConfig, MemoryPolicy, PolicyKind
@@ -121,6 +122,20 @@ def test_time_grid_cuts_the_same_times_at_any_record_count():
         # the segments are computed as they are walked, not stored
         assert all(iter(segment) is segment for segment in segments)
         assert list(itertools.chain(*segments)) == whole
+
+
+def test_time_grid_steps_in_python_floats():
+    # an int or numpy dt steps as its float does, so the solvers push Python
+    # float times and states, which take the buffer's fast path
+    assert [t.__class__ for t in itertools.chain(*time_grid(4, 1))] == [float] * 4
+    policy = MemoryPolicy.adaptive_gl(0.1)
+    configs = (
+        KelvinVoigtConfig(eta=1.0, k=1.0, load=1.0, alpha=0.5, dt=dt, policy=policy)
+        for dt in (0.01, np.float64(0.01))
+    )
+    base, got = (run_kelvin_voigt(kv, 1.0, 8)[0] for kv in configs)
+    assert {r.t.__class__ for r in got} | {r.value.__class__ for r in got} == {float}
+    assert [(r.t.hex(), r.value.hex()) for r in got] == [(r.t.hex(), r.value.hex()) for r in base]
 
 
 @pytest.mark.parametrize("t_end", [1.005, 0.004])

@@ -11,8 +11,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmem import HistoryBuffer, MemoryPolicy, PolicyKind, evaluate_caputo, evaluate_gl
-from fracmem.core import GRID_RTOL, grid_steps, l1_history, weighted_rows
+from fracmem.core import GRID_RTOL, check_history, check_samples, grid_steps, l1_history, weighted_rows
 from fracmem.memory import gl_history, gl_weights
+
+
+BAD_TIMES = [math.nan, math.inf, -math.inf, None, "1.5"]
+BAD_ROWS = ["x", "1.5", 1j, None, [1.0, [2.0]], np.zeros((2, 2)), np.zeros(0), [1.0, None]]
+
+
+@st.composite
+def sample_blocks(draw):
+    """A block of times and rows, each part good or bad: times unsorted or
+    with one bad entry, a row too many or too few, one bad row, and values
+    that may be non-finite."""
+    n = draw(st.integers(0, 5))
+    times = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n, unique=True))
+    if draw(st.booleans()):
+        times.sort()
+    if n and draw(st.booleans()):
+        times[draw(st.integers(0, n - 1))] = draw(st.sampled_from(BAD_TIMES))
+    shape = draw(st.sampled_from([(), (2,)]))
+    entries = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([math.nan, math.inf]))
+    values = [np.full(shape, draw(entries)) if shape else draw(entries) for _ in range(n + 1)]
+    values = values[: max(n + draw(st.sampled_from([0, 0, 0, 1, -1])), 0)]
+    if values and draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(BAD_ROWS))
+    return times, values
+
+
+def outcome(call):
+    """The type of the ``TypeError`` or ``ValueError`` that ``call()`` raises, or None."""
+    try:
+        call()
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+    return None
 
 
 def push_uniform(policy, dt, n_steps, fn=lambda t: 0.0):
@@ -154,9 +187,10 @@ class TestBufferBasics:
         ((), "1.5", TypeError),
         ((), b"1.5", TypeError),
         ((2,), np.array(["1", "2"]), TypeError),
+        ((3,), [1.0, [2.0, 3.0], 4.0], ValueError),
     ], ids=["string", "complex", "scalar-wide", "string-entry", "vector-scalar", "vector-narrow",
             "none", "vector-none", "none-entry", "none-entry-list",
-            "numeric-string", "numeric-bytes", "numeric-string-vector"])
+            "numeric-string", "numeric-bytes", "numeric-string-vector", "ragged"])
     @pytest.mark.parametrize("policy", [MemoryPolicy.full(), MemoryPolicy.fixed(0.05)], ids=["full", "fixed"])
     def test_failed_push_commits_nothing(self, policy, shape, bad, error):
         # 1..40 earlier pushes meet the arenas full at every capacity
@@ -187,9 +221,9 @@ class TestBufferBasics:
         ([1.0, None], TypeError),
         ("1.5", TypeError), (b"1.5", TypeError), (np.array(["1", "2"]), TypeError),
         # no history operator contracts matrix or empty rows
-        (np.zeros((2, 3)), ValueError), (np.zeros(0), ValueError),
+        (np.zeros((2, 3)), ValueError), (np.zeros(0), ValueError), ([1.0, [2.0, 3.0]], ValueError),
     ], ids=["string", "complex", "complex-vector", "none", "none-entry",
-            "numeric-string", "numeric-bytes", "numeric-string-vector", "matrix", "empty"])
+            "numeric-string", "numeric-bytes", "numeric-string-vector", "matrix", "empty", "ragged"])
     def test_failed_first_push_fixes_no_row_shape(self, bad, error):
         # as one push and as the rows of a first block
         for write in (lambda buf: buf.push(0.0, bad), lambda buf: buf.extend([0.0, 1.0], [bad, bad])):
@@ -218,10 +252,11 @@ class TestBufferBasics:
         ((3,), [0, 1, 2], np.zeros((3, 2)), ValueError),
         ((3,), [0, 1, 2], np.zeros(3), ValueError),
         ((3,), [0, 1, 2], [[0.0] * 3, [0.0, None, 0.0], [0.0] * 3], TypeError),
+        ((3,), [0, 1], [np.zeros(3), np.zeros(2)], ValueError),
     ], ids=["repeated-time", "time-not-after-newest", "decreasing-time", "nan-time", "inf-time",
             "too-few-rows", "matrix-times", "none-time", "none-entry", "complex-entry", "complex-array",
             "string-entry", "numeric-strings", "scalar-wide", "vector-narrow", "vector-scalar",
-            "vector-none-entry"])
+            "vector-none-entry", "ragged-rows"])
     @pytest.mark.parametrize("policy", [MemoryPolicy.full(), MemoryPolicy.fixed(0.05)], ids=["full", "fixed"])
     def test_failed_block_commits_nothing(self, policy, shape, steps, rows, error):
         # a bad time or row anywhere in a block raises push's exception type
@@ -257,9 +292,49 @@ class TestBufferBasics:
     def test_non_real_row_error_names_the_row_as_passed(self, write, named):
         # push's row, not the one-row block it becomes; the first bad row of a block
         buf = HistoryBuffer(MemoryPolicy.full())
-        with pytest.raises(TypeError, match=re.escape(f"pushed row must hold real numbers, got {named}")):
+        message = re.escape(f"history rows must hold real numbers, got {named}")
+        with pytest.raises(TypeError, match=f"^{message}$"):
             write(buf)
         assert buf.count_stored() == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(block=sample_blocks())
+    def test_buffer_and_evaluators_share_one_sample_rule(self, block):
+        # an empty buffer takes a block as check_samples does; the
+        # evaluators' check adds only at least 2 points and finite values
+        times, values = block
+        rule = outcome(lambda: check_samples(times, values))
+        assert outcome(lambda: HistoryBuffer(MemoryPolicy.full()).extend(times, values)) is rule
+        own = rule is None and (len(times) < 2 or not np.isfinite(np.asarray(values, dtype=float)).all())
+        assert outcome(lambda: check_history(times, values)) is (ValueError if own else rule)
+
+    @pytest.mark.parametrize("write, named", [
+        (lambda buf: buf.push(1.0, [1.0, [2.0, 3.0], 4.0]), "[1.0, [2.0, 3.0], 4.0]"),
+        (lambda buf: buf.extend([1.0, 2.0], [np.zeros(3), np.zeros(2)]), "array([0., 0.])"),
+    ], ids=["push", "extend"])
+    def test_ragged_row_error_names_the_row_as_passed(self, write, named):
+        # numpy's own error for rows of unequal shape names no row
+        buf = HistoryBuffer(MemoryPolicy.full())
+        buf.push(0.0, np.zeros(3))
+        message = re.escape(f"history rows must each be a scalar or a non-empty vector: {named}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write(buf)
+        assert buf.count_stored() == 1
+
+    @pytest.mark.parametrize("make, n", [
+        (np.float32, 40), (np.int64, 40), (np.array, 40), (int, 40), (bool, 2),
+    ], ids=["float32", "int64", "0-d", "int", "bool"])
+    def test_push_and_extend_store_times_as_floats(self, make, n):
+        # a time that is not a Python float takes push's one-row extend, so
+        # the subsets hold Python floats and maintenance runs in float64
+        times = [make(i / 3 if make in (np.float32, np.array) else i) for i in range(n)]
+        pushed, block = (HistoryBuffer(MemoryPolicy.adaptive_present(1.0)) for _ in range(2))
+        for t in times:
+            pushed.push(t, 0.0)
+        block.extend(times, np.zeros(n))
+        assert pushed.subsets() == block.subsets()
+        for buf in (pushed, block):
+            assert {t.__class__ for subset in buf.subsets() for t in subset} == {float}
 
     @pytest.mark.parametrize("make", [
         lambda i: i / 3,
@@ -558,6 +633,29 @@ class TestEvaluateGL:
         with pytest.raises(ValueError, match=message):
             evaluate_gl(times, values, 0.5, 0.1)
         with pytest.raises(ValueError, match=message):
+            evaluate_caputo(times, values, 0.5)
+
+    @pytest.mark.parametrize("times, values, error, message", [
+        # numpy would convert strings, bytes and objects to floats, and store None as NaN
+        (["0", "0.1", "0.2"], [0.0, 1.0, 2.0], TypeError, "history times must be real numbers"),
+        ([0.0, 0.1, 0.2], ["0", "1", "4"], TypeError, "history rows must hold real numbers, got '0'"),
+        ([0.0, 0.1, 0.2], [b"0", b"1", b"4"], TypeError, "history rows must hold real numbers, got b'0'"),
+        ([0.0, 0.1, 0.2], np.array([0.0, 1.0, 4.0], dtype=object), TypeError,
+         "history rows must hold real numbers, got array([0.0, 1.0, 4.0], dtype=object)"),
+        ([0.0, 0.1, 0.2], [0.0, None, 4.0], TypeError, "history rows must hold real numbers, got None"),
+        ([0.0, 0.1, 0.2], [[0.0, 1.0], [1.0, None], [4.0, 5.0]], TypeError,
+         "history rows must hold real numbers, got [1.0, None]"),
+        # numpy's own error for rows of unequal shape names no row
+        ([0.0, 0.1, 0.2], [0.0, [1.0, 2.0], 4.0], ValueError,
+         "history rows must each be a scalar or a non-empty vector: [1.0, 2.0]"),
+        ([0.0, 0.1, 0.2], [[0.0, 1.0], [1.0, [2.0, 3.0]], [4.0, 5.0]], ValueError,
+         "history rows must each be a scalar or a non-empty vector: [1.0, [2.0, 3.0]]"),
+    ], ids=["numeric-string-times", "numeric-strings", "bytes", "object", "none", "none-entry",
+            "ragged", "ragged-entry"])
+    def test_rejects_rows_that_are_not_real_or_ragged(self, times, values, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            evaluate_gl(times, values, 0.5, 0.1)
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
             evaluate_caputo(times, values, 0.5)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1])
