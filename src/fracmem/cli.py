@@ -95,6 +95,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.policy not in _POLICY_NAMES:
             raise ConfigError(f"unknown policy {self.policy!r}; choose from {sorted(_POLICY_NAMES)}")
+        for name in ("alpha", "dt", "levels"):
+            if len(getattr(self, name)) == 0:
+                raise ConfigError(f"{name} must hold at least one value")
         try:
             # time_grid checks each dt and n_records
             for name in ("memory_length", "t_end", "length", "dx", "mu", "eta", "k", "load"):
@@ -135,9 +138,7 @@ class ExperimentConfig:
 
     def memory_policy(self) -> MemoryPolicy:
         kind = _POLICY_NAMES[self.policy]
-        if kind is PolicyKind.FULL:
-            return MemoryPolicy.full()
-        return MemoryPolicy(kind, self.memory_length)
+        return MemoryPolicy(kind, None if kind is PolicyKind.FULL else self.memory_length)
 
     def as_header(self) -> dict:
         out = {

@@ -2,11 +2,13 @@
 Grunwald-Letnikov (GL) history operator.
 
 The buffer keeps time points grouped into subsets U_0..U_L, newest subset
-first, as ``HistoryBuffer.subsets()`` returns them.  After every push U_0
-spans at most the memory length T, on any grid, since maintenance moves
-points out of U_0 until it does; on a uniform grid U_l spans at most
-2^(l-1) * T.  Interval comparisons are strict: a span exactly equal to the
-threshold does not trigger maintenance.
+first, as ``HistoryBuffer.subsets()`` returns them.  One maintenance rule
+serves every policy: after every push U_0 spans at most the memory length
+T, on any grid, and what leaves it cascades into coarser subsets, U_l
+spanning at most 2^(l-1) * T on a uniform grid.  Full memory is a window
+that never closes (T infinite), the fixed window drops what leaves it, and
+the adaptive policies cascade.  Interval comparisons are strict: a span
+exactly equal to the threshold does not trigger maintenance.
 
 ``HistoryBuffer`` copies each block of rows, a push being a block of one,
 into array arenas once, and serves reads as read-only views of them: a
@@ -137,11 +139,10 @@ class HistoryBuffer:
 
     def __init__(self, policy: MemoryPolicy):
         self.policy = policy
-        # the policy's kind and length as plain attributes: an enum member
-        # lookup costs more than the rest of a push's bookkeeping
-        self._full = policy.kind is PolicyKind.FULL
+        # the policy as plain attributes (an enum lookup costs more than a
+        # push's bookkeeping); full memory is a window of infinite length
         self._fixed = policy.kind is PolicyKind.FIXED
-        self._T = policy.T
+        self._T = math.inf if policy.kind is PolicyKind.FULL else policy.T
         # subsets[l] = U_l, each deque of times ordered oldest-first
         self._subsets: list[deque] = [deque()]
         self._newest = -math.inf
@@ -237,36 +238,24 @@ class HistoryBuffer:
 
     def _maintain(self, times) -> None:
         """Add the newly stored ``times``, oldest first, to U_0 and run the
-        policy's maintenance after each one, noting every time it removes.
+        maintenance rule after each, noting every time it removes.
 
-        The fixed window drops its oldest points while U_0 spans more than
-        T.  The adaptive policies move the oldest point of U_0 into U_1
-        while U_0 spans more than T; each move cascades: a U_l that then
-        spans more than 2^(l-1) * T moves its oldest point into U_(l+1)
-        and removes its second-oldest.
+        While U_0 spans more than T its oldest point moves into U_1; each
+        move cascades, a U_l that then spans more than 2^(l-1) * T moving
+        its oldest point into U_(l+1) and removing its second-oldest.  A
+        point that leaves the last subset opens a new one, but the fixed
+        window has no U_1 and drops it; full memory never moves a point.
         """
         subsets = self._subsets
         u0 = subsets[0]
-        if self._full:
-            u0.extend(times)
-            return
         T = self._T
         gone = self._gone
-        # the tolerance guards against rounding in t = i * dt shaving a
-        # point off a span whose nominal length is a threshold; it scales
-        # with max(T, |t|), where the rounding noise lives, spelled out
-        # because the max and abs calls would cost more than the
-        # comparisons they guard
-        if self._fixed:
-            for t in times:
-                u0.append(t)
-                a = t if t >= 0.0 else -t
-                limit = T + 1e-12 * (a if a > T else T)
-                while t - u0[0] > limit:
-                    gone.append(u0.popleft())
-            return
         for t in times:
             u0.append(t)
+            # the tolerance guards against rounding in t = i * dt shaving a
+            # point off a span whose nominal length is a threshold; it scales
+            # with max(T, |t|), where the rounding noise lives, spelled out
+            # as the max and abs calls would cost more than what they guard
             a = t if t >= 0.0 else -t
             tol = 1e-12 * (a if a > T else T)
             limit = T + tol
@@ -285,7 +274,10 @@ class HistoryBuffer:
                     threshold *= 2.0
                     l += 1
                 else:
-                    subsets.append(deque((moved,)))
+                    if self._fixed:
+                        gone.append(moved)
+                    else:
+                        subsets.append(deque((moved,)))
 
     def _make_room(self, k: int) -> None:
         """Make room for ``k`` more rows in arenas too full to take them:

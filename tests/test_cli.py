@@ -53,6 +53,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="diffusion", policy="psychic")
 
+    @pytest.mark.parametrize("experiment, name", [
+        ("diffusion", "alpha"), ("kelvin-voigt", "dt"), ("cost-model", "levels"),
+        ("derivative-error", "alpha"), ("order-study", "alpha"),
+    ])
+    def test_empty_setting_rejected(self, experiment, name):
+        # the order study's dt sweep is valid, so only the empty setting is at fault
+        settings = {"dt": (0.1, 0.05, 0.025)} if experiment == "order-study" else {}
+        settings[name] = ()
+        with pytest.raises(ConfigError, match=f"^{name} must hold at least one value$"):
+            ExperimentConfig(experiment=experiment, **settings)
+
     def test_alpha_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="diffusion", alpha=(1.5,))

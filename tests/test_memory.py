@@ -142,6 +142,16 @@ class TestBufferBasics:
         buf = push_uniform(MemoryPolicy.full(), 0.1, 50)
         assert buf.count_stored() == 51
         assert buf.count_conv_terms() == 50
+        # a window that never closes: spans up to the largest float, and
+        # one that overflows to inf, move nothing and warn of nothing
+        times = [-1e308, -1.0, 0.0, 1e300, 1e308]
+        pushed, block = HistoryBuffer(MemoryPolicy.full()), HistoryBuffer(MemoryPolicy.full())
+        for t in times:
+            pushed.push(t, t)
+        block.extend(times, times)
+        for buf in (pushed, block):
+            assert buf.subsets() == (tuple(times),)
+            assert buf.times().tolist() == buf.values().tolist() == times
 
     def test_fixed_policy_window(self):
         buf = push_uniform(MemoryPolicy.fixed(1.0), 0.1, 50)
