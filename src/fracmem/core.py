@@ -19,6 +19,7 @@ sum over the stored intervals.  Rows of ``values`` are scalars or vectors.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -39,7 +40,11 @@ def order_value(alpha: float) -> float:
 
 
 def check_positive(name: str, value: float) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is positive and finite."""
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is positive and
+    finite, or ``TypeError`` naming it when ``value`` is neither ``None``
+    nor a real number (a Python or numpy real scalar)."""
+    if value is not None and not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
     if value is None or not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 

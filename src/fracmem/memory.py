@@ -11,10 +11,10 @@ the adaptive policies cascade.  Interval comparisons are strict: a span
 exactly equal to the threshold does not trigger maintenance.
 
 ``HistoryBuffer`` copies each block of rows, a push being a block of one,
-into array arenas once, and serves reads as read-only views of them: a
-view stays valid until the next push, and since a read also drops the rows
-that maintenance removed, reads of one buffer must not run concurrently
-with each other or with pushes.
+into array arenas once and drops the rows that maintenance removed before
+the call returns, so between calls the arenas hold only stored rows.  Reads
+are read-only views of them that change nothing and stay valid until the
+next push or extend; only a read that runs alongside a push is unsafe.
 
 Each policy owns one history operator, ``MemoryPolicy.history``: given the
 stored times and values and a new time ``t_n > times[-1]`` it returns
@@ -104,8 +104,8 @@ class MemoryPolicy:
 
 _FLOAT = np.dtype(float)
 
-# removals a read drops by shifting the rows after each one; more than this
-# are dropped by one boolean compaction
+# removals one call drops by shifting the rows after each one; more than
+# this are dropped by one boolean compaction
 _SHIFT_LIMIT = 16
 
 
@@ -116,14 +116,13 @@ class HistoryBuffer:
     in two arenas, ``times`` of shape ``(cap,)`` and ``values`` of shape
     ``(cap,) + row_shape``.  A push writes its time and row into the arenas
     after the last row, runs the policy's maintenance on the deques and
-    notes every time it removes; the removed rows stay in the arenas until
-    a read, or a push that finds the arenas too full, drops them.  The
-    removed times are found with one ``searchsorted``.  A few removed rows
-    (up to ``_SHIFT_LIMIT``, as after a push between reads) are dropped by
-    moving each run of kept rows after them left once; more (a long run of
-    pushes without reads) by one boolean compaction.  A push that finds the
-    arenas too full doubles them only if dropping leaves them at least half
-    full, or grows them to fit a block that still does not fit.
+    drops the rows of the times it removed before it returns, so between
+    calls the arenas hold exactly the stored rows.  The removed times are
+    found with one ``searchsorted``.  A few removed rows (up to
+    ``_SHIFT_LIMIT``, as after one push) are dropped by moving each run of
+    kept rows after them left once; more (a long block) by one boolean
+    compaction.  A block that does not fit doubles the arenas, or grows
+    them to fit it.
 
     - ``extend(times, values)`` stores a block of samples as that many
       pushes would, with one slice copy per arena and one maintenance loop;
@@ -131,10 +130,11 @@ class HistoryBuffer:
       cost of one call per row.  ``push`` is a one-row ``extend``.
     - Rows are copied at push.  A push or block that ``core.check_samples``
       or the stored rows' shape rejects raises and stores nothing.
-    - ``times()`` and ``values()`` return read-only views that stay valid
-      until the next push; copy them to keep them longer.
-    - Reads also update internal state, so no two calls on one buffer may
-      overlap, two reads included.  Distinct buffers are independent.
+    - ``times()``, ``values()`` and the other reads change nothing; the
+      views stay valid until the next ``push`` or ``extend``, so copy them
+      to keep them longer.
+    - Reads may overlap each other, but not a push or extend of the same
+      buffer.  Distinct buffers are independent.
     """
 
     def __init__(self, policy: MemoryPolicy):
@@ -147,9 +147,7 @@ class HistoryBuffer:
         self._subsets: list[deque] = [deque()]
         self._newest = -math.inf
         self._shape: tuple | None = None  # row shape, fixed by the first push
-        # times removed since the arenas last dropped their rows
-        self._gone: list = []
-        # rows in the arenas, removed ones included, and the arenas' length
+        # rows in the arenas, all of them stored, and the arenas' length
         self._n = 0
         self._cap = 0
         self._times = np.empty(0)
@@ -163,7 +161,7 @@ class HistoryBuffer:
         return tuple(map(tuple, self._subsets))
 
     def count_stored(self) -> int:
-        return self._n - len(self._gone)
+        return self._n
 
     def count_conv_terms(self) -> int:
         """Consecutive-pair convolution terms used per evaluation."""
@@ -171,16 +169,12 @@ class HistoryBuffer:
 
     def times(self) -> np.ndarray:
         """Stored times, oldest first (a read-only view, see the class)."""
-        if self._gone:
-            self._drop_removed()
         view = self._times[: self._n]
         view.flags.writeable = False
         return view
 
     def values(self) -> np.ndarray:
         """Stored rows, oldest first (a read-only view, see the class)."""
-        if self._gone:
-            self._drop_removed()
         view = self._values[: self._n]
         view.flags.writeable = False
         return view
@@ -227,8 +221,10 @@ class HistoryBuffer:
             self._values = np.empty((0,) + shape)
         n = self._n
         if n + k > self._cap:
-            self._make_room(k)
-            n = self._n
+            cap = max(16, 2 * self._cap, n + k)
+            grown_times, grown_values = np.empty(cap), np.empty((cap,) + shape)
+            grown_times[:n], grown_values[:n] = self._times[:n], self._values[:n]
+            self._times, self._values, self._cap = grown_times, grown_values, cap
         self._times[n : n + k] = times
         self._values[n : n + k] = rows
         self._n = n + k
@@ -238,7 +234,8 @@ class HistoryBuffer:
 
     def _maintain(self, times) -> None:
         """Add the newly stored ``times``, oldest first, to U_0 and run the
-        maintenance rule after each, noting every time it removes.
+        maintenance rule after each, then drop the rows of the times it
+        removed.
 
         While U_0 spans more than T its oldest point moves into U_1; each
         move cascades, a U_l that then spans more than 2^(l-1) * T moving
@@ -249,7 +246,7 @@ class HistoryBuffer:
         subsets = self._subsets
         u0 = subsets[0]
         T = self._T
-        gone = self._gone
+        gone = []
         for t in times:
             u0.append(t)
             # the tolerance guards against rounding in t = i * dt shaving a
@@ -278,23 +275,11 @@ class HistoryBuffer:
                         gone.append(moved)
                     else:
                         subsets.append(deque((moved,)))
+        if gone:
+            self._drop_removed(gone)
 
-    def _make_room(self, k: int) -> None:
-        """Make room for ``k`` more rows in arenas too full to take them:
-        drop the removed rows, then double the arenas if that leaves them at
-        least half full, or grow them to fit if the rows still do not."""
-        if self._gone:
-            self._drop_removed()
-        n, cap = self._n, self._cap
-        if 2 * n >= cap or n + k > cap:
-            cap = max(16, 2 * cap, n + k)
-            times, values = np.empty(cap), np.empty((cap,) + self._shape)
-            times[:n], values[:n] = self._times[:n], self._values[:n]
-            self._times, self._values, self._cap = times, values, cap
-
-    def _drop_removed(self) -> None:
-        """Drop the rows of the times removed since the last call."""
-        gone = self._gone
+    def _drop_removed(self, gone: list) -> None:
+        """Drop the rows of the removed times ``gone`` from the arenas."""
         n = self._n
         times, values = self._times, self._values
         # exact: stored times are the pushed values, strictly increasing
@@ -317,7 +302,6 @@ class HistoryBuffer:
             times[lo:m] = times[lo:n][keep]
             values[lo:m] = values[lo:n][keep]
         self._n = m
-        gone.clear()
 
 
 # -- Grunwald-Letnikov weights ------------------------------------------------

@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmem import HistoryBuffer, MemoryPolicy, PolicyKind
+from fracmem.memory import _SHIFT_LIMIT
 
-# sets the length of the long runs of pushes without reads below: within
-# one run the arenas fill and drop their removed rows many times
+# sets the length of the long runs of pushes without reads below, and the
+# block in which ``extend`` writes them: such a block removes more rows than
+# ``HistoryBuffer`` drops by shifting, so it runs the boolean compaction
 _PENDING_LIMIT = 4096
 
 
@@ -107,19 +109,30 @@ def assert_same(buf: HistoryBuffer, ref: DequeBuffer) -> None:
     assert buf.subsets() == ref.subsets()
 
 
-def replay(policy, times, width, reads, seed) -> None:
-    """Push ``times`` with random rows (scalars when ``width`` is None) to
-    both buffers, comparing them after each push whose index is in
-    ``reads`` and after the last."""
+def replay(policy, times, width, reads, seed, block=1) -> int:
+    """Write ``times`` with random rows (scalars when ``width`` is None) to
+    both buffers, to ``HistoryBuffer`` one at a time through ``push`` when
+    ``block`` is 1, else in blocks of ``block`` through ``extend``; compare
+    them after each write that holds an index in ``reads`` and after the
+    last, and return the most rows the reference removed in one write."""
     rng = np.random.default_rng(seed)
     buf, ref = HistoryBuffer(policy), DequeBuffer(policy)
-    for i, t in enumerate(times):
-        row = float(rng.standard_normal()) if width is None else rng.standard_normal(width)
-        buf.push(t, row)
-        ref.push(t, row)
-        if i in reads:
+    most_removed = 0
+    for lo in range(0, len(times), block):
+        ts = times[lo : lo + block]
+        rows = [float(rng.standard_normal()) if width is None else rng.standard_normal(width) for _ in ts]
+        if block == 1:
+            buf.push(ts[0], rows[0])
+        else:
+            buf.extend(ts, rows)
+        stored = ref.count_stored() + len(ts)
+        for t, row in zip(ts, rows):
+            ref.push(t, row)
+        most_removed = max(most_removed, stored - ref.count_stored())
+        if not reads.isdisjoint(range(lo, lo + len(ts))):
             assert_same(buf, ref)
     assert_same(buf, ref)
+    return most_removed
 
 
 @given(
@@ -175,18 +188,35 @@ def test_extend_matches_deque_buffer(kind, T, start, gaps, width, sizes, pushed,
     assert_same(buf, ref)
 
 
-@given(
+def long_run(seed) -> list:
+    # a non-uniform grid of 3 * _PENDING_LIMIT steps, 0.01 on average
+    gaps = np.random.default_rng(seed).uniform(0.5, 1.5, 3 * _PENDING_LIMIT)
+    return (np.cumsum([0.0, *gaps]) * 0.01).tolist()
+
+
+long_runs = given(
     kind=st.sampled_from(sorted(POLICIES)),
     reads=st.sets(st.integers(0, 3 * _PENDING_LIMIT), max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
+
+
+@long_runs
 @settings(max_examples=8, deadline=None)
 def test_matches_deque_buffer_past_pending_limit(kind, reads, seed):
-    # long runs of pushes between reads, which fill the arenas with removed
-    # rows, on a non-uniform grid with the memory length of 50 mean steps
-    gaps = np.random.default_rng(seed).uniform(0.5, 1.5, 3 * _PENDING_LIMIT)
-    times = (np.cumsum([0.0, *gaps]) * 0.01).tolist()
-    replay(POLICIES[kind](0.5), times, None, reads, seed)
+    # long runs of pushes between reads, with the memory length of 50 mean
+    # steps
+    replay(POLICIES[kind](0.5), long_run(seed), None, reads, seed)
+
+
+@long_runs
+@settings(max_examples=8, deadline=None)
+def test_extend_matches_deque_buffer_past_shift_limit(kind, reads, seed):
+    # the same runs written through extend in blocks of _PENDING_LIMIT rows:
+    # unless full memory keeps every row, some block removes more rows than
+    # the shift takes, so the boolean compaction runs
+    most_removed = replay(POLICIES[kind](0.5), long_run(seed), None, reads, seed, _PENDING_LIMIT)
+    assert most_removed > _SHIFT_LIMIT or kind == "full"
 
 
 @given(
@@ -200,8 +230,8 @@ def test_matches_deque_buffer_read_after_every_push(kind, m, width, seed):
     # how the solvers use a buffer: one read after each push.  A memory
     # length of m mean steps and 600 jittered steps fill enough subsets for
     # one push to remove five points or more.  A long burst of pushes and a
-    # shorter one, each followed by one read, then exercise the compaction
-    # of many removals.
+    # shorter one, each followed by one read, then check the rows left by
+    # many drops of one push each.
     gaps = np.random.default_rng(seed).uniform(0.5, 1.5, 600 + _PENDING_LIMIT + 200)
     times = (np.cumsum([0.0, *gaps]) * 0.01).tolist()
     policy = POLICIES[kind](m * 0.01)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracmem import evaluate_caputo
+from fracmem import MemoryPolicy, evaluate_caputo, evaluate_gl
 from fracmem.core import (
     caputo_weight,
     caputo_weights,
@@ -22,6 +22,8 @@ from fracmem.core import (
     order_value,
     weighted_rows,
 )
+from fracmem.experiments import time_grid
+from fracmem.solvers import KelvinVoigtConfig
 
 
 def quad_weight(t_n, t_k, t_k1, alpha):
@@ -54,9 +56,23 @@ class TestValidation:
         with pytest.raises(ValueError, match=re.escape(f"width must be positive and finite, got {value}")):
             check_positive("width", value)
 
-    @pytest.mark.parametrize("value", [1e-300, 2.5, np.float64(3.0), 7])
+    @pytest.mark.parametrize("value", [1e-300, 2.5, np.float64(3.0), 7, np.float32(0.5), np.int64(2)])
     def test_check_positive_accepts_positive_finite_numbers(self, value):
         check_positive("width", value)
+
+    @pytest.mark.parametrize("name, call", [
+        ("width", lambda v: check_positive("width", v)),
+        ("T", MemoryPolicy.fixed),
+        ("dt", lambda v: time_grid(1.0, v)),
+        ("dt", lambda v: evaluate_gl([0.0, 0.1, 0.2], [0.0, 1.0, 2.0], 0.5, v)),
+        ("eta", lambda v: KelvinVoigtConfig(eta=v, k=1.0, load=1.0, alpha=0.5, dt=0.01,
+                                             policy=MemoryPolicy.full())),
+    ], ids=["check_positive", "fixed", "time_grid", "evaluate_gl", "kelvin_voigt"])
+    @pytest.mark.parametrize("value", ["1", b"1", 1 + 0j, np.array([0.1, 0.2])],
+                             ids=["str", "bytes", "complex", "array"])
+    def test_parameter_that_is_not_a_real_number_is_named(self, name, call, value):
+        with pytest.raises(TypeError, match=re.escape(f"{name} must be a real number, got {value!r}")):
+            call(value)
 
     @pytest.mark.parametrize("value, least, message", [
         (0, 1, "n must be >= 1, got 0"),
