@@ -12,7 +12,10 @@ exactly equal to the threshold does not trigger maintenance.
 
 ``HistoryBuffer`` copies each block of rows, a push being a block of one,
 into array arenas once and drops the rows that maintenance removed before
-the call returns, so between calls the arenas hold only stored rows.  Reads
+the call returns, so between calls the arenas hold only stored rows.  A
+block of ``_LEVELWISE_MIN`` rows or more is maintained one subset level at a
+time in numpy (``fracmem._levelwise``), by the same rule and with the same
+bits as the loop over the times of a push or a smaller block.  Reads
 are read-only views of them that change nothing and stay valid until the
 next push or extend; only a read that runs alongside a push is unsafe.
 
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._levelwise import plan
 from .core import check_count, check_history, check_positive, check_samples, grid_steps
 from .core import l1_history, newest_derivative, order_value, weighted_rows
 
@@ -108,6 +112,13 @@ _FLOAT = np.dtype(float)
 # this are dropped by one boolean compaction
 _SHIFT_LIMIT = 16
 
+# blocks of at least this many rows are maintained one subset level at a
+# time, smaller ones by the loop over their times; on the derivative-push
+# grid (13 subsets) the two broke even at ~700 rows under the adaptive
+# policies and below 512 under full and fixed memory
+# (BENCH_2026-10-19-levelwise.json)
+_LEVELWISE_MIN = 1024
+
 
 class HistoryBuffer:
     """Ordered time-point storage maintained by a MemoryPolicy.
@@ -125,9 +136,11 @@ class HistoryBuffer:
     them to fit it.
 
     - ``extend(times, values)`` stores a block of samples as that many
-      pushes would, with one slice copy per arena and one maintenance loop;
-      a write-heavy caller with no reads between its pushes saves the fixed
-      cost of one call per row.  ``push`` is a one-row ``extend``.
+      pushes would, with one slice copy per arena; a write-heavy caller
+      with no reads between its pushes saves the fixed cost of one call per
+      row.  A block of ``_LEVELWISE_MIN`` rows or more is maintained level
+      by level (``_maintain_levelwise``), with the same layout and bits.
+      ``push`` is a one-row ``extend``.
     - Rows are copied at push.  A push or block that ``core.check_samples``
       or the stored rows' shape rejects raises and stores nothing.
     - ``times()``, ``values()`` and the other reads change nothing; the
@@ -208,7 +221,9 @@ class HistoryBuffer:
         """Append a block of samples, oldest first, as that many pushes
         would: checked whole by ``core.check_samples`` after the newest
         stored time and for the stored rows' shape (``ValueError``), then
-        copied into each arena by one slice, with maintenance per time."""
+        copied into each arena by one slice.  Maintenance runs per time, or
+        level by level for ``_LEVELWISE_MIN`` rows or more unless a level
+        fails its check, with the same layout and bits."""
         times, rows = check_samples(times, values, self._newest)
         k = times.size
         if k == 0:
@@ -228,9 +243,9 @@ class HistoryBuffer:
         self._times[n : n + k] = times
         self._values[n : n + k] = rows
         self._n = n + k
-        added = times.tolist()
-        self._newest = added[-1]
-        self._maintain(added)
+        self._newest = float(times[-1])
+        if k < _LEVELWISE_MIN or not self._maintain_levelwise(k):
+            self._maintain(times.tolist())
 
     def _maintain(self, times) -> None:
         """Add the newly stored ``times``, oldest first, to U_0 and run the
@@ -278,8 +293,39 @@ class HistoryBuffer:
         if gone:
             self._drop_removed(gone)
 
-    def _drop_removed(self, gone: list) -> None:
-        """Drop the rows of the removed times ``gone`` from the arenas."""
+    def _maintain_levelwise(self, k: int) -> bool:
+        """``_maintain`` on the ``k`` newest stored times, one subset level
+        at a time in numpy (``_levelwise.plan``), with the same layout and
+        bits; returns False, having changed nothing, when a level fails its
+        check."""
+        subsets = self._subsets
+        planned = plan(self._times[: self._n], [len(u) for u in subsets], k, self._T, self._fixed)
+        if planned is None:
+            return False
+        changes, removed = planned
+        for l, (cut, arrived) in enumerate(changes):
+            if l == len(subsets):
+                subsets.append(deque())
+            ul = subsets[l]
+            if cut == len(ul):
+                ul.clear()
+            else:
+                for _ in range(cut):
+                    ul.popleft()
+            ul.extend(arrived.tolist())
+        # freed before the compaction makes its own arrays: a block's peak
+        # memory stays below that of the loop over its times
+        changes.clear()
+        if removed:
+            gone = np.concatenate(removed)
+            removed.clear()
+            if gone.size:
+                self._drop_removed(gone)
+        return True
+
+    def _drop_removed(self, gone) -> None:
+        """Drop the rows of the removed times ``gone``, a list or a float
+        array, from the arenas."""
         n = self._n
         times, values = self._times, self._values
         # exact: stored times are the pushed values, strictly increasing

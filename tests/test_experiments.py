@@ -12,6 +12,7 @@ from fracmem import DiffusionConfig, HistoryBuffer, KelvinVoigtConfig, MemoryPol
 from fracmem.core import newest_derivative
 from fracmem.experiments import (
     _PUSH_BLOCK,
+    _grid_blocks,
     SimulationRecord,
     accumulated_conv_terms,
     check_sweep,
@@ -122,6 +123,21 @@ def test_time_grid_cuts_the_same_times_at_any_record_count():
         # the segments are computed as they are walked, not stored
         assert all(iter(segment) is segment for segment in segments)
         assert list(itertools.chain(*segments)) == whole
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.01, 0.0025, 1 / 3, 7.0, np.float64(0.01), 1],
+                         ids=["0.1", "0.01", "0.0025", "third", "7", "float64", "int"])
+def test_grid_blocks_have_the_bits_of_the_time_grid(dt):
+    # the blocks the pushing runners take are the segments' floats, bit for
+    # bit, cut at _PUSH_BLOCK steps and at every record step
+    t_end = (2 * _PUSH_BLOCK + 5) * dt
+    for n_records in (1, 3, 64):
+        segments, blocks = time_grid(t_end, dt, n_records), _grid_blocks(t_end, dt, n_records)
+        assert len(blocks) == len(segments)
+        for segment, segment_blocks in zip(segments, blocks):
+            got = list(segment_blocks)
+            assert max(block.size for block in got) <= _PUSH_BLOCK
+            assert np.concatenate(got).tobytes() == np.array(list(segment)).tobytes()
 
 
 def test_time_grid_steps_in_python_floats():
