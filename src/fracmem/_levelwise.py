@@ -2,9 +2,9 @@
 subset level at a time in numpy.
 
 ``HistoryBuffer._maintain`` runs the rule once per pushed time.  For a long
-block, ``plan`` computes what that loop would do, level by level, without
-changing anything, and ``HistoryBuffer._maintain_levelwise`` commits it.
-The float expressions are the loop's, so the layout and bits are the same.
+block, ``plan`` computes, changing nothing, what that loop would do level by
+level as arena positions, and ``HistoryBuffer._maintain_levelwise`` commits
+it.  The float expressions are the loop's, so the layout and bits are the same.
 
 U_0 is a sliding window: after arrival q its oldest point is the running
 max over arrivals of the first point p with ``not s[q] - s[p] > limit_q``
@@ -24,17 +24,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def plan(stored: np.ndarray, sizes: list[int], k: int, T: float, fixed: bool) -> tuple[list, list] | None:
+def plan(stored: np.ndarray, sizes: list[int], k: int, T: float, fixed: bool) -> tuple[list, np.ndarray] | None:
     """The loop's work on the last ``k`` of the ``stored`` times, a block
     just written after the others, which are the points of U_L, ..., U_0
     in that order, each oldest first, with ``sizes[l]`` the size of U_l.
 
-    Returns ``(changes, removed)``: for each level from U_0 on that the
-    block reaches, how many of its points leave it and an array of the
-    arrivals it keeps, and arrays of the removed times.  Returns None when
-    a level's schedule fails its check.  ``T`` is the memory length
-    (infinite for full memory), and a ``fixed`` window drops what leaves
-    U_0.
+    Returns ``(changes, removed)`` as positions in ``stored``: for each
+    level from U_0 on that the block reaches, how many of its points leave
+    it and the positions of the arrivals it keeps, and the positions of the
+    removed points, in no order.  Returns None when a level's schedule
+    fails its check.  ``T`` is the memory length (infinite for full
+    memory), and a ``fixed`` window drops what leaves U_0.
     """
     n = stored.size
     m = sizes[0]
@@ -60,33 +60,36 @@ def plan(stored: np.ndarray, sizes: list[int], k: int, T: float, fixed: bool) ->
     del gap, limit
     np.maximum.accumulate(start, out=start)
     cut = int(start[-1])
-    changes = [(min(cut, m), s[max(cut, m) :])]
+    changes = [(min(cut, m), np.arange(end + max(cut, m), n))]
+    # at: the positions of the points that leave U_0
+    at = np.arange(end, end + cut)
     if fixed:
-        return changes, [s[:cut]]
+        return changes, at
     removed = []
     # each moved point with the tolerance of the push that moved it
-    moved = s[:cut]
     tol = _tolerance(np.repeat(block, np.ediff1d(start, to_begin=start[:1])), T)
     del start
     threshold = T
     l = 1
-    while moved.size:
+    while at.size:
         m = sizes[l] if l < len(sizes) else 0
         end -= m
         # a trigger reads s[2j], and j is less than the arrivals
-        head = min(m, 2 * moved.size)
-        s = np.concatenate((stored[end : end + head], moved))
+        head = min(m, 2 * at.size)
+        at = np.concatenate((np.arange(end, end + head), at))
+        s = stored[at]
         jumps = _level_triggers(s, head, tol, threshold)
         if jumps is None:
             return None
         cut = 2 * jumps.size
-        # copies, so that each level's s is freed after the next
-        changes.append((min(cut, m), s[max(cut, head) :].copy()))
-        removed.append(s[1:cut:2].copy())
-        moved, tol = s[:cut:2], tol[jumps - head]
+        # copies, so that each level's at is freed after the next
+        changes.append((min(cut, m), at[max(cut, head) :].copy()))
+        removed.append(at[1:cut:2].copy())
+        at, tol = at[:cut:2], tol[jumps - head]
         threshold *= 2.0
         l += 1
-    return changes, removed
+    # at is empty now; it keeps the concatenation defined when nothing moved
+    return changes, np.concatenate((*removed, at))
 
 
 def _tolerance(t: np.ndarray, T: float) -> np.ndarray:

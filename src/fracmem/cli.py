@@ -212,7 +212,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list, dict]:
 
 
 def _parse_config_file(path: str) -> dict:
-    values = {}
+    values, lines = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -224,7 +224,11 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {lines[key]}")
+        lines[key] = lineno
+        values[key] = value.strip()
     return values
 
 

@@ -114,9 +114,9 @@ _SHIFT_LIMIT = 16
 
 # blocks of at least this many rows are maintained one subset level at a
 # time, smaller ones by the loop over their times; on the derivative-push
-# grid (13 subsets) the two broke even at ~700 rows under the adaptive
-# policies and below 512 under full and fixed memory
-# (BENCH_2026-10-19-levelwise.json)
+# grid the two break even at ~770 rows under the adaptive policies, with 13
+# subsets as with 20, ~550 under full memory and below 256 under the fixed
+# window (BENCH_2026-10-19-positions.json)
 _LEVELWISE_MIN = 1024
 
 
@@ -128,8 +128,9 @@ class HistoryBuffer:
     ``(cap,) + row_shape``.  A push writes its time and row into the arenas
     after the last row, runs the policy's maintenance on the deques and
     drops the rows of the times it removed before it returns, so between
-    calls the arenas hold exactly the stored rows.  The removed times are
-    found with one ``searchsorted``.  A few removed rows (up to
+    calls the arenas hold exactly the stored rows.  The loop finds the
+    rows of its removed times with one ``searchsorted``; the level-wise
+    plan hands over their positions.  A few removed rows (up to
     ``_SHIFT_LIMIT``, as after one push) are dropped by moving each run of
     kept rows after them left once; more (a long block) by one boolean
     compaction.  A block that does not fit doubles the arenas, or grows
@@ -291,18 +292,21 @@ class HistoryBuffer:
                     else:
                         subsets.append(deque((moved,)))
         if gone:
-            self._drop_removed(gone)
+            # exact: stored times are the pushed values, strictly increasing
+            self._drop_removed(self._times[: self._n].searchsorted(gone))
 
     def _maintain_levelwise(self, k: int) -> bool:
         """``_maintain`` on the ``k`` newest stored times, one subset level
         at a time in numpy (``_levelwise.plan``), with the same layout and
         bits; returns False, having changed nothing, when a level fails its
-        check."""
+        check.  The plan is arena positions: the arrivals each level keeps
+        are read from the times arena, and the removed rows dropped by
+        their positions."""
         subsets = self._subsets
         planned = plan(self._times[: self._n], [len(u) for u in subsets], k, self._T, self._fixed)
         if planned is None:
             return False
-        changes, removed = planned
+        changes, gone = planned
         for l, (cut, arrived) in enumerate(changes):
             if l == len(subsets):
                 subsets.append(deque())
@@ -312,31 +316,22 @@ class HistoryBuffer:
             else:
                 for _ in range(cut):
                     ul.popleft()
-            ul.extend(arrived.tolist())
-        # freed before the compaction makes its own arrays: a block's peak
-        # memory stays below that of the loop over its times
-        changes.clear()
-        if removed:
-            gone = np.concatenate(removed)
-            removed.clear()
-            if gone.size:
-                self._drop_removed(gone)
+            ul.extend(self._times[arrived].tolist())
+        self._drop_removed(gone)
         return True
 
-    def _drop_removed(self, gone) -> None:
-        """Drop the rows of the removed times ``gone``, a list or a float
-        array, from the arenas."""
+    def _drop_removed(self, idx: np.ndarray) -> None:
+        """Drop the rows at the arena positions ``idx``, an integer array
+        in any order, from the arenas."""
         n = self._n
         times, values = self._times, self._values
-        # exact: stored times are the pushed values, strictly increasing
-        idx = times[:n].searchsorted(gone)
-        m = n - len(gone)
-        if len(gone) <= _SHIFT_LIMIT:
+        m = n - idx.size
+        if idx.size <= _SHIFT_LIMIT:
             # each run of kept rows between two removed ones moves left
             # once, by the number of removals before it
             idx = sorted(idx.tolist())
             idx.append(n)
-            for j in range(len(gone)):
+            for j in range(n - m):
                 lo, hi = idx[j] + 1, idx[j + 1]
                 if lo < hi:
                     times[lo - j - 1 : hi - j - 1] = times[lo:hi]

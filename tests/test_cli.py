@@ -371,6 +371,20 @@ class TestMainExitCodes:
         assert "configuration error: " in err and message in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("second", ["alpha=0.7", "memory_length=2", "memory-length = 2"])
+    def test_repeated_config_key_is_two(self, tmp_path, capsys, second):
+        # a key set twice is an error in either spelling, not a silent override
+        first = "alpha=0.3" if second.startswith("alpha") else "memory-length=1"
+        key = second.partition("=")[0].strip().replace("-", "_")
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{first}\n# comment\n{second}\n")
+        rc = main(["kelvin-voigt", "--config", str(cfgfile), "--t-end", "1",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {cfgfile}:3: {key!r} is already set on line 1" in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_missing_config_file_is_two(self, tmp_path):
         rc = main(["diffusion", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2

@@ -8,6 +8,8 @@ reference: a buffer written in blocks just below, at and just above
 after every block as one written row by row through ``push``.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,3 +132,17 @@ def test_adversarial_grids_take_the_fallback():
         times, T = adversarial(seed)
         for block in BLOCKS[1:]:
             assert False in replay(MemoryPolicy.adaptive_present(T), times, block, None, seed)
+
+
+def test_u0_check_takes_the_fallback():
+    # a U_0 cluster one ulp apart, then a block whose first arrival puts the
+    # window edge inside it: the searched edge and the rounded spans disagree
+    # by two points there, U_0's check refuses the block, and the loop
+    # maintains it
+    cluster = [0.22001]
+    for _ in range(10):
+        cluster.append(math.nextafter(cluster[-1], 1.0))
+    earlier = np.linspace(-20.0, -1.0, _LEVELWISE_MIN - len(cluster)).tolist()
+    block = (1.0369600000010373 + np.arange(_LEVELWISE_MIN) * 1e-3).tolist()
+    policy = MemoryPolicy.adaptive_present(0.8169500000000001)
+    assert replay(policy, earlier + cluster + block, _LEVELWISE_MIN, None, 0) == [True, False]
