@@ -16,8 +16,9 @@ the call returns, so between calls the arenas hold only stored rows.  A
 block of ``_LEVELWISE_MIN`` rows or more is maintained one subset level at a
 time in numpy (``fracmem._levelwise``), by the same rule and with the same
 bits as the loop over the times of a push or a smaller block.  Reads
-are read-only views of them that change nothing and stay valid until the
-next push or extend; only a read that runs alongside a push is unsafe.
+are slices of one read-only view of each arena, made when the arena is
+bound; they change nothing and stay valid until the next push or extend,
+and only a read that runs alongside a push is unsafe.
 
 Each policy owns one history operator, ``MemoryPolicy.history``: given the
 stored times and values and a new time ``t_n > times[-1]`` it returns
@@ -164,8 +165,14 @@ class HistoryBuffer:
         # rows in the arenas, all of them stored, and the arenas' length
         self._n = 0
         self._cap = 0
-        self._times = np.empty(0)
-        self._values = np.empty(0)
+        self._bind(np.empty(0), np.empty(0))
+
+    def _bind(self, times: np.ndarray, values: np.ndarray) -> None:
+        """Make ``times`` and ``values`` the arenas, with the read-only view
+        of each that the reads slice."""
+        self._times, self._values = times, values
+        self._times_read, self._values_read = times.view(), values.view()
+        self._times_read.flags.writeable = self._values_read.flags.writeable = False
 
     # -- queries ----------------------------------------------------------
 
@@ -182,16 +189,14 @@ class HistoryBuffer:
         return max(self.count_stored() - 1, 0)
 
     def times(self) -> np.ndarray:
-        """Stored times, oldest first (a read-only view, see the class)."""
-        view = self._times[: self._n]
-        view.flags.writeable = False
-        return view
+        """Stored times, oldest first: a slice of the times arena's
+        read-only view (see the class)."""
+        return self._times_read[: self._n]
 
     def values(self) -> np.ndarray:
-        """Stored rows, oldest first (a read-only view, see the class)."""
-        view = self._values[: self._n]
-        view.flags.writeable = False
-        return view
+        """Stored rows, oldest first: a slice of the values arena's
+        read-only view (see the class)."""
+        return self._values_read[: self._n]
 
     # -- maintenance ------------------------------------------------------
 
@@ -234,13 +239,14 @@ class HistoryBuffer:
             if self._shape is not None:
                 raise ValueError(f"row of shape {shape}, expected the stored rows' shape {self._shape}")
             self._shape = shape
-            self._values = np.empty((0,) + shape)
+            self._bind(self._times, np.empty((0,) + shape))
         n = self._n
         if n + k > self._cap:
             cap = max(16, 2 * self._cap, n + k)
             grown_times, grown_values = np.empty(cap), np.empty((cap,) + shape)
             grown_times[:n], grown_values[:n] = self._times[:n], self._values[:n]
-            self._times, self._values, self._cap = grown_times, grown_values, cap
+            self._bind(grown_times, grown_values)
+            self._cap = cap
         self._times[n : n + k] = times
         self._values[n : n + k] = rows
         self._n = n + k
@@ -347,27 +353,36 @@ class HistoryBuffer:
 
 # -- Grunwald-Letnikov weights ------------------------------------------------
 
+# per order, the weights w_K, ..., w_1, w_0 of lags K down to 0: entry i is
+# the weight of lag K - i, so a history reads its weights by grid index
 _GL_CACHE: dict[float, np.ndarray] = {}
+
+
+def _gl_table(jmax: int, a: float) -> np.ndarray:
+    """The weights of lags ``jmax`` down to 0 for the order ``a``, unchecked:
+    a read-only view whose entry i is the weight of lag ``jmax - i``.
+
+    The cached table is computed by the recurrence c_j = c_(j-1) *
+    (j - 1 - a) / j with c_0 = 1 in Python floats, which avoids Gamma
+    evaluations at negative arguments, and grows by doubling.
+    """
+    w = _GL_CACHE.get(a)
+    if w is None or w.shape[0] <= jmax:
+        seq = [1.0] if w is None else w[::-1].tolist()
+        for j in range(len(seq), max(2 * len(seq), jmax + 1)):
+            seq.append(seq[-1] * (j - 1.0 - a) / j)
+        seq.reverse()
+        w = _GL_CACHE[a] = np.array(seq)
+        w.flags.writeable = False
+    return w[w.shape[0] - 1 - jmax :]
 
 
 def gl_weights(jmax: int, alpha: float) -> np.ndarray:
     """Binomial GL weights (-1)^j * C(alpha, j) for lags j = 0..jmax, as a
-    read-only view of an array cached per order.
-
-    Computed by the recurrence c_j = c_(j-1) * (j - 1 - alpha) / j with
-    c_0 = 1 in Python floats, which avoids Gamma evaluations at negative
-    arguments; the cached array grows by doubling.
-    """
+    read-only view, in lag order, of the table cached per order (see
+    ``_gl_table``)."""
     check_count("jmax", jmax, 0)
-    a = order_value(alpha)
-    w = _GL_CACHE.get(a)
-    if w is None or w.shape[0] <= jmax:
-        seq = [1.0] if w is None else w.tolist()
-        for j in range(len(seq), max(2 * len(seq), jmax + 1)):
-            seq.append(seq[-1] * (j - 1.0 - a) / j)
-        w = _GL_CACHE[a] = np.array(seq)
-        w.flags.writeable = False
-    return w[: jmax + 1]
+    return _gl_table(jmax, order_value(alpha))[::-1]
 
 
 def gl_history(
@@ -384,7 +399,10 @@ def gl_history(
     ``times[0]`` is the initial time, whose value the GL sum subtracts.  A
     stored point k carries the weight of its lag, rescaled by the grid steps
     its interval spans; the new point's interval is counted in whole steps,
-    and a ``t_n`` off the grid raises ``ValueError``.  ``h`` is a float for
+    and a ``t_n`` off the grid raises ``ValueError``.  The weights are read
+    from the lag-descending table of ``n + 1`` weights, n the grid steps
+    from ``times[0]`` to ``t_n``, by the stored points' grid indices counted
+    from ``times[0]``.  ``h`` is a float for
     scalar (1-D) rows and an array for vector rows.
     """
     a = order_value(alpha)
@@ -398,9 +416,17 @@ def gl_history(
     gap = n - int(idx[-1])
     c = gap * scale
     if times.size < 2:
-        return c, 0.0
-    lags = n - idx[1:]
-    scaled = gl_weights(int(lags[0]), a)[lags] * (times[1:] - times[:-1]) / dt
+        return c, 0.0 if values.ndim == 1 else np.zeros(values.shape[1:])
+    base = int(idx[0])
+    if base:
+        # the weights depend on the lags n - idx alone: a history that does
+        # not start at grid index 0 is counted from its initial point, so
+        # the table spans its lags, not its absolute indices
+        idx = idx - base
+        n -= base
+    scaled = _gl_table(n, a)[idx[1:]]
+    scaled *= times[1:] - times[:-1]
+    scaled /= dt
     # the new point's weight w_0 * gap = gap multiplies
     # f(t_n) - f_0 = (f(t_n) - values[-1]) + (values[-1] - f_0); c takes the
     # first part, the newest stored weight the second

@@ -151,7 +151,9 @@ class _ImplicitStepper:
         times = self.buffer.times()
         c, h = cfg.policy.history(times, self.buffer.values(), t_new, self.alpha, cfg.dt)
         try:
-            state = self._solve(c, h, t_new - times[-1])
+            # a Python float interval, read from the buffer, not from self.t,
+            # which a push straight into the buffer would leave behind
+            state = self._solve(c, h, t_new - float(times[-1]))
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 f"solve failed at step {step_index} (t={t_new!r}): {exc}"
@@ -253,7 +255,8 @@ class DiffusionSimulation(_ImplicitStepper):
         # system drifts 2e-12 relative from that form in 1280 steps (2e-14)
         r = cfg.mu * dt_n / cfg.dx**2
         c_n = c * dt_n
-        rhs = c_n * self._state - dt_n * h
+        rhs = c_n * self._state
+        rhs -= dt_n * h
         d, e = self._d, self._e
         d.fill(c_n + 2.0 * r)
         e.fill(-r)

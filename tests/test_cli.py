@@ -577,3 +577,12 @@ class TestGoldenFile:
              "--memory-length", "0.1", "--t-end", "1", "--n-records", "10"],
             "diffusion_adaptive.csv", tmp_path,
         )
+
+    def test_adaptive_gl_creep_run_matches_frozen_output(self, tmp_path):
+        # the value column pins the rescaled GL bits; t <= 1 keeps z >= -1,
+        # where the analytic column is correctly rounded
+        self.assert_matches_frozen(
+            ["kelvin-voigt", "--policy", "adaptive-gl", "--alpha", "0.7", "--dt", "0.01",
+             "--memory-length", "0.1", "--t-end", "1", "--n-records", "10"],
+            "kelvin_voigt_adaptive_gl.csv", tmp_path,
+        )

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fracmem import HistoryBuffer, MemoryPolicy, PolicyKind, evaluate_caputo, evaluate_gl
 from fracmem.core import GRID_RTOL, check_history, check_samples, grid_steps, l1_history, weighted_rows
-from fracmem.memory import gl_history, gl_weights
+from fracmem.memory import _GL_CACHE, gl_history, gl_weights
 
 
 BAD_TIMES = [math.nan, math.inf, -math.inf, None, "1.5"]
@@ -433,6 +433,26 @@ class TestBufferBasics:
             with pytest.raises(ValueError, match="read-only"):
                 out[0] = 1.0
 
+    @pytest.mark.parametrize("state", ["empty", "first-push", "grown", "dropped"])
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "vector"])
+    def test_reads_are_read_only_in_every_arena_state(self, state, shape):
+        buf = HistoryBuffer(MemoryPolicy.adaptive_present(0.05 if state == "dropped" else 1.0))
+        pushes = {"empty": 0, "first-push": 1, "grown": 17, "dropped": 40}[state]
+        for i in range(pushes):
+            buf.push(i * 0.01, np.full(shape, float(i)) if shape else float(i))
+        n = buf.count_stored()
+        # 16 rows fill the first arenas; T = 0.05 removes points by t = 0.39
+        assert {"empty": n == 0, "first-push": buf._cap == 16, "grown": n == 17 and buf._cap == 32,
+                "dropped": n < pushes}[state]
+        times, values = buf.times(), buf.values()
+        assert times.shape == (n,)
+        assert values.shape == ((n,) + shape if pushes else (0,))
+        for out in (times, values):
+            assert not out.flags.writeable
+            if n:
+                with pytest.raises(ValueError, match="read-only"):
+                    out[0] = 1.0
+
     def test_initial_value_retained(self):
         buf = push_uniform(MemoryPolicy.adaptive_present(1.0), 0.25, 40, fn=lambda t: t + 3.0)
         assert buf.values()[0] == 3.0
@@ -558,6 +578,42 @@ class TestGLWeights:
         with pytest.raises(ValueError, match=re.escape(message)):
             gl_weights(jmax, 0.5)
 
+    def test_history_reads_the_table_across_growth(self):
+        # gl_history grows the lag-descending table itself: from nothing to
+        # 11 weights, by one doubling, past several in one call, then a
+        # shorter read of the grown table; each result has the oracle's bits
+        alpha, dt = 0.2718, 0.01  # an order no other test caches
+        rng = np.random.default_rng(5)
+        for n in (10, 21, 5000, 50):
+            idx = np.concatenate([[0], np.sort(rng.choice(np.arange(1, n), min(n - 1, 300), replace=False))])
+            times = idx * dt
+            for values in (rng.standard_normal(idx.size), rng.standard_normal((idx.size, 4))):
+                got = gl_history(times, values, n * dt, alpha, dt)
+                want = gl_history_by_diffs(times, values, n * dt, alpha, dt)
+                assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        seq = [1.0]
+        for j in range(1, 5001):
+            seq.append(seq[-1] * (j - 1.0 - alpha) / j)
+        for jmax in (0, 10, 50, 5000):
+            w = gl_weights(jmax, alpha)
+            assert w.tolist() == seq[: jmax + 1]
+            assert not w.flags.writeable
+
+    @pytest.mark.parametrize("offset", [0, -3, 10**6], ids=["before", "from-negative", "far-later"])
+    def test_history_off_grid_index_zero_reads_weights_by_lag(self, offset):
+        # the weights depend on the lags alone, so a history shifted by whole
+        # steps, back before index 0 or far past it, gives the oracle's bits
+        # and a table as long as its lags, not as its absolute indices
+        alpha, dt = 0.4142, 0.1  # an order no other test caches
+        idx = np.array([-7, -5, -4, -1, 0, 2]) + offset
+        values = np.array([0.3, -1.0, 2.0, 0.5, 1.5, -0.25])
+        for n in np.array([3, 0]) + offset:
+            times = idx[idx < n] * dt
+            got = gl_history(times, values[: times.size], n * dt, alpha, dt)
+            want = gl_history_by_diffs(times, values[: times.size], n * dt, alpha, dt)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        assert _GL_CACHE[alpha].size < 100
+
     def test_weight_sum_partial_unity(self):
         # sum_{j=0}^J w_j = (-1)^J C(alpha-1, J) -> 0, staying positive
         w = gl_weights(200, 0.3)
@@ -621,6 +677,18 @@ class TestEvaluateGL:
         else:
             with pytest.raises(ValueError, match="history times do not sit on the uniform base grid"):
                 evaluate_gl(times, values, 0.5, dt)
+
+    @pytest.mark.parametrize("operator", ["l1", "gl"])
+    def test_one_point_history_gives_the_row_shape(self, operator):
+        # no stored interval: h is 0.0 for scalar rows and zeros of the row
+        # shape for vector rows, as for a longer history
+        times = np.array([0.0])
+        for values, want in ((np.array([1.0]), 0.0), (np.array([[1.0, 2.0]]), np.zeros(2))):
+            if operator == "l1":
+                _, h = l1_history(times, values, 0.1, 0.5)
+            else:
+                _, h = gl_history(times, values, 0.1, 0.5, 0.1)
+            assert same_bits(h, want)
 
     @pytest.mark.parametrize("t_n", [0.2, 0.1, math.inf, math.nan])
     def test_history_operators_reject_a_new_time_not_finite_and_later(self, t_n):
@@ -721,7 +789,7 @@ def l1_history_by_diffs(times, values, t_n, alpha):
     dt_n = t_n - float(times[-1])
     c = dt_n ** (1.0 - alpha) / (1.0 - alpha) / (gamma * dt_n)
     if times.size < 2:
-        return c, 0.0
+        return c, 0.0 if values.ndim == 1 else np.zeros(values.shape[1:])
     p = (t_n - times) ** (1.0 - alpha)
     coeff = (p[:-1] - p[1:]) / (1.0 - alpha) / np.diff(times)
     if values.ndim == 1:
@@ -742,7 +810,7 @@ def gl_history_by_diffs(times, values, t_n, alpha, dt):
     gap = n - int(idx[-1])
     c = gap * scale
     if times.size < 2:
-        return c, 0.0
+        return c, 0.0 if values.ndim == 1 else np.zeros(values.shape[1:])
     lags = n - idx[1:]
     scaled = gl_weights(int(lags[0]), alpha)[lags] * np.diff(times) / dt
     scaled[-1] += gap
