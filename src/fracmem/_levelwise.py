@@ -3,8 +3,9 @@ subset level at a time in numpy.
 
 ``HistoryBuffer._maintain`` runs the rule once per pushed time.  For a long
 block, ``plan`` computes, changing nothing, what that loop would do level by
-level as arena positions, and ``HistoryBuffer._maintain_levelwise`` commits
-it.  The float expressions are the loop's, so the layout and bits are the same.
+level, as counts and the arena positions of the removed points, and
+``HistoryBuffer._maintain_levelwise`` commits it.  The float expressions
+are the loop's, so the layout and bits are the same.
 
 U_0 is a sliding window: after arrival q its oldest point is the running
 max over arrivals of the first point p with ``not s[q] - s[p] > limit_q``
@@ -29,12 +30,14 @@ def plan(stored: np.ndarray, sizes: list[int], k: int, T: float, fixed: bool) ->
     just written after the others, which are the points of U_L, ..., U_0
     in that order, each oldest first, with ``sizes[l]`` the size of U_l.
 
-    Returns ``(changes, removed)`` as positions in ``stored``: for each
-    level from U_0 on that the block reaches, how many of its points leave
-    it and the positions of the arrivals it keeps, and the positions of the
-    removed points, in no order.  Returns None when a level's schedule
-    fails its check.  ``T`` is the memory length (infinite for full
-    memory), and a ``fixed`` window drops what leaves U_0.
+    Returns ``(changes, removed)``: for each level from U_0 on that the
+    block reaches, ``(cut, size)``, how many of its stored points leave it
+    and its size after the block, and the positions in ``stored`` of the
+    removed points, in no order.  Once those are dropped, the levels again
+    sit in ``stored`` as U_L, ..., U_0, so the arrivals a level keeps are
+    its newest points there.  Returns None when a level's schedule fails
+    its check.  ``T`` is the memory length (infinite for full memory), and
+    a ``fixed`` window drops what leaves U_0.
     """
     n = stored.size
     m = sizes[0]
@@ -60,7 +63,7 @@ def plan(stored: np.ndarray, sizes: list[int], k: int, T: float, fixed: bool) ->
     del gap, limit
     np.maximum.accumulate(start, out=start)
     cut = int(start[-1])
-    changes = [(min(cut, m), np.arange(end + max(cut, m), n))]
+    changes = [(min(cut, m), m + k - cut)]
     # at: the positions of the points that leave U_0
     at = np.arange(end, end + cut)
     if fixed:
@@ -82,8 +85,8 @@ def plan(stored: np.ndarray, sizes: list[int], k: int, T: float, fixed: bool) ->
         if jumps is None:
             return None
         cut = 2 * jumps.size
-        # copies, so that each level's at is freed after the next
-        changes.append((min(cut, m), at[max(cut, head) :].copy()))
+        changes.append((min(cut, m), m + at.size - head - cut))
+        # a copy, so that each level's at is freed after the next
         removed.append(at[1:cut:2].copy())
         at, tol = at[:cut:2], tol[jumps - head]
         threshold *= 2.0

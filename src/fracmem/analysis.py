@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import check_count, check_positive, order_value
+from .core import check_count, check_positive, order_value, real_order
 from .memory import PolicyKind
 
 __all__ = [
@@ -37,11 +37,19 @@ def _check_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_max(M: float) -> None:
+    # M is a maximum of |f'| or |f''|, so a bound from a negative M is no bound
+    _check_finite(M=M)
+    if M < 0.0:
+        raise ValueError(f"M must be non-negative, got {M}")
+
+
 def fixed_memory_bound(M: float, t: float, T: float, alpha) -> float:
     """Truncation-error bound of the fixed memory method:
     M / Gamma(2-a) * (t^(1-a) - T^(1-a)), with M = max |f'| on [0, t]."""
     a = order_value(alpha)
-    _check_finite(M=M, t=t, T=T)
+    _check_max(M)
+    _check_finite(t=t, T=T)
     check_positive("T", T)
     if T > t:
         raise ValueError(f"memory length T={T} exceeds elapsed time t={t}")
@@ -50,7 +58,7 @@ def fixed_memory_bound(M: float, t: float, T: float, alpha) -> float:
 
 def _closed_order(alpha: float) -> float:
     # the A/B coefficient sums are defined on the closed interval [0, 1]
-    a = float(alpha)
+    a = real_order(alpha)
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {a}")
     return a
@@ -85,7 +93,7 @@ def b_func(m: int, alpha: float) -> float:
 def adaptive_bound_terms(M: float, dt: float, m: int, L: int, alpha) -> np.ndarray:
     """Per-subset contributions [U_0, U_1, .., U_L] to the adaptive bound."""
     a = order_value(alpha)
-    _check_finite(M=M)
+    _check_max(M)
     check_positive("dt", dt)
     check_count("L", L, 0)
     pref = M / (2.0 * math.gamma(3.0 - a))
@@ -137,11 +145,9 @@ def op_count(policy: PolicyKind | str, m: int, L: int) -> int:
     if kind is PolicyKind.FIXED:
         return m * (m + 1) // 2 + m * m * (2**L - 1)
     if kind is PolicyKind.ADAPTIVE_PRESENT:
-        # twice the count, m(m+1) + sum 2^(l-1) ((2l+1) m^2 + m), in exact
-        # integers; every term is even
-        twice = m * (m + 1)
-        for l in range(1, L + 1):
-            twice += 2 ** (l - 1) * ((2 * l + 1) * m * m + m)
+        # twice the count, m(m+1) + sum_{l=1..L} 2^(l-1) ((2l+1) m^2 + m),
+        # summed in closed form in exact integers; it is even
+        twice = m * (m + 1) + ((2 * L - 1) * 2**L + 1) * m * m + (2**L - 1) * m
         return twice // 2
     raise ValueError(f"no operation-count model for policy {kind}")
 

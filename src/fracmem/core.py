@@ -32,11 +32,23 @@ __all__ = [
 
 
 def order_value(alpha: float) -> float:
-    """Return the order as a float, validating it lies in (0, 1)."""
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"fractional order must lie in (0, 1), got {a}")
-    return a
+    """Return the order as a float: ``TypeError`` when it is not a real
+    number (a numeric string or bytes included), ``ValueError`` unless it
+    lies in (0, 1).  A Python float skips the type check, since the history
+    operators call this every step."""
+    if alpha.__class__ is not float:
+        alpha = real_order(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"fractional order must lie in (0, 1), got {alpha}")
+    return alpha
+
+
+def real_order(alpha) -> float:
+    """``alpha`` as a float, or ``TypeError`` naming the order when it is not
+    a real number (a Python or numpy real scalar)."""
+    if not isinstance(alpha, numbers.Real):
+        raise TypeError(f"fractional order must be a real number, got {alpha!r}")
+    return float(alpha)
 
 
 def check_positive(name: str, value: float) -> None:

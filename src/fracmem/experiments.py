@@ -6,13 +6,14 @@ wall-clock column varies between identical runs.  Wall clock measures the
 stepping loop alone, not record assembly or I/O.  The derivative studies
 push samples that do not depend on the order, so one push stream per time
 grid serves every alpha of a sweep; sweeps run serially in one process.
-Every runner walks ``time_grid``, the one home of the step times t = i * dt,
-segment by segment: it times a segment's steps, then records once.  The
-runners that push a grid with no read in between (``run_derivative_error``,
-``retention_count``) take its segments in blocks of ``_PUSH_BLOCK`` steps,
-each ``np.arange(lo, hi) * float(dt)``, whose bits are those of the floats
-``time_grid`` yields; ``HistoryBuffer.extend`` maintains such a block one
-subset level at a time.
+Every runner walks the step times t = i * dt segment by segment: it times
+a segment's steps, then records once.  ``_step_blocks`` computes them, the
+one expression for a step time, in blocks of ``_PUSH_BLOCK`` steps
+(``_grid_blocks``); the runners that push a grid with no read in between
+(``run_derivative_error``, ``retention_count``) push those blocks, which
+``HistoryBuffer.extend`` maintains one subset level at a time, and
+``time_grid`` yields the same times as Python floats to the runners that
+step.
 """
 
 from __future__ import annotations
@@ -71,6 +72,14 @@ class SimulationRecord:
                 raise ValueError(f"non-finite {name} {getattr(self, name)} at t={self.t}")
 
 
+def _record(t: float, value: float, analytic: float, buffer: HistoryBuffer, elapsed: float) -> SimulationRecord:
+    """The record of ``value`` against ``analytic`` at ``t``, with the
+    counts of ``buffer`` and the stepping time ``elapsed`` so far."""
+    return SimulationRecord(
+        t, value, analytic, abs(value - analytic), buffer.count_stored(), buffer.count_conv_terms(), elapsed
+    )
+
+
 def _record_ends(t_end: float, dt: float, n_records: int) -> list[int]:
     """0 and the record steps of ``time_grid``, after its checks."""
     check_positive("dt", dt)
@@ -88,13 +97,9 @@ def time_grid(t_end: float, dt: float, n_records: int = 1) -> list[Iterator[floa
     steps are ceil(k n / n_records), k = 1..n_records, or every step when
     n_records > n.  Raises ``ValueError`` unless ``t_end`` is a whole
     (``grid_steps``), positive number of steps ``dt`` and ``n_records`` >= 1.
-    The runners that push without reading take the same segments as arrays
-    (``_grid_blocks``): numpy converts each index to float and multiplies it
-    as Python does, so their times have the same bits (a 4096-step block
-    takes ~4 us, where collecting these floats into an array took ~0.28 ms)."""
-    ends = _record_ends(t_end, dt, n_records)
-    # float(dt).__rmul__(i) is the float i * dt, with no Python frame per step
-    return [map(float(dt).__rmul__, range(lo + 1, hi + 1)) for lo, hi in zip(ends, ends[1:])]
+    Each segment yields the blocks of the same segment of ``_grid_blocks``
+    as Python floats."""
+    return [chain.from_iterable(map(np.ndarray.tolist, blocks)) for blocks in _grid_blocks(t_end, dt, n_records)]
 
 
 # rows per HistoryBuffer.extend call where a runner pushes a grid with no
@@ -103,14 +108,17 @@ _PUSH_BLOCK = 4096
 
 
 def _grid_blocks(t_end: float, dt: float, n_records: int = 1) -> list[Iterator[np.ndarray]]:
-    """``time_grid``'s segments, each as a lazy iterator of arrays of up to
-    ``_PUSH_BLOCK`` times, for the runners that push without reading."""
+    """The record segments of ``time_grid``, with its checks, each as a lazy
+    iterator of arrays of up to ``_PUSH_BLOCK`` times."""
     ends = _record_ends(t_end, dt, n_records)
     return [_step_blocks(lo + 1, hi + 1, float(dt)) for lo, hi in zip(ends, ends[1:])]
 
 
 def _step_blocks(lo: int, hi: int, step: float) -> Iterator[np.ndarray]:
-    """The times i * step, lo <= i < hi, in arrays of up to ``_PUSH_BLOCK``."""
+    """The times i * step, lo <= i < hi, in arrays of up to ``_PUSH_BLOCK``:
+    the one expression for a step time.  numpy converts each index to float
+    and multiplies it as Python does, so each time has the bits of the
+    Python float i * step."""
     for i in range(lo, hi, _PUSH_BLOCK):
         yield np.arange(i, min(i + _PUSH_BLOCK, hi)) * step
 
@@ -170,18 +178,7 @@ def run_derivative_error(
         times, values = buf.times(), buf.values()
         for a, records in zip(orders, runs):
             value = newest_derivative(policy.history, times, values, a, dt)
-            exact = exact_derivative(t, a)
-            records.append(
-                SimulationRecord(
-                    t=t,
-                    value=value,
-                    analytic=exact,
-                    abs_error=abs(value - exact),
-                    stored_points=buf.count_stored(),
-                    conv_terms=buf.count_conv_terms(),
-                    wall_clock=elapsed,
-                )
-            )
+            records.append(_record(t, value, exact_derivative(t, a), buf, elapsed))
     return runs
 
 
@@ -254,18 +251,7 @@ def _run_simulation(
             if stored > peak:
                 peak = stored
         elapsed += time.perf_counter() - tic
-        got, want = value(), exact(t)
-        records.append(
-            SimulationRecord(
-                t=t,
-                value=got,
-                analytic=want,
-                abs_error=abs(got - want),
-                stored_points=stored,
-                conv_terms=buffer.count_conv_terms(),
-                wall_clock=elapsed,
-            )
-        )
+        records.append(_record(t, value(), exact(t), buffer, elapsed))
     summary = {
         "peak_stored": peak,
         "final_error": records[-1].abs_error,

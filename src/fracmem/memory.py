@@ -305,15 +305,17 @@ class HistoryBuffer:
         """``_maintain`` on the ``k`` newest stored times, one subset level
         at a time in numpy (``_levelwise.plan``), with the same layout and
         bits; returns False, having changed nothing, when a level fails its
-        check.  The plan is arena positions: the arrivals each level keeps
-        are read from the times arena, and the removed rows dropped by
-        their positions."""
+        check.  The removed rows are dropped by their positions first; the
+        arenas then hold U_L, ..., U_0 in order, so each level's kept
+        arrivals are read from the times arena as its newest rows."""
         subsets = self._subsets
         planned = plan(self._times[: self._n], [len(u) for u in subsets], k, self._T, self._fixed)
         if planned is None:
             return False
         changes, gone = planned
-        for l, (cut, arrived) in enumerate(changes):
+        self._drop_removed(gone)
+        hi = self._n
+        for l, (cut, size) in enumerate(changes):
             if l == len(subsets):
                 subsets.append(deque())
             ul = subsets[l]
@@ -322,8 +324,8 @@ class HistoryBuffer:
             else:
                 for _ in range(cut):
                     ul.popleft()
-            ul.extend(self._times[arrived].tolist())
-        self._drop_removed(gone)
+            ul.extend(self._times[hi - size + len(ul) : hi].tolist())
+            hi -= size
         return True
 
     def _drop_removed(self, idx: np.ndarray) -> None:
@@ -399,15 +401,19 @@ def gl_history(
     ``times[0]`` is the initial time, whose value the GL sum subtracts.  A
     stored point k carries the weight of its lag, rescaled by the grid steps
     its interval spans; the new point's interval is counted in whole steps,
-    and a ``t_n`` off the grid raises ``ValueError``.  The weights are read
-    from the lag-descending table of ``n + 1`` weights, n the grid steps
-    from ``times[0]`` to ``t_n``, by the stored points' grid indices counted
-    from ``times[0]``.  ``h`` is a float for
-    scalar (1-D) rows and an array for vector rows.
+    and a ``t_n`` off the grid raises ``ValueError``.  ``dt`` is checked by
+    ``check_positive``'s rule (``ValueError`` naming it, ``TypeError`` when
+    it is not a real number) after one chained comparison passes a positive,
+    finite Python float.  The weights are read from the lag-descending table
+    of ``n + 1`` weights, n the grid steps from ``times[0]`` to ``t_n``, by
+    the stored points' grid indices counted from ``times[0]``.  ``h`` is a
+    float for scalar (1-D) rows and an array for vector rows.
     """
     a = order_value(alpha)
     if not times[-1] < t_n < math.inf:
         raise ValueError(f"t_n={t_n} must be finite and after the last history time {times[-1]}")
+    if dt.__class__ is not float or not 0.0 < dt < math.inf:
+        check_positive("dt", dt)
     n = grid_steps(t_n, dt)
     if n is None:
         raise ValueError(f"t_n={t_n} does not sit on the uniform base grid of step dt={dt}")

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -145,7 +146,11 @@ class _ImplicitStepper:
         """Advance to time ``t_new``, finite and after ``t``; returns the new
         state as stored (the creep elongation, or the diffusion interior
         nodes).  A bad time (the history operator checks it), a failed solve
-        or a non-finite state raises, naming the time, and commits nothing."""
+        or a non-finite state raises, naming the time, and commits nothing.
+        A real time that is not a Python float, such as a numpy float, steps
+        as its float does, so the state and the pushes stay Python floats."""
+        if t_new.__class__ is not float and isinstance(t_new, numbers.Real):
+            t_new = float(t_new)
         cfg = self.config
         step_index = self._step_index + 1
         times = self.buffer.times()

@@ -44,6 +44,12 @@ class TestFixedBound:
         with pytest.raises(ValueError, match=re.escape(f"T must be positive and finite, got {T}")):
             fixed_memory_bound(1.0, 2.0, T, 0.5)
 
+    def test_rejects_a_negative_M(self):
+        # M = max |f'| is not negative; unchecked, M = -1 gives -0.467
+        with pytest.raises(ValueError, match=re.escape("M must be non-negative, got -1.0")):
+            fixed_memory_bound(-1.0, 2.0, 1.0, 0.5)
+        assert fixed_memory_bound(0.0, 2.0, 1.0, 0.5) == 0.0
+
     def test_rejects_window_longer_than_elapsed(self):
         with pytest.raises(ValueError):
             fixed_memory_bound(1.0, 1.0, 2.0, 0.5)
@@ -164,6 +170,14 @@ class TestAdaptiveBound:
             with pytest.raises(ValueError, match=message):
                 bound(M, dt, 10, 2, 0.5)
 
+    def test_rejects_a_negative_M(self):
+        # M = max |f''| is not negative; unchecked, M = -1 gives -0.0075
+        for bound in (adaptive_bound, adaptive_bound_terms):
+            with pytest.raises(ValueError, match=re.escape("M must be non-negative, got -1.0")):
+                bound(-1.0, 0.1, 10, 2, 0.5)
+        assert adaptive_bound(0.0, 0.1, 10, 2, 0.5) == 0.0
+        assert adaptive_bound_terms(0.0, 0.1, 10, 2, 0.5).tolist() == [0.0, 0.0, 0.0]
+
 
 class TestIntervalTerms:
     def test_positive_on_seeded_random_triples(self):
@@ -233,6 +247,17 @@ class TestOpCounts:
         got = op_count(PolicyKind.ADAPTIVE_PRESENT, m, L)
         assert type(got) is int
         assert got == exact
+
+    @pytest.mark.parametrize("m", [*range(1, 40), 10**6 + 7, 10**50 + 3])
+    def test_adaptive_count_closed_form_matches_the_level_sum(self, m):
+        # oracle: twice the count, m(m+1) + sum 2^(l-1) ((2l+1) m^2 + m),
+        # summed level by level in exact integers
+        twice = m * (m + 1)
+        for L in range(4097):
+            if L:
+                twice += 2 ** (L - 1) * ((2 * L + 1) * m * m + m)
+            if L < 70 or L in (1000, 4096):
+                assert op_count(PolicyKind.ADAPTIVE_PRESENT, m, L) == twice // 2
 
     @pytest.mark.parametrize("L", [62, 63, 70, 4096])
     @pytest.mark.parametrize("kind", [PolicyKind.FULL, PolicyKind.FIXED, PolicyKind.ADAPTIVE_PRESENT])

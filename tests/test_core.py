@@ -22,8 +22,9 @@ from fracmem.core import (
     order_value,
     weighted_rows,
 )
+from fracmem.analysis import a_func
 from fracmem.experiments import time_grid
-from fracmem.solvers import KelvinVoigtConfig
+from fracmem.solvers import DiffusionConfig, KelvinVoigtConfig
 
 
 def quad_weight(t_n, t_k, t_k1, alpha):
@@ -50,6 +51,27 @@ class TestValidation:
             got = order_value(given_alpha)
             assert type(got) is float
             assert got == float(given_alpha)
+
+    ORDER_CALLS = [
+        order_value,
+        lambda a: evaluate_caputo([0.0, 0.1, 0.2], [0.0, 1.0, 4.0], a),
+        lambda a: DiffusionConfig(length=1.0, dx=0.1, dt=0.01, mu=1.0, alpha=a, policy=MemoryPolicy.full()),
+        lambda a: a_func(10, a),
+    ]
+    ORDER_IDS = ["order_value", "evaluate_caputo", "diffusion", "a_func"]
+
+    @pytest.mark.parametrize("call", ORDER_CALLS, ids=ORDER_IDS)
+    @pytest.mark.parametrize("value", ["0.5", b"0.5", None, 0.5j], ids=["str", "bytes", "none", "complex"])
+    def test_order_that_is_not_a_real_number_is_named(self, call, value):
+        # float() would take the numeric string and bytes
+        with pytest.raises(TypeError, match=re.escape(f"fractional order must be a real number, got {value!r}")):
+            call(value)
+
+    @pytest.mark.parametrize("call", ORDER_CALLS, ids=ORDER_IDS)
+    def test_numpy_order_passes_as_its_float(self, call):
+        got, want = call(np.float64(0.5)), call(0.5)
+        if isinstance(want, float):
+            assert type(got) is float and got == want
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf, None])
     def test_check_positive_names_the_parameter(self, value):

@@ -128,16 +128,19 @@ def test_time_grid_cuts_the_same_times_at_any_record_count():
 @pytest.mark.parametrize("dt", [0.1, 0.01, 0.0025, 1 / 3, 7.0, np.float64(0.01), 1],
                          ids=["0.1", "0.01", "0.0025", "third", "7", "float64", "int"])
 def test_grid_blocks_have_the_bits_of_the_time_grid(dt):
-    # the blocks the pushing runners take are the segments' floats, bit for
-    # bit, cut at _PUSH_BLOCK steps and at every record step
-    t_end = (2 * _PUSH_BLOCK + 5) * dt
+    # the blocks the pushing runners take, and time_grid's floats, are
+    # Python's i * float(dt), bit for bit, cut at _PUSH_BLOCK steps and at
+    # every record step
+    n = 2 * _PUSH_BLOCK + 5
+    t_end = n * dt
+    want = np.array([i * float(dt) for i in range(1, n + 1)]).tobytes()
+    assert np.array(list(itertools.chain(*time_grid(t_end, dt)))).tobytes() == want
     for n_records in (1, 3, 64):
-        segments, blocks = time_grid(t_end, dt, n_records), _grid_blocks(t_end, dt, n_records)
-        assert len(blocks) == len(segments)
-        for segment, segment_blocks in zip(segments, blocks):
-            got = list(segment_blocks)
-            assert max(block.size for block in got) <= _PUSH_BLOCK
-            assert np.concatenate(got).tobytes() == np.array(list(segment)).tobytes()
+        blocks = [list(segment) for segment in _grid_blocks(t_end, dt, n_records)]
+        ends = itertools.accumulate(sum(block.size for block in segment) for segment in blocks)
+        assert list(ends) == record_steps(t_end, dt, n_records)
+        assert max(block.size for segment in blocks for block in segment) <= _PUSH_BLOCK
+        assert np.concatenate([block for segment in blocks for block in segment]).tobytes() == want
 
 
 def test_time_grid_steps_in_python_floats():

@@ -709,6 +709,27 @@ class TestEvaluateGL:
         for i in (3, 30, 3000):
             gl_history(times, values, i * 0.1, 0.5, 0.1)
 
+    @pytest.mark.parametrize("dt, error, message", [
+        (0.0, ValueError, "dt must be positive and finite, got 0.0"),
+        (-0.1, ValueError, "dt must be positive and finite, got -0.1"),
+        (math.inf, ValueError, "dt must be positive and finite, got inf"),
+        ("0.1", TypeError, "dt must be a real number, got '0.1'"),
+    ], ids=["zero", "negative", "inf", "str"])
+    def test_history_operator_checks_dt(self, dt, error, message):
+        # unchecked, 0 raises ZeroDivisionError, -0.1 an IndexError, and inf
+        # gives (0.0, 0.0)
+        times, values = np.array([0.0, 0.1, 0.2]), np.array([0.0, 1.0, 2.0])
+        for operator in (gl_history, MemoryPolicy.adaptive_gl(1.0).history):
+            with pytest.raises(error, match=re.escape(message)):
+                operator(times, values, 0.3, 0.5, dt)
+
+    def test_history_operator_takes_a_numpy_dt_as_its_float(self):
+        times = np.arange(6) * 0.1
+        for values in (np.sin(times), np.outer(times, [1.0, -2.0])):
+            got = gl_history(times, values, 0.6, 0.5, np.float64(0.1))
+            want = gl_history(times, values, 0.6, 0.5, 0.1)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
     @pytest.mark.parametrize("times, values, message", [
         ([0.0, 0.1, 0.1], [0.0, 1.0, 2.0], "strictly increasing"),
         ([0.0, 0.2, 0.1], [0.0, 1.0, 2.0], "strictly increasing"),

@@ -508,6 +508,27 @@ class TestStepTime:
                 assert sim.t == t
             assert list(sim.buffer.times())[-1] == 0.5
 
+    @pytest.mark.parametrize("policy", [
+        MemoryPolicy.full(),
+        MemoryPolicy.fixed(0.1),
+        MemoryPolicy.adaptive_present(0.1),
+        MemoryPolicy.adaptive_gl(0.1),
+    ], ids=["full", "fixed", "present", "gl"])
+    def test_numpy_float_times_step_as_python_floats(self, policy):
+        # numpy times would miss the buffer's fast path for Python floats
+        # and turn the time and the creep state into numpy floats
+        steps = np.arange(1, 40) * 0.01
+        for sim, twin in zip(self.make_sims(policy), self.make_sims(policy)):
+            for t, t_float in zip(steps, steps.tolist()):
+                sim.step(t)
+                twin.step(t_float)
+            assert sim.t.__class__ is float
+            assert sim.buffer.times().tobytes() == twin.buffer.times().tobytes()
+            assert sim.buffer.values().tobytes() == twin.buffer.values().tobytes()
+            with pytest.raises(TypeError):
+                sim.step("0.5")
+        assert sim.x.__class__ is float
+
     def test_gl_policy_rejects_a_time_off_its_grid(self):
         for sim in self.make_sims(MemoryPolicy.adaptive_gl(0.1)):
             sim.step(0.01)
