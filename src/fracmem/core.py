@@ -63,8 +63,9 @@ def check_positive(name: str, value: float) -> None:
 
 def check_count(name: str, value: int, least: int, most: int | None = None) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >=
-    ``least`` and, when ``most`` is given, <= ``most``."""
-    if not isinstance(value, (int, np.integer)):
+    ``least`` and, when ``most`` is given, <= ``most``; a bool is not a
+    count, though Python makes it an int."""
+    if not isinstance(value, (int, np.integer)) or value.__class__ is bool:
         raise ValueError(f"{name} must be an integer, got {value}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")

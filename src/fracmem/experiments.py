@@ -103,8 +103,12 @@ def time_grid(t_end: float, dt: float, n_records: int = 1) -> list[Iterator[floa
 
 
 # rows per HistoryBuffer.extend call where a runner pushes a grid with no
-# read in between; bounds the block arrays a run holds at once
-_PUSH_BLOCK = 4096
+# read in between; bounds the block arrays a run holds at once.  The
+# level-wise plan pays a fixed cost per subset level and block, and holds
+# ~100 B of temporaries per block row: on the derivative-push grid 8192 rows
+# run 21% faster than 4096 for +0.6 MB peak RSS, 16384 another 5% faster
+# for +0.8 MB more (BENCH_2026-10-20-pushblock.json)
+_PUSH_BLOCK = 8192
 
 
 def _grid_blocks(t_end: float, dt: float, n_records: int = 1) -> list[Iterator[np.ndarray]]:

@@ -116,8 +116,9 @@ _SHIFT_LIMIT = 16
 # blocks of at least this many rows are maintained one subset level at a
 # time, smaller ones by the loop over their times; on the derivative-push
 # grid the two break even at ~770 rows under the adaptive policies, with 13
-# subsets as with 20, ~550 under full memory and below 256 under the fixed
-# window (BENCH_2026-10-19-positions.json)
+# subsets as with 20, ~500 under full memory and below 256 under the fixed
+# window (BENCH_2026-10-19-positions.json, re-measured with the running
+# trigger count in BENCH_2026-10-20-pushblock.json)
 _LEVELWISE_MIN = 1024
 
 

@@ -130,8 +130,10 @@ class TestCoefficientSums:
         (lambda: adaptive_bound(1.0, 0.01, 10, -1, 0.5), "L must be >= 0, got -1"),
         (lambda: op_count("full", 10, 2.0), "L must be an integer, got 2.0"),
         (lambda: op_count("fixed", 0, 2), "m must be >= 1, got 0"),
+        (lambda: op_count(PolicyKind.FULL, True, False), "m must be an integer, got True"),
+        (lambda: op_count(PolicyKind.FULL, 10, False), "L must be an integer, got False"),
     ], ids=["b-m-fraction", "a-m-zero", "bracket-m-float", "bound-L-fraction", "bound-L-negative",
-            "op-L-float", "op-m-zero"])
+            "op-L-float", "op-m-zero", "op-m-bool", "op-L-bool"])
     def test_counts_are_whole_numbers_from_their_least(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()

@@ -103,7 +103,9 @@ class TestValidation:
         (2.0, 1, "n must be an integer, got 2.0"),
         (math.nan, 0, "n must be an integer, got nan"),
         ("3", 1, "n must be an integer, got 3"),
-    ], ids=["below-one", "below-zero", "fraction", "integral-float", "nan", "string"])
+        (True, 1, "n must be an integer, got True"),
+        (False, 0, "n must be an integer, got False"),
+    ], ids=["below-one", "below-zero", "fraction", "integral-float", "nan", "string", "true", "false"])
     def test_check_count_names_the_parameter(self, value, least, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             check_count("n", value, least)

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from fracmem import DiffusionConfig, HistoryBuffer, KelvinVoigtConfig, MemoryPolicy, PolicyKind
+from fracmem import DiffusionConfig, HistoryBuffer, KelvinVoigtConfig, MemoryPolicy, PolicyKind, experiments
 from fracmem.core import newest_derivative
 from fracmem.experiments import (
     _PUSH_BLOCK,
@@ -51,9 +51,10 @@ def test_alpha_sweep_matches_single_alpha_runs(policy):
     MemoryPolicy.adaptive_present(0.5),
 ], ids=["full", "fixed", "present"])
 def test_derivative_records_match_a_push_per_step_replay(policy):
-    # two records of 4500 steps: each segment holds one full block and a
-    # part block, so blocks end both inside a segment and on its record step
-    alphas, dt, n_steps = (0.3, 0.8), 0.01, 9000
+    # two records of 1.1 blocks each: each segment holds one full block and
+    # a part block, so blocks end both inside a segment and on its record step
+    alphas, dt = (0.3, 0.8), 0.01
+    n_steps = 2 * (_PUSH_BLOCK + _PUSH_BLOCK // 10)
     assert _PUSH_BLOCK < n_steps // 2 < 2 * _PUSH_BLOCK
     if policy.kind is PolicyKind.FIXED:
         f, exact = (lambda t: t), (lambda t, a: t ** (1.0 - a) / math.gamma(2.0 - a))
@@ -73,6 +74,25 @@ def test_derivative_records_match_a_push_per_step_replay(policy):
             ))
     got = run_derivative_error(policy, alphas, dt, n_steps * dt, n_records=2)
     assert [without_clock(records) for records in got] == want
+
+
+@pytest.mark.parametrize("policy", [
+    MemoryPolicy.full(),
+    MemoryPolicy.fixed(0.5),
+    MemoryPolicy.adaptive_present(0.5),
+    MemoryPolicy.adaptive_gl(0.5),
+], ids=["full", "fixed", "present", "gl"])
+def test_derivative_records_do_not_depend_on_the_push_block(policy, monkeypatch):
+    # the push block is a speed choice only: blocks of 1023 rows are
+    # maintained by the loop, of 4096 and the default level by level, with
+    # the same records; each segment holds a full default block
+    alphas, dt, n_steps = (0.3, 0.8), 0.01, 3 * (_PUSH_BLOCK + 1000)
+    got = {}
+    for block in (1023, 4096, _PUSH_BLOCK):
+        monkeypatch.setattr(experiments, "_PUSH_BLOCK", block)
+        runs = run_derivative_error(policy, alphas, dt, n_steps * dt, n_records=3)
+        got[block] = [without_clock(records) for records in runs]
+    assert got[1023] == got[4096] == got[_PUSH_BLOCK]
 
 
 @pytest.mark.parametrize("t_end, dt, steps", [(1.0, 0.01, 100), (0.3, 0.1, 3), (16.0, 0.0625, 256)])
@@ -219,7 +239,8 @@ def test_step_count_rejects_a_bad_step(dt):
     (0, "n_records must be >= 1, got 0"),
     (-3, "n_records must be >= 1, got -3"),
     (2.5, "n_records must be an integer, got 2.5"),
-], ids=["zero", "negative", "fraction"])
+    (True, "n_records must be an integer, got True"),
+], ids=["zero", "negative", "fraction", "bool"])
 def test_runs_reject_a_bad_record_count(n_records, message):
     policy = MemoryPolicy.adaptive_present(0.5)
     kv = KelvinVoigtConfig(eta=1.0, k=1.0, load=1.0, alpha=0.5, dt=0.01, policy=policy)

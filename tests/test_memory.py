@@ -572,9 +572,11 @@ class TestGLWeights:
     @pytest.mark.parametrize("jmax, message", [
         (-3, "jmax must be >= 0, got -3"),
         (2.7, "jmax must be an integer, got 2.7"),
-    ], ids=["negative", "fraction"])
+        (True, "jmax must be an integer, got True"),
+    ], ids=["negative", "fraction", "bool"])
     def test_rejects_a_bad_jmax(self, jmax, message):
-        # unchecked, -3 gives an empty array and 2.7 a TypeError from slicing
+        # unchecked, -3 gives an empty array, 2.7 a TypeError from slicing
+        # and True the two weights of jmax = 1
         with pytest.raises(ValueError, match=re.escape(message)):
             gl_weights(jmax, 0.5)
 
