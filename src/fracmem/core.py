@@ -33,44 +33,54 @@ __all__ = [
 
 def order_value(alpha: float) -> float:
     """Return the order as a float: ``TypeError`` when it is not a real
-    number (a numeric string or bytes included), ``ValueError`` unless it
-    lies in (0, 1).  A Python float skips the type check, since the history
-    operators call this every step."""
+    number (``real``'s rule), ``ValueError`` unless it lies in (0, 1).  A
+    Python float skips the type check, since the history operators call
+    this every step."""
     if alpha.__class__ is not float:
-        alpha = real_order(alpha)
+        alpha = real("fractional order", alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"fractional order must lie in (0, 1), got {alpha}")
     return alpha
 
 
-def real_order(alpha) -> float:
-    """``alpha`` as a float, or ``TypeError`` naming the order when it is not
-    a real number (a Python or numpy real scalar)."""
-    if not isinstance(alpha, numbers.Real):
-        raise TypeError(f"fractional order must be a real number, got {alpha!r}")
-    return float(alpha)
+def _is_real(value) -> bool:
+    # a Python or numpy real scalar; Python makes a bool an int, but a bool
+    # is no parameter value
+    return isinstance(value, numbers.Real) and value.__class__ is not bool
 
 
-def check_positive(name: str, value: float) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is positive and
-    finite, or ``TypeError`` naming it when ``value`` is neither ``None``
-    nor a real number (a Python or numpy real scalar)."""
-    if value is not None and not isinstance(value, numbers.Real):
+def real(name: str, value) -> float:
+    """``value`` as a float, or ``TypeError`` naming ``name`` when it is not
+    a real number: the one rule for a scalar parameter.  Python and numpy
+    real scalars pass; a bool, a string, bytes, a complex number, ``None``
+    and an array do not."""
+    if not _is_real(value):
         raise TypeError(f"{name} must be a real number, got {value!r}")
-    if value is None or not 0.0 < value < math.inf:
+    return float(value)
+
+
+def check_positive(name: str, value: float) -> float:
+    """Return ``value`` as a float (``real``, whose ``TypeError`` names
+    ``name``); raise ``ValueError`` naming ``name`` unless it is positive and
+    finite, ``None`` included."""
+    x = value if value is None else real(name, value)
+    if x is None or not 0.0 < x < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+    return x
 
 
-def check_count(name: str, value: int, least: int, most: int | None = None) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >=
-    ``least`` and, when ``most`` is given, <= ``most``; a bool is not a
-    count, though Python makes it an int."""
-    if not isinstance(value, (int, np.integer)) or value.__class__ is bool:
+def check_count(name: str, value: int, least: int, most: int | None = None) -> int:
+    """Return ``value`` as a Python int; raise ``ValueError`` naming ``name``
+    unless it is an integer that ``real``'s rule takes (so not a bool,
+    though Python makes it an int), >= ``least`` and, when ``most`` is
+    given, <= ``most``."""
+    if not (_is_real(value) and isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     if most is not None and value > most:
         raise ValueError(f"{name} must be <= {_shown(most)}, got {_shown(value)}")
+    return int(value)
 
 
 # relative, since the rounding of a decimal x / step grows with its size

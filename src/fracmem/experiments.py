@@ -27,7 +27,7 @@ from itertools import chain
 import numpy as np
 
 from .analysis import fit_loglog_slope, op_count
-from .core import check_count, check_positive, grid_steps, newest_derivative, order_value
+from .core import check_count, check_positive, grid_steps, newest_derivative, order_value, real
 from .memory import HistoryBuffer, MemoryPolicy, PolicyKind
 from .solvers import (
     DiffusionConfig,
@@ -80,17 +80,6 @@ def _record(t: float, value: float, analytic: float, buffer: HistoryBuffer, elap
     )
 
 
-def _record_ends(t_end: float, dt: float, n_records: int) -> list[int]:
-    """0 and the record steps of ``time_grid``, after its checks."""
-    check_positive("dt", dt)
-    n_total = grid_steps(t_end, dt)
-    if n_total is None or n_total < 1:
-        raise ValueError(f"t_end={t_end} is not a multiple of dt={dt}")
-    check_count("n_records", n_records, 1)
-    n = min(n_records, n_total)
-    return [-(-k * n_total // n) for k in range(n + 1)]
-
-
 def time_grid(t_end: float, dt: float, n_records: int = 1) -> list[Iterator[float]]:
     """The step times i * dt, i = 1..n, to ``t_end = n * dt``, as one lazy
     iterator per record step, each ending on its record step.  The record
@@ -112,10 +101,16 @@ _PUSH_BLOCK = 8192
 
 
 def _grid_blocks(t_end: float, dt: float, n_records: int = 1) -> list[Iterator[np.ndarray]]:
-    """The record segments of ``time_grid``, with its checks, each as a lazy
-    iterator of arrays of up to ``_PUSH_BLOCK`` times."""
-    ends = _record_ends(t_end, dt, n_records)
-    return [_step_blocks(lo + 1, hi + 1, float(dt)) for lo, hi in zip(ends, ends[1:])]
+    """The record segments of ``time_grid``, after its checks, each as a
+    lazy iterator of arrays of up to ``_PUSH_BLOCK`` times: segment k ends
+    on record step ceil(k n / n_records)."""
+    dt = check_positive("dt", dt)
+    n_total = grid_steps(real("t_end", t_end), dt)
+    if n_total is None or n_total < 1:
+        raise ValueError(f"t_end={t_end} is not a multiple of dt={dt}")
+    n = min(check_count("n_records", n_records, 1), n_total)
+    ends = [-(-k * n_total // n) for k in range(n + 1)]
+    return [_step_blocks(lo + 1, hi + 1, dt) for lo, hi in zip(ends, ends[1:])]
 
 
 def _step_blocks(lo: int, hi: int, step: float) -> Iterator[np.ndarray]:
@@ -168,12 +163,14 @@ def run_derivative_error(
     if not orders:
         raise ValueError("alphas must hold at least one order, got none")
     f, exact_derivative = _test_function(policy)
+    # the grid first: check_step compares dt, which it does not check
+    segments = _grid_blocks(t_end, dt, n_records)
     policy.check_step(dt)
     buf = HistoryBuffer(policy)
     buf.push(0.0, f(0.0))
     runs: list[list[SimulationRecord]] = [[] for _ in orders]
     elapsed = 0.0
-    for segment in _grid_blocks(t_end, dt, n_records):
+    for segment in segments:
         tic = time.perf_counter()
         for block in segment:
             buf.extend(block, f(block))

@@ -60,7 +60,8 @@ class PolicyKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MemoryPolicy:
-    """Buffer-maintenance policy; T is the memory length (unused for FULL)."""
+    """Buffer-maintenance policy; T is the memory length, positive and
+    finite, and ``None`` for FULL, which keeps every point."""
 
     kind: PolicyKind
     T: float | None = None
@@ -70,6 +71,8 @@ class MemoryPolicy:
             raise TypeError(f"policy kind must be a PolicyKind, got {self.kind!r}")
         if self.kind is not PolicyKind.FULL:
             check_positive("T", self.T)
+        elif self.T is not None:
+            raise ValueError(f"full memory keeps every point and takes no T, got T={self.T!r}")
 
     @classmethod
     def full(cls) -> "MemoryPolicy":
@@ -384,8 +387,7 @@ def gl_weights(jmax: int, alpha: float) -> np.ndarray:
     """Binomial GL weights (-1)^j * C(alpha, j) for lags j = 0..jmax, as a
     read-only view, in lag order, of the table cached per order (see
     ``_gl_table``)."""
-    check_count("jmax", jmax, 0)
-    return _gl_table(jmax, order_value(alpha))[::-1]
+    return _gl_table(check_count("jmax", jmax, 0), order_value(alpha))[::-1]
 
 
 def gl_history(
@@ -414,11 +416,11 @@ def gl_history(
     if not times[-1] < t_n < math.inf:
         raise ValueError(f"t_n={t_n} must be finite and after the last history time {times[-1]}")
     if dt.__class__ is not float or not 0.0 < dt < math.inf:
-        check_positive("dt", dt)
+        dt = check_positive("dt", dt)
     n = grid_steps(t_n, dt)
     if n is None:
         raise ValueError(f"t_n={t_n} does not sit on the uniform base grid of step dt={dt}")
-    scale = float(dt) ** (-a)
+    scale = dt ** (-a)
     idx = np.rint(times / dt).astype(int)
     gap = n - int(idx[-1])
     c = gap * scale
@@ -455,7 +457,7 @@ def evaluate_gl(
     ``times[0]`` is the initial time; ``dt`` must be positive and finite.
     This is ``gl_history`` on ``times[:-1]`` evaluated at ``t_n = times[-1]``.
     """
-    check_positive("dt", dt)
+    dt = check_positive("dt", dt)
     times, values = check_history(times, values)
     if any(grid_steps(t, dt) is None for t in times.tolist()):
         raise ValueError("history times do not sit on the uniform base grid")

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import importlib.util
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from importlib import machinery
 
 import numpy as np
 
-from .core import check_positive, grid_steps, order_value
+from .core import check_positive, grid_steps, order_value, real
 from .memory import HistoryBuffer, MemoryPolicy
 from .special import mittag_leffler
 
@@ -147,10 +146,11 @@ class _ImplicitStepper:
         state as stored (the creep elongation, or the diffusion interior
         nodes).  A bad time (the history operator checks it), a failed solve
         or a non-finite state raises, naming the time, and commits nothing.
-        A real time that is not a Python float, such as a numpy float, steps
-        as its float does, so the state and the pushes stay Python floats."""
-        if t_new.__class__ is not float and isinstance(t_new, numbers.Real):
-            t_new = float(t_new)
+        A time that is not a Python float passes ``core.real`` (a numpy float
+        steps as its float does, so the state and the pushes stay Python
+        floats; a bool or a string raises ``TypeError``)."""
+        if t_new.__class__ is not float:
+            t_new = real("t_new", t_new)
         cfg = self.config
         step_index = self._step_index + 1
         times = self.buffer.times()
@@ -215,15 +215,17 @@ class DiffusionConfig:
         return np.sin(np.pi * self.grid() / self.length)
 
 
-def _check_time(t: float) -> None:
+def _check_time(t: float) -> float:
+    t = real("t", t)
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be non-negative and finite, got {t}")
+    return t
 
 
 def analytic_diffusion(x: float | np.ndarray, t: float, config: DiffusionConfig):
     """Separable analytic solution sin(pi x / L) * E_a(-mu (pi/L)^2 t^a)."""
     a = order_value(config.alpha)
-    _check_time(t)
+    t = _check_time(t)
     rate = config.mu * (math.pi / config.length) ** 2
     amp = mittag_leffler(a, -rate * t**a) if t > 0.0 else 1.0
     return np.sin(np.pi * np.asarray(x) / config.length) * amp
@@ -297,7 +299,7 @@ class KelvinVoigtConfig:
 def analytic_creep(t: float, config: KelvinVoigtConfig) -> float:
     """Creep response f/k * [1 - E_a(-(t/tau)^a)]."""
     a = order_value(config.alpha)
-    _check_time(t)
+    t = _check_time(t)
     if t == 0.0:
         return 0.0
     z = -(t**a) / config.tau_alpha

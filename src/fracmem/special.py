@@ -52,6 +52,8 @@ import math
 import mpmath
 import numpy as np
 
+from .core import real
+
 __all__ = ["mittag_leffler"]
 
 # series is used while the index of its largest term stays below this
@@ -171,8 +173,9 @@ def _spectral(alpha: float, x: float) -> float:
 def mittag_leffler(alpha: float, z: float) -> float:
     """One-parameter Mittag-Leffler function E_alpha(z) for alpha in (0, 1]
     and finite real z: the real axis z <= 0, plus the small positive
-    arguments the series reaches."""
-    alpha, z = float(alpha), float(z)
+    arguments the series reaches.  ``alpha`` and ``z`` are real numbers
+    (``core.real``, whose ``TypeError`` names them)."""
+    alpha, z = real("alpha", alpha), real("z", z)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"Mittag-Leffler order must lie in (0, 1], got {alpha}")
     if not math.isfinite(z):

@@ -302,6 +302,17 @@ class TestSlopeFit:
         with pytest.raises(ValueError):
             fit_loglog_slope([(0.1, 1.0), (0.2, 0.0), (0.4, 2.0)])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("points", [
+        [(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)],
+        [(0.1, 1.0), (0.2, 2.0), (0.1, 3.0)],
+    ], ids=["all-equal", "one-repeat"])
+    def test_rejects_repeated_abscissae(self, points):
+        # unchecked, equal abscissae gave a meaningless slope (-0.1297 for
+        # the first) after numpy's RankWarning
+        with pytest.raises(ValueError, match="slope fit requires distinct abscissae"):
+            fit_loglog_slope(points)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("pair", [(0.2, math.nan), (0.2, math.inf), (math.nan, 1.5), (math.inf, 1.5)],
                              ids=["nan-error", "inf-error", "nan-step", "inf-step"])

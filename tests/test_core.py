@@ -1,9 +1,11 @@
 """Convolution weights and Caputo evaluation against independent oracles."""
 
+import ast
 import math
 import re
 from decimal import Decimal
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +24,21 @@ from fracmem.core import (
     order_value,
     weighted_rows,
 )
-from fracmem.analysis import a_func
-from fracmem.experiments import time_grid
-from fracmem.solvers import DiffusionConfig, KelvinVoigtConfig
+from fracmem import special
+from fracmem.analysis import a_func, adaptive_bound, fixed_memory_bound, interval_error_term, trapezoid_gap
+from fracmem.experiments import run_derivative_error, time_grid
+from fracmem.memory import gl_history
+from fracmem.solvers import (
+    DiffusionConfig,
+    KelvinVoigtConfig,
+    KelvinVoigtSimulation,
+    analytic_creep,
+    analytic_diffusion,
+)
+
+CREEP = KelvinVoigtConfig(eta=1.0, k=1.0, load=1.0, alpha=0.5, dt=0.125, policy=MemoryPolicy.full())
+DIFFUSION = DiffusionConfig(length=1.0, dx=0.25, dt=0.125, mu=1.0, alpha=0.5, policy=MemoryPolicy.full())
+GL_TIMES, GL_VALUES = np.array([0.0, 0.125, 0.25]), np.array([0.0, 1.0, 4.0])
 
 
 def quad_weight(t_n, t_k, t_k1, alpha):
@@ -95,6 +109,93 @@ class TestValidation:
     def test_parameter_that_is_not_a_real_number_is_named(self, name, call, value):
         with pytest.raises(TypeError, match=re.escape(f"{name} must be a real number, got {value!r}")):
             call(value)
+
+    # every door of core.real: its id, the parameter named and a call taking the value
+    REAL_DOORS = {
+        "order_value": ("fractional order", order_value),
+        "closed_order": ("fractional order", lambda v: a_func(10, v)),
+        "check_positive": ("width", lambda v: check_positive("width", v)),
+        "policy": ("T", MemoryPolicy.fixed),
+        "time_grid-dt": ("dt", lambda v: time_grid(3.0, v)),
+        "time_grid-t_end": ("t_end", lambda v: time_grid(v, 0.5)),
+        "gl_history": ("dt", lambda v: gl_history(GL_TIMES, GL_VALUES, 0.375, 0.5, v)),
+        "bound-M": ("M", lambda v: fixed_memory_bound(v, 2.0, 1.0, 0.5)),
+        "bound-t": ("t", lambda v: fixed_memory_bound(1.0, v, 1.0, 0.5)),
+        "bound-T": ("T", lambda v: fixed_memory_bound(1.0, 2.0, v, 0.5)),
+        "adaptive_bound": ("dt", lambda v: adaptive_bound(1.0, v, 4, 2, 0.5)),
+        "trapezoid-t_n": ("t_n", lambda v: trapezoid_gap(v, 0.0, 0.5, 0.5)),
+        "trapezoid-t_k": ("t_k", lambda v: trapezoid_gap(2.0, v, 0.5, 0.5)),
+        "interval-t_k1": ("t_k1", lambda v: interval_error_term(2.0, 0.0, v, 0.5)),
+        "ml-alpha": ("alpha", lambda v: special.mittag_leffler(v, -1.0)),
+        "ml-z": ("z", lambda v: special.mittag_leffler(0.5, v)),
+        "creep": ("t", lambda v: analytic_creep(v, CREEP)),
+        "diffusion": ("t", lambda v: analytic_diffusion(0.5, v, DIFFUSION)),
+        "step": ("t_new", lambda v: KelvinVoigtSimulation(CREEP).step(v)),
+        "derivative-dt": ("dt", lambda v: run_derivative_error(MemoryPolicy.fixed(1.0), [0.5], v, 1.0)),
+    }
+    REAL_DOOR_CASES = [pytest.param(*door, True, id=f"{key}-True") for key, door in REAL_DOORS.items()] + [
+        pytest.param(*REAL_DOORS["ml-alpha"], "0.5", id="ml-alpha-str"),
+        pytest.param(*REAL_DOORS["ml-z"], b"-1", id="ml-z-bytes"),
+        pytest.param(*REAL_DOORS["bound-M"], "1", id="bound-M-str"),
+        pytest.param(*REAL_DOORS["creep"], "1", id="creep-str"),
+        # a fixed window compared its T with the string dt before any check
+        pytest.param(*REAL_DOORS["derivative-dt"], "0.1", id="derivative-dt-str"),
+    ]
+
+    @pytest.mark.parametrize("name, call, value", REAL_DOOR_CASES)
+    def test_real_refuses_a_bool_or_a_string_and_names_the_parameter(self, name, call, value):
+        # a bool once passed as 0 or 1, and float() took numeric strings
+        with pytest.raises(TypeError, match=re.escape(f"{name} must be a real number, got {value!r}")):
+            call(value)
+
+    @pytest.mark.parametrize("call, args", [
+        (time_grid, (np.int64(3), np.float32(0.25), 4)),
+        (time_grid, (np.int64(2), np.float64(0.1), 3)),
+        (special.mittag_leffler, (np.float32(0.25), np.float64(-2.5))),
+        (special.mittag_leffler, (np.float64(0.7), np.float32(-0.5))),
+        (fixed_memory_bound, (np.float32(1.5), np.int64(3), np.float64(0.75), np.float32(0.3))),
+        (adaptive_bound, (np.float64(2.0), np.float32(0.125), np.int64(4), np.int64(3), np.float64(0.4))),
+        (trapezoid_gap, (np.float64(2.0), np.int64(0), np.float32(0.5), np.float64(0.5))),
+        (analytic_creep, (np.float32(0.75), CREEP)),
+        (lambda t, dt: gl_history(GL_TIMES, GL_VALUES, t, 0.5, dt), (0.375, np.float32(0.125))),
+        (lambda dt: evaluate_gl([0.0, 0.5, 1.0], [0.0, 1.0, 4.0], np.float32(0.5), dt), (np.float32(0.5),)),
+    ], ids=["time_grid-f32", "time_grid-f64", "ml-f32-order", "ml-f32-arg", "fixed-bound", "adaptive-bound",
+            "trapezoid", "creep", "gl_history-dt", "evaluate_gl"])
+    def test_numpy_scalars_pass_real_as_their_floats(self, call, args):
+        def bits(result):
+            if isinstance(result, list):
+                return [bits(part) for part in result]
+            if isinstance(result, tuple):
+                return tuple(bits(part) for part in result)
+            if hasattr(result, "__next__"):
+                return [bits(t) for t in result]
+            assert type(result) is float
+            return np.float64(result).tobytes()
+
+        # each numpy scalar as the equal Python int or float
+        plain = [arg.item() if isinstance(arg, np.generic) else arg for arg in args]
+        assert bits(call(*args)) == bits(call(*plain))
+
+    @pytest.mark.parametrize("call", [
+        order_value, lambda v: check_positive("width", v), MemoryPolicy.fixed,
+        lambda v: special.mittag_leffler(v, -1.0), lambda v: time_grid(v, 0.5),
+    ], ids=["order_value", "check_positive", "policy", "mittag_leffler", "time_grid"])
+    def test_real_refuses_a_numpy_bool(self, call):
+        with pytest.raises(TypeError, match=re.escape("must be a real number, got np.True_")):
+            call(np.True_)
+
+    def test_the_real_number_rule_has_one_home(self):
+        # core.real decides what a real number is; a module that imports
+        # numbers would be deciding it again
+        src = Path(special.__file__).parent
+        importers = sorted(
+            path.name
+            for path in src.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "numbers"
+        )
+        assert importers == ["core.py"]
 
     @pytest.mark.parametrize("value, least, message", [
         (0, 1, "n must be >= 1, got 0"),

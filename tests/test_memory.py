@@ -59,6 +59,14 @@ class TestPolicyConstruction:
     def test_full_requires_no_length(self):
         assert MemoryPolicy.full().T is None
 
+    @pytest.mark.parametrize("T", [5.0, 0.5, "x", math.nan, -1.0])
+    def test_full_memory_takes_no_length(self, T):
+        # a kept T was ignored: a full buffer with T = 0.5 stored every push,
+        # and the policy compared unequal to MemoryPolicy.full()
+        with pytest.raises(ValueError, match=re.escape(f"full memory keeps every point and takes no T, got T={T!r}")):
+            MemoryPolicy(PolicyKind.FULL, T)
+        assert MemoryPolicy(PolicyKind.FULL, None) == MemoryPolicy.full()
+
     @pytest.mark.parametrize("maker", ["fixed", "adaptive_present", "adaptive_gl"])
     def test_truncating_policies_require_positive_length(self, maker):
         with pytest.raises(ValueError):
