@@ -25,7 +25,6 @@ __all__ = [
     "adaptive_bound_terms",
     "b_approx_bracket",
     "op_count",
-    "trapezoid_gap",
     "interval_error_term",
     "fit_loglog_slope",
 ]
@@ -156,20 +155,11 @@ def _check_interval(t_n: float, t_k: float, t_k1: float) -> tuple[float, float, 
     return t_n - t_k, t_n - t_k1, t_k1 - t_k
 
 
-def trapezoid_gap(t_n: float, t_k: float, t_k1: float, alpha) -> float:
-    """Exact trapezoid-rule error for the kernel antiderivative
-    (t_n - tau)^(1-a) over [t_k, t_k1]; positive for every admissible
-    interval since the integrand is concave there."""
-    a = order_value(alpha)
-    left, right, h = _check_interval(t_n, t_k, t_k1)
-    exact = (left ** (2.0 - a) - right ** (2.0 - a)) / (2.0 - a)
-    trap = 0.5 * (left ** (1.0 - a) + right ** (1.0 - a)) * h
-    return exact - trap
-
-
 def interval_error_term(t_n: float, t_k: float, t_k1: float, alpha) -> float:
-    """Per-interval summand of the adaptive error bound; equals
-    2 * (2 - a) * trapezoid_gap and is non-negative."""
+    """Per-interval summand of the adaptive error bound: 2 * (2 - a) times
+    the exact trapezoid-rule error of (t_n - tau)^(1-a) over [t_k, t_k1],
+    positive for every admissible interval since that integrand is concave
+    there."""
     a = order_value(alpha)
     left, right, h = _check_interval(t_n, t_k, t_k1)
     return left ** (1.0 - a) * (2.0 * right + h * a) - right ** (1.0 - a) * (

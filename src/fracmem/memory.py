@@ -70,7 +70,8 @@ class MemoryPolicy:
         if not isinstance(self.kind, PolicyKind):
             raise TypeError(f"policy kind must be a PolicyKind, got {self.kind!r}")
         if self.kind is not PolicyKind.FULL:
-            check_positive("T", self.T)
+            # the checked Python float is stored: a numpy scalar acts as its float
+            object.__setattr__(self, "T", check_positive("T", self.T))
         elif self.T is not None:
             raise ValueError(f"full memory keeps every point and takes no T, got T={self.T!r}")
 

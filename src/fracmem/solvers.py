@@ -40,7 +40,7 @@ import numpy as np
 
 from .core import check_positive, grid_steps, order_value, real
 from .memory import HistoryBuffer, MemoryPolicy
-from .special import mittag_leffler
+from .special import _mpmath, mittag_leffler
 
 __all__ = [
     "DiffusionConfig",
@@ -125,6 +125,15 @@ def _lapack_dptsv():
     return flapack.dptsv
 
 
+def _store_checked(config, positive: tuple[str, ...]) -> None:
+    """Check a frozen problem config's order and ``positive`` parameters and
+    store them as the Python floats the checks return, so that a numpy
+    scalar steps as its float does."""
+    object.__setattr__(config, "alpha", order_value(config.alpha))
+    for name in positive:
+        object.__setattr__(config, name, check_positive(name, getattr(config, name)))
+
+
 class _ImplicitStepper:
     """The implicit step both problems share.  A subclass passes its initial
     state and supplies ``_solve(c, h, dt_n)``: the new state from the history
@@ -176,7 +185,11 @@ class _ImplicitStepper:
 @dataclass(frozen=True)
 class DiffusionConfig:
     """Sub-diffusion problem setup: half-sine initial condition, zero
-    Dirichlet boundaries, diffusivity in units of distance^2 / time^alpha."""
+    Dirichlet boundaries, diffusivity in units of distance^2 / time^alpha.
+    The order and the positive parameters are stored as the Python floats
+    their checks return.  Building one loads LAPACK ``dptsv`` and mpmath,
+    the reference's series arithmetic, so that both loads belong to
+    set-up."""
 
     length: float
     dx: float
@@ -186,9 +199,7 @@ class DiffusionConfig:
     policy: MemoryPolicy
 
     def __post_init__(self) -> None:
-        order_value(self.alpha)
-        for name in ("length", "dx", "dt", "mu"):
-            check_positive(name, getattr(self, name))
+        _store_checked(self, ("length", "dx", "dt", "mu"))
         self.policy.check_step(self.dt)
         if grid_steps(self.length, self.dx) is None:
             raise ValueError(f"domain length {self.length} must be a multiple of dx={self.dx}")
@@ -201,8 +212,10 @@ class DiffusionConfig:
                 f"domain length {self.length} with dx={self.dx} is an odd number of "
                 "intervals, so no node sits at the midpoint the benchmark records"
             )
-        # the solver's import belongs to set-up, not to the first step
+        # the imports of the solver and of the reference's series belong to
+        # set-up, not to the run
         _lapack_dptsv()
+        _mpmath()
 
     @property
     def n_nodes(self) -> int:
@@ -275,7 +288,10 @@ class DiffusionSimulation(_ImplicitStepper):
 
 @dataclass(frozen=True)
 class KelvinVoigtConfig:
-    """Fractional Kelvin-Voigt creep under a constant load, x(0) = 0."""
+    """Fractional Kelvin-Voigt creep under a constant load, x(0) = 0.  The
+    order and the positive parameters are stored as the Python floats their
+    checks return.  Building one loads mpmath, the reference's series
+    arithmetic, so that the load belongs to set-up."""
 
     eta: float
     k: float
@@ -285,10 +301,10 @@ class KelvinVoigtConfig:
     policy: MemoryPolicy
 
     def __post_init__(self) -> None:
-        order_value(self.alpha)
-        for name in ("eta", "k", "load", "dt"):
-            check_positive(name, getattr(self, name))
+        _store_checked(self, ("eta", "k", "load", "dt"))
         self.policy.check_step(self.dt)
+        # the reference's series import belongs to set-up, not to the run
+        _mpmath()
 
     @property
     def tau_alpha(self) -> float:

@@ -14,7 +14,11 @@ Two evaluation routes:
   is the error estimate;
 
 * the defining power series, summed in adaptive-precision arithmetic so that
-  the cancellation of its terms on the negative axis is harmless.
+  the cancellation of its terms on the negative axis is harmless.  That
+  arithmetic is mpmath's, imported by ``_mpmath()`` when a value is first
+  summed, or earlier when a ``DiffusionConfig`` or ``KelvinVoigtConfig`` is
+  built, so that the import belongs to a solver run's set-up; ``import
+  fracmem`` and the runs without a reference never load it.
 
 Route rule:
 
@@ -49,7 +53,6 @@ from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
 
 from .core import real
@@ -94,7 +97,17 @@ def _series_is_long(alpha: float, x: float) -> bool:
     return k * math.log(x) - math.lgamma(alpha * k + 1.0) > math.log(1e-20)
 
 
+def _mpmath():
+    """mpmath, imported on first use: only the series needs it, so a run
+    that evaluates no Mittag-Leffler value never loads it.  The solver
+    configs call this at set-up, as their references will sum the series."""
+    import mpmath
+
+    return mpmath
+
+
 def _series(alpha: float, z: float) -> float:
+    mpmath = _mpmath()
     # working precision sized to the largest intermediate term
     peak = _series_peak(alpha, abs(z))
     k_star = max(int(peak), 1)

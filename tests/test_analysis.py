@@ -22,11 +22,23 @@ from fracmem import (
 from fracmem.analysis import (
     MAX_LEVEL,
     MAX_M,
+    _check_interval,
     adaptive_bound_terms,
     interval_error_term,
-    trapezoid_gap,
 )
+from fracmem.core import order_value
 from fracmem.memory import PolicyKind
+
+
+def trapezoid_gap(t_n, t_k, t_k1, alpha):
+    """Oracle of ``interval_error_term``: the exact trapezoid-rule error of
+    the kernel antiderivative (t_n - tau)^(1-a) over [t_k, t_k1], an
+    interval checked as the library checks it."""
+    a = order_value(alpha)
+    left, right, h = _check_interval(t_n, t_k, t_k1)
+    exact = (left ** (2.0 - a) - right ** (2.0 - a)) / (2.0 - a)
+    trap = 0.5 * (left ** (1.0 - a) + right ** (1.0 - a)) * h
+    return exact - trap
 
 
 class TestFixedBound:

@@ -511,8 +511,58 @@ print(json.dumps([loaded, dptsv is solvers._lapack_dptsv(),
         assert rows == [list(dataclasses.astuple(r)[:-1]) for r in records]
 
 
+LOADED_MPMATH = "sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath')"
+
+
+class TestMpmathImports:
+    def test_runs_without_a_reference_load_no_mpmath(self, tmp_path):
+        code = f"""
+import json, sys
+import fracmem
+from fracmem.cli import main
+imported = {LOADED_MPMATH}
+runs = (["derivative-error", "--t-end", "1"],
+        ["order-study", "--dt", "0.1,0.05,0.025", "--t-end", "1"], ["cost-model"])
+assert [main([*run, "--out", sys.argv[1]]) for run in runs] == [0, 0, 0]
+print(json.dumps([imported, {LOADED_MPMATH}]))
+"""
+        assert run_python(code, str(tmp_path / "o.csv")) == [[], []]
+
+    @pytest.mark.parametrize("experiment", ["diffusion", "kelvin-voigt"])
+    def test_solver_runs_load_mpmath_at_set_up(self, tmp_path, experiment):
+        code = f"""
+import json, sys
+from fracmem.cli import ExperimentConfig, run_experiment
+before = {LOADED_MPMATH}
+config = ExperimentConfig(experiment={experiment!r}, t_end=1.0, out=sys.argv[1])
+built = {LOADED_MPMATH}
+run_experiment(config)
+print(json.dumps([before, built, {LOADED_MPMATH}]))
+"""
+        before, built, after = run_python(code, str(tmp_path / "o.csv"))
+        assert before == []
+        assert "mpmath" in built
+        # the run itself, references included, imports no further mpmath module
+        assert after == built
+
+    def test_series_loads_mpmath_on_demand(self):
+        # both arguments take the series route: -1 <= z < 0, and alpha > 0.999
+        args = [(0.5, -0.5), (0.9995, -2.0)]
+        code = f"""
+import json, sys
+from fracmem import mittag_leffler
+before = {LOADED_MPMATH}
+values = [mittag_leffler(a, z).hex() for a, z in {args!r}]
+print(json.dumps([before, "mpmath" in sys.modules, values]))
+"""
+        before, loaded, values = run_python(code)
+        assert before == []
+        assert loaded
+        assert values == [fracmem.mittag_leffler(a, z).hex() for a, z in args]
+
+
 class TestDeterminism:
-    ARGS = ["kelvin-voigt", "--policy", "adaptive-present", "--alpha", "0.5",
+    ARGS =["kelvin-voigt", "--policy", "adaptive-present", "--alpha", "0.5",
             "--dt", "0.01", "--t-end", "2", "--n-records", "8"]
 
     def run_once(self, path):

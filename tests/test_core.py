@@ -25,7 +25,7 @@ from fracmem.core import (
     weighted_rows,
 )
 from fracmem import special
-from fracmem.analysis import a_func, adaptive_bound, fixed_memory_bound, interval_error_term, trapezoid_gap
+from fracmem.analysis import a_func, adaptive_bound, fixed_memory_bound, interval_error_term
 from fracmem.experiments import run_derivative_error, time_grid
 from fracmem.memory import gl_history
 from fracmem.solvers import (
@@ -123,8 +123,8 @@ class TestValidation:
         "bound-t": ("t", lambda v: fixed_memory_bound(1.0, v, 1.0, 0.5)),
         "bound-T": ("T", lambda v: fixed_memory_bound(1.0, 2.0, v, 0.5)),
         "adaptive_bound": ("dt", lambda v: adaptive_bound(1.0, v, 4, 2, 0.5)),
-        "trapezoid-t_n": ("t_n", lambda v: trapezoid_gap(v, 0.0, 0.5, 0.5)),
-        "trapezoid-t_k": ("t_k", lambda v: trapezoid_gap(2.0, v, 0.5, 0.5)),
+        "interval-t_n": ("t_n", lambda v: interval_error_term(v, 0.0, 0.5, 0.5)),
+        "interval-t_k": ("t_k", lambda v: interval_error_term(2.0, v, 0.5, 0.5)),
         "interval-t_k1": ("t_k1", lambda v: interval_error_term(2.0, 0.0, v, 0.5)),
         "ml-alpha": ("alpha", lambda v: special.mittag_leffler(v, -1.0)),
         "ml-z": ("z", lambda v: special.mittag_leffler(0.5, v)),
@@ -155,12 +155,12 @@ class TestValidation:
         (special.mittag_leffler, (np.float64(0.7), np.float32(-0.5))),
         (fixed_memory_bound, (np.float32(1.5), np.int64(3), np.float64(0.75), np.float32(0.3))),
         (adaptive_bound, (np.float64(2.0), np.float32(0.125), np.int64(4), np.int64(3), np.float64(0.4))),
-        (trapezoid_gap, (np.float64(2.0), np.int64(0), np.float32(0.5), np.float64(0.5))),
+        (interval_error_term, (np.float64(2.0), np.int64(0), np.float32(0.5), np.float64(0.5))),
         (analytic_creep, (np.float32(0.75), CREEP)),
         (lambda t, dt: gl_history(GL_TIMES, GL_VALUES, t, 0.5, dt), (0.375, np.float32(0.125))),
         (lambda dt: evaluate_gl([0.0, 0.5, 1.0], [0.0, 1.0, 4.0], np.float32(0.5), dt), (np.float32(0.5),)),
     ], ids=["time_grid-f32", "time_grid-f64", "ml-f32-order", "ml-f32-arg", "fixed-bound", "adaptive-bound",
-            "trapezoid", "creep", "gl_history-dt", "evaluate_gl"])
+            "interval", "creep", "gl_history-dt", "evaluate_gl"])
     def test_numpy_scalars_pass_real_as_their_floats(self, call, args):
         def bits(result):
             if isinstance(result, list):

@@ -555,6 +555,32 @@ class TestParameterChecks:
         with pytest.raises(ValueError, match=re.escape(f"{field} must be positive and finite, got {bad}")):
             KelvinVoigtConfig(**kwargs)
 
+    def test_numpy_scalar_parameters_step_as_their_floats(self):
+        # the configs and the policy store their checked Python floats; a
+        # float32 load once made the creep state an np.float32 (0.2002861
+        # after 5 steps) and a float32 mu ran the diffusion solve in float32
+        def creep(cast):
+            config = KelvinVoigtConfig(
+                eta=cast(np.float32(1.5)), k=cast(np.int64(2)), load=cast(np.float32(1.0)),
+                alpha=cast(np.float32(0.7)), dt=cast(np.float32(0.01)),
+                policy=MemoryPolicy.adaptive_present(cast(np.float32(0.05))))
+            return config, KelvinVoigtSimulation(config)
+
+        def diffusion(cast):
+            config = DiffusionConfig(length=2.0, dx=0.25, dt=0.01, mu=cast(np.float32(1.1)),
+                                     alpha=0.5, policy=MemoryPolicy.full())
+            return config, DiffusionSimulation(config)
+
+        for make, names in ((creep, ("eta", "k", "load", "alpha", "dt")),
+                            (diffusion, ("length", "dx", "dt", "mu", "alpha"))):
+            (config, sim), (_, twin) = make(lambda v: v), make(float)
+            assert [getattr(config, name).__class__ for name in names] == [float] * len(names)
+            for i in range(1, 6):
+                state, twin_state = sim.step(i * 0.01), twin.step(i * 0.01)
+                assert state.__class__ is twin_state.__class__
+                assert np.asarray(state, float).tobytes() == np.asarray(twin_state, float).tobytes()
+        assert creep(lambda v: v)[0].policy.T.__class__ is float
+
     @pytest.mark.parametrize("t", [-1.0, -math.inf, math.nan, math.inf])
     def test_analytic_solutions_reject_a_bad_time(self, t):
         diffusion = DiffusionConfig(length=10.0, dx=0.1, dt=0.01, mu=1.0, alpha=0.5,
