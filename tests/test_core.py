@@ -123,8 +123,8 @@ class TestValidation:
         "bound-t": ("t", lambda v: fixed_memory_bound(1.0, v, 1.0, 0.5)),
         "bound-T": ("T", lambda v: fixed_memory_bound(1.0, 2.0, v, 0.5)),
         "adaptive_bound": ("dt", lambda v: adaptive_bound(1.0, v, 4, 2, 0.5)),
-        "interval-t_n": ("t_n", lambda v: interval_error_term(v, 0.0, 0.5, 0.5)),
-        "interval-t_k": ("t_k", lambda v: interval_error_term(2.0, v, 0.5, 0.5)),
+        "trapezoid-t_n": ("t_n", lambda v: interval_error_term(v, 0.0, 0.5, 0.5)),
+        "trapezoid-t_k": ("t_k", lambda v: interval_error_term(2.0, v, 0.5, 0.5)),
         "interval-t_k1": ("t_k1", lambda v: interval_error_term(2.0, 0.0, v, 0.5)),
         "ml-alpha": ("alpha", lambda v: special.mittag_leffler(v, -1.0)),
         "ml-z": ("z", lambda v: special.mittag_leffler(0.5, v)),
