@@ -2,20 +2,37 @@
 Grunwald-Letnikov (GL) history operator.
 
 The buffer keeps time points grouped into subsets U_0..U_L, newest subset
-first, as ``HistoryBuffer.subsets()`` returns them.  One maintenance rule
-serves every policy: after every push U_0 spans at most the memory length
-T, on any grid, and what leaves it cascades into coarser subsets, U_l
-spanning at most 2^(l-1) * T on a uniform grid.  Full memory is a window
-that never closes (T infinite), the fixed window drops what leaves it, and
-the adaptive policies cascade.  Interval comparisons are strict: a span
-exactly equal to the threshold does not trigger maintenance.
+first, as ``HistoryBuffer.subsets()`` returns them: the nested-memory layout
+of Ford & Simpson (Numer. Algorithms 26 (2001) 333-346).  One maintenance
+rule serves every policy.  After each pushed time t, with the tolerance
+tol = 1e-12 * max(|t|, T), while U_0 spans more than T + tol its oldest
+point moves into U_1.  Each move cascades: a U_l that then spans more than
+2^(l-1) * T + tol moves its oldest point into U_(l+1) and removes its
+second-oldest, and a point that leaves the last subset opens a new one.  So
+after every push U_0 spans at most the memory length T, on any grid, and
+U_l at most 2^(l-1) * T on a uniform grid.  Full memory is a window that
+never closes (T infinite), the fixed window has no U_1 and drops what leaves
+U_0, and the adaptive policies cascade.  Interval comparisons are strict: a
+span exactly equal to the threshold does not trigger maintenance.
+
+The rule has two codings with the same layout and bits.
+``HistoryBuffer._maintain`` runs it per time, for a push or a block of
+fewer than ``_LEVELWISE_MIN`` rows.  ``HistoryBuffer._maintain_levelwise``
+runs it on a longer block one subset level at a time in numpy.  There U_0
+is a sliding window: after arrival q its oldest point is the running max
+over arrivals of the first point p with ``not s[q] - s[p] > T + tol_q``.
+That predicate is monotone in p, so ``searchsorted`` and a fix-up by one
+step either way find it.  What leaves U_0 arrives at U_1, each point with
+the tolerance of the push that moved it, and each coarser level takes its
+arrivals in pairs (``_level_triggers``).  The tolerance, and so a coarser
+level's rule, need not be monotone in q, so every level's schedule is
+checked against the rule at every arrival before anything changes; on
+adversarial grids (clusters a few ulps apart, then far pushes) a check can
+fail, and the loop maintains the block.
 
 ``HistoryBuffer`` copies each block of rows, a push being a block of one,
 into array arenas once and drops the rows that maintenance removed before
-the call returns, so between calls the arenas hold only stored rows.  A
-block of ``_LEVELWISE_MIN`` rows or more is maintained one subset level at a
-time in numpy (``fracmem._levelwise``), by the same rule and with the same
-bits as the loop over the times of a push or a smaller block.  Reads
+the call returns, so between calls the arenas hold only stored rows.  Reads
 are slices of one read-only view of each arena, made when the arena is
 bound; they change nothing and stay valid until the next push or extend,
 and only a read that runs alongside a push is unsafe.
@@ -37,7 +54,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._levelwise import plan
 from .core import check_count, check_history, check_positive, check_samples, grid_steps
 from .core import l1_history, newest_derivative, order_value, weighted_rows
 
@@ -136,7 +152,7 @@ class HistoryBuffer:
     drops the rows of the times it removed before it returns, so between
     calls the arenas hold exactly the stored rows.  The loop finds the
     rows of its removed times with one ``searchsorted``; the level-wise
-    plan hands over their positions.  A few removed rows (up to
+    path tracks their positions.  A few removed rows (up to
     ``_SHIFT_LIMIT``, as after one push) are dropped by moving each run of
     kept rows after them left once; more (a long block) by one boolean
     compaction.  A block that does not fit doubles the arenas, or grows
@@ -146,7 +162,9 @@ class HistoryBuffer:
       pushes would, with one slice copy per arena; a write-heavy caller
       with no reads between its pushes saves the fixed cost of one call per
       row.  A block of ``_LEVELWISE_MIN`` rows or more is maintained level
-      by level (``_maintain_levelwise``), with the same layout and bits.
+      by level (``_maintain_levelwise``), with the same layout and bits:
+      its tolerances come from ``_tolerance``, the loop's expression over
+      an array of times.
       ``push`` is a one-row ``extend``.
     - Rows are copied at push.  A push or block that ``core.check_samples``
       or the stored rows' shape rejects raises and stores nothing.
@@ -261,15 +279,8 @@ class HistoryBuffer:
 
     def _maintain(self, times) -> None:
         """Add the newly stored ``times``, oldest first, to U_0 and run the
-        maintenance rule after each, then drop the rows of the times it
-        removed.
-
-        While U_0 spans more than T its oldest point moves into U_1; each
-        move cascades, a U_l that then spans more than 2^(l-1) * T moving
-        its oldest point into U_(l+1) and removing its second-oldest.  A
-        point that leaves the last subset opens a new one, but the fixed
-        window has no U_1 and drops it; full memory never moves a point.
-        """
+        maintenance rule (see the module docstring) after each, then drop
+        the rows of the times it removed."""
         subsets = self._subsets
         u0 = subsets[0]
         T = self._T
@@ -279,7 +290,8 @@ class HistoryBuffer:
             # the tolerance guards against rounding in t = i * dt shaving a
             # point off a span whose nominal length is a threshold; it scales
             # with max(T, |t|), where the rounding noise lives, spelled out
-            # as the max and abs calls would cost more than what they guard
+            # as the max and abs calls would cost more than what they guard;
+            # _tolerance is the same expression over an array of times
             a = t if t >= 0.0 else -t
             tol = 1e-12 * (a if a > T else T)
             limit = T + tol
@@ -308,16 +320,77 @@ class HistoryBuffer:
 
     def _maintain_levelwise(self, k: int) -> bool:
         """``_maintain`` on the ``k`` newest stored times, one subset level
-        at a time in numpy (``_levelwise.plan``), with the same layout and
-        bits; returns False, having changed nothing, when a level fails its
-        check.  The removed rows are dropped by their positions first; the
-        arenas then hold U_L, ..., U_0 in order, so each level's kept
-        arrivals are read from the times arena as its newest rows."""
+        at a time in numpy, with the same layout and bits; returns False,
+        having changed nothing, when a level fails its check.
+
+        The plan reads the times arena, which holds U_L, ..., U_0, each
+        oldest first, then the block.  For each level from U_0 on that the
+        block reaches it finds ``(cut, size)``, how many of its stored
+        points leave it and its size after the block, and the arena
+        positions of the removed points, in no order.  Only once every
+        level has passed its check are the removed rows dropped by their
+        positions; the arenas then again hold U_L, ..., U_0 in order, so
+        each level's kept arrivals are read from the times arena as its
+        newest rows.
+        """
+        stored = self._times[: self._n]
         subsets = self._subsets
-        planned = plan(self._times[: self._n], [len(u) for u in subsets], k, self._T, self._fixed)
-        if planned is None:
+        T = self._T
+        n = stored.size
+        m = len(subsets[0])
+        end = n - k - m
+        # s is U_0's points then the block, in place
+        s = stored[end:]
+        block = stored[n - k :]
+        limit = _tolerance(block, T)
+        limit += T
+        gap = block - limit
+
+        def moves(at):
+            # whether each arrival moves the point s[at] out of U_0
+            np.subtract(block, s.take(at, out=gap), out=gap)
+            return gap > limit
+
+        # start[i]: the first point of s that arrival m + i keeps in U_0
+        start = s.searchsorted(gap)
+        np.add(start, 1, out=start, where=moves(start))
+        np.subtract(start, 1, out=start, where=(start > 0) & ~moves(start - 1))
+        if moves(start).any() or not ((start == 0) | moves(start - 1)).all():
             return False
-        changes, gone = planned
+        del gap, limit
+        np.maximum.accumulate(start, out=start)
+        cut = int(start[-1])
+        changes = [(min(cut, m), m + k - cut)]
+        # at: the positions of the points that leave U_0
+        at = np.arange(end, end + cut)
+        if self._fixed:
+            gone = at
+        else:
+            removed = []
+            # each moved point with the tolerance of the push that moved it
+            tol = _tolerance(np.repeat(block, np.ediff1d(start, to_begin=start[:1])), T)
+            del start
+            threshold = T
+            l = 1
+            while at.size:
+                m = len(subsets[l]) if l < len(subsets) else 0
+                end -= m
+                # a trigger reads s[2j], and j is less than the arrivals
+                head = min(m, 2 * at.size)
+                at = np.concatenate((np.arange(end, end + head), at))
+                s = stored[at]
+                jumps = _level_triggers(s, head, tol, threshold)
+                if jumps is None:
+                    return False
+                cut = 2 * jumps.size
+                changes.append((min(cut, m), m + at.size - head - cut))
+                # a copy, so that each level's at is freed after the next
+                removed.append(at[1:cut:2].copy())
+                at, tol = at[:cut:2], tol[jumps - head]
+                threshold *= 2.0
+                l += 1
+            # at is empty now; it keeps the concatenation defined when nothing moved
+            gone = np.concatenate((*removed, at))
         self._drop_removed(gone)
         hi = self._n
         for l, (cut, size) in enumerate(changes):
@@ -356,6 +429,56 @@ class HistoryBuffer:
             times[lo:m] = times[lo:n][keep]
             values[lo:m] = values[lo:n][keep]
         self._n = m
+
+
+def _tolerance(t: np.ndarray, T: float) -> np.ndarray:
+    """``1e-12 * max(|t|, T)``, the loop's tolerance at each push time."""
+    tol = np.abs(t)
+    np.maximum(tol, T, out=tol)
+    tol *= 1e-12
+    return tol
+
+
+def _level_triggers(s: np.ndarray, m: int, tol: np.ndarray, threshold: float) -> np.ndarray | None:
+    """The arrivals that trigger a coarser level, as indices into ``s``: its
+    ``m`` first stored points then its arrivals, each arrival s[m + i] with
+    the tolerance ``tol[i]``; None when the schedule fails its check.
+
+    Trigger j, at the first arrival q after trigger j - 1 with
+    s[q] - s[2j] > threshold + tol, moves s[2j] and removes s[2j + 1].
+    Where that rule is monotone in q, q_j = j + max(m, max_{i<=j} (F(2i) - i)),
+    F(p) being the first arrival with s[q] - (threshold + tol) > s[p], which
+    ``searchsorted`` finds in the running max of the left side.  The left
+    side is at most s[q], so F(p) > p and q_j > 2j.  The schedule is then
+    checked against the rule at every arrival.
+    """
+    n = s.size
+    limit = tol + threshold
+    key = s[m:] - limit
+    np.maximum.accumulate(key, out=key)
+    f = key.searchsorted(s[::2], "right")
+    del key
+    i = np.arange(f.size)
+    f -= i
+    np.maximum.accumulate(f, out=f)
+    np.maximum(f, 0, out=f)
+    f += i
+    f += m
+    jumps = f[: f.searchsorted(n)]
+    # the check: arrival q triggers iff s[q] - s[2j] > limit, j counting
+    # the triggers before it (a running sum; np.cumsum, the same sum, costs
+    # ~1 us more a call)
+    fired = np.zeros(n - m, dtype=bool)
+    fired[jumps - m] = True
+    oldest = np.add.accumulate(fired, dtype=np.intp)
+    oldest -= fired
+    oldest *= 2
+    span = s[oldest]
+    del oldest
+    np.subtract(s[m:], span, out=span)
+    if ((span > limit) != fired).any():
+        return None
+    return jumps
 
 
 # -- Grunwald-Letnikov weights ------------------------------------------------

@@ -128,10 +128,12 @@ def _lapack_dptsv():
 def _store_checked(config, positive: tuple[str, ...]) -> None:
     """Check a frozen problem config's order and ``positive`` parameters and
     store them as the Python floats the checks return, so that a numpy
-    scalar steps as its float does."""
+    scalar steps as its float does; then check its step against its memory
+    policy."""
     object.__setattr__(config, "alpha", order_value(config.alpha))
     for name in positive:
         object.__setattr__(config, name, check_positive(name, getattr(config, name)))
+    config.policy.check_step(config.dt)
 
 
 class _ImplicitStepper:
@@ -143,7 +145,6 @@ class _ImplicitStepper:
 
     def __init__(self, config, state):
         self.config = config
-        self.alpha = order_value(config.alpha)
         self.buffer = HistoryBuffer(config.policy)
         self.t = 0.0
         self._step_index = 0
@@ -163,7 +164,7 @@ class _ImplicitStepper:
         cfg = self.config
         step_index = self._step_index + 1
         times = self.buffer.times()
-        c, h = cfg.policy.history(times, self.buffer.values(), t_new, self.alpha, cfg.dt)
+        c, h = cfg.policy.history(times, self.buffer.values(), t_new, cfg.alpha, cfg.dt)
         try:
             # a Python float interval, read from the buffer, not from self.t,
             # which a push straight into the buffer would leave behind
@@ -200,7 +201,6 @@ class DiffusionConfig:
 
     def __post_init__(self) -> None:
         _store_checked(self, ("length", "dx", "dt", "mu"))
-        self.policy.check_step(self.dt)
         if grid_steps(self.length, self.dx) is None:
             raise ValueError(f"domain length {self.length} must be a multiple of dx={self.dx}")
         if self.n_nodes < 3:
@@ -237,10 +237,9 @@ def _check_time(t: float) -> float:
 
 def analytic_diffusion(x: float | np.ndarray, t: float, config: DiffusionConfig):
     """Separable analytic solution sin(pi x / L) * E_a(-mu (pi/L)^2 t^a)."""
-    a = order_value(config.alpha)
     t = _check_time(t)
     rate = config.mu * (math.pi / config.length) ** 2
-    amp = mittag_leffler(a, -rate * t**a) if t > 0.0 else 1.0
+    amp = mittag_leffler(config.alpha, -rate * t**config.alpha) if t > 0.0 else 1.0
     return np.sin(np.pi * np.asarray(x) / config.length) * amp
 
 
@@ -302,7 +301,6 @@ class KelvinVoigtConfig:
 
     def __post_init__(self) -> None:
         _store_checked(self, ("eta", "k", "load", "dt"))
-        self.policy.check_step(self.dt)
         # the reference's series import belongs to set-up, not to the run
         _mpmath()
 
@@ -314,12 +312,11 @@ class KelvinVoigtConfig:
 
 def analytic_creep(t: float, config: KelvinVoigtConfig) -> float:
     """Creep response f/k * [1 - E_a(-(t/tau)^a)]."""
-    a = order_value(config.alpha)
     t = _check_time(t)
     if t == 0.0:
         return 0.0
-    z = -(t**a) / config.tau_alpha
-    return config.load / config.k * (1.0 - mittag_leffler(a, z))
+    z = -(t**config.alpha) / config.tau_alpha
+    return config.load / config.k * (1.0 - mittag_leffler(config.alpha, z))
 
 
 class KelvinVoigtSimulation(_ImplicitStepper):

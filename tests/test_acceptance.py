@@ -6,6 +6,7 @@ simulations are shared through session-scoped fixtures.
 """
 
 import math
+import resource
 import time
 
 import numpy as np
@@ -417,7 +418,11 @@ def test_property_suite_and_cost_linearity():
     # beyond cache capacity so every probe is memory-bound alike
     sizes = np.arange(500_000, 4_500_000, 500_000)
     timings = []
+    # minor page faults per size, read outside the timed calls: a size that
+    # falls off the line after fresh-page faults shows it in the report
+    faults = []
     for n_pts in sizes:
+        minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         ts = np.linspace(0.0, 1.0, n_pts)
         vals = ts**2
         best = math.inf
@@ -425,6 +430,7 @@ def test_property_suite_and_cost_linearity():
             tic = time.perf_counter()
             evaluate_caputo(ts, vals, 0.5)
             best = min(best, time.perf_counter() - tic)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
         timings.append(best)
     r2 = _linear_fit_r2(sizes.astype(float), np.asarray(timings))
     linear = r2 >= 0.95
@@ -433,6 +439,7 @@ def test_property_suite_and_cost_linearity():
         linear,
         f"telescoping {tele:.1e}, affine {affine:.1e}, positivity {positive}, "
         f"sup-norm {sup_ok}, ML oracles {ml_err:.1e}/{ml_exp:.1e}, "
-        f"thomas {thomas_err:.1e}, cost R^2 {r2:.4f}",
+        f"thomas {thomas_err:.1e}, cost R^2 {r2:.4f}, best ms "
+        f"{' '.join(f'{1e3 * t:.2f}' for t in timings)}, minor faults {' '.join(map(str, faults))}",
     )
     assert linear

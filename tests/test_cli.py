@@ -545,6 +545,28 @@ print(json.dumps([before, built, {LOADED_MPMATH}]))
         # the run itself, references included, imports no further mpmath module
         assert after == built
 
+    def test_rejected_config_loads_nothing(self):
+        # one config per kind of check, each failing before the set-up loads
+        code = f"""
+import json, sys
+from fracmem.memory import MemoryPolicy
+from fracmem.solvers import DiffusionConfig, KelvinVoigtConfig
+diffusion = dict(length=10.0, dx=0.1, dt=0.01, mu=1.0, alpha=0.5, policy=MemoryPolicy.full())
+creep = dict(eta=1.0, k=1.0, load=1.0, alpha=0.5, dt=0.01, policy=MemoryPolicy.full())
+cases = [(DiffusionConfig, dict(diffusion, alpha=1.5)), (DiffusionConfig, dict(diffusion, dx=0.3)),
+         (DiffusionConfig, dict(diffusion, policy=MemoryPolicy.fixed(0.005))),
+         (KelvinVoigtConfig, dict(creep, load=0))]
+raised = []
+for cls, kwargs in cases:
+    try:
+        cls(**kwargs)
+        raised.append(None)
+    except ValueError as exc:
+        raised.append(type(exc).__name__)
+print(json.dumps([raised, {LOADED_MPMATH}, "scipy.linalg._flapack" in sys.modules]))
+"""
+        assert run_python(code) == [["ValueError"] * 4, [], False]
+
     def test_series_loads_mpmath_on_demand(self):
         # both arguments take the series route: -1 <= z < 0, and alpha > 0.999
         args = [(0.5, -0.5), (0.9995, -2.0)]
