@@ -7,7 +7,12 @@ Usage:
 Experiments: derivative-error, order-study, diffusion, kelvin-voigt,
 cost-model.  Each setting is one ``ExperimentConfig`` field carrying its
 default, parser and help line; its name is the config-file and CSV header
-key, and dashed it is the flag (``t_end``, ``--t-end``).  Exit codes: 0
+key, and dashed it is the flag (``t_end``, ``--t-end``).  The CSV header
+echoes the six shared settings (experiment, policy, alpha, dt,
+memory_length, t_end) and then the settings the experiment reads: length,
+dx and mu for diffusion, eta, k and load for kelvin-voigt, m and levels for
+cost-model, none for the two derivative studies.  ``ExperimentConfig.mu``
+holds the resolved diffusivity, by default (length/pi)^2.  Exit codes: 0
 success, 2 configuration error, 1 runtime error.  Identical configurations
 produce identical CSV bytes apart from the wall-clock column.
 """
@@ -37,7 +42,19 @@ from .solvers import DiffusionConfig, KelvinVoigtConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "emit_csv", "run_experiment", "main"]
 
-EXPERIMENTS = ("derivative-error", "order-study", "diffusion", "kelvin-voigt", "cost-model")
+# the settings the CSV header echoes for every run, then, per experiment, the
+# settings it reads besides them, in header order; an experiment with a
+# problem config builds it from the order, the step, the policy and these
+_SHARED = ("experiment", "policy", "alpha", "dt", "memory_length", "t_end")
+_READS = {
+    "derivative-error": (),
+    "order-study": (),
+    "diffusion": ("length", "dx", "mu"),
+    "kelvin-voigt": ("eta", "k", "load"),
+    "cost-model": ("m", "levels"),
+}
+_PROBLEMS = {"diffusion": DiffusionConfig, "kelvin-voigt": KelvinVoigtConfig}
+EXPERIMENTS = tuple(_READS)
 
 _POLICY_NAMES = {k.value: k for k in PolicyKind}
 
@@ -63,9 +80,11 @@ def _setting(default, parse, help: str):
 class ExperimentConfig:
     """Fully resolved run configuration (file values overridden by flags).
 
-    ``solver`` is derived, not a setting: the run's ``DiffusionConfig`` or
-    ``KelvinVoigtConfig`` (None for the other experiments), built here so
-    that its checks are configuration errors too.
+    ``mu`` left at None resolves to (length/pi)^2, which puts the slowest
+    diffusion mode's decay rate at 1.  ``solver`` is derived, not a setting:
+    the run's ``DiffusionConfig`` or ``KelvinVoigtConfig`` (None for the
+    other experiments), built here so that its checks are configuration
+    errors too.
     """
 
     experiment: str
@@ -100,10 +119,15 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must hold at least one value")
         try:
             # time_grid checks each dt and n_records
-            for name in ("memory_length", "t_end", "length", "dx", "mu", "eta", "k", "load"):
+            for name in _FLOATS:
                 value = getattr(self, name)
                 if value is not None:
                     check_positive(name, value)
+            if self.mu is None:
+                try:
+                    object.__setattr__(self, "mu", (self.length / math.pi) ** 2)
+                except OverflowError:
+                    raise ValueError(f"length={self.length} is too large for the default mu") from None
             if self.experiment == "order-study":
                 check_sweep(self.alpha, self.dt)
             else:
@@ -120,18 +144,11 @@ class ExperimentConfig:
             for dt in self.dt:
                 time_grid(self.t_end, dt, self.n_records)
                 policy.check_step(dt)
-            if self.experiment == "diffusion":
-                solver = DiffusionConfig(
-                    length=self.length, dx=self.dx, dt=self.dt[0], mu=self.resolved_mu(),
-                    alpha=self.alpha[0], policy=policy,
-                )
-            elif self.experiment == "kelvin-voigt":
-                solver = KelvinVoigtConfig(
-                    eta=self.eta, k=self.k, load=self.load, alpha=self.alpha[0],
-                    dt=self.dt[0], policy=policy,
-                )
-            else:
-                solver = None
+            problem = _PROBLEMS.get(self.experiment)
+            solver = None if problem is None else problem(
+                alpha=self.alpha[0], dt=self.dt[0], policy=policy,
+                **{name: getattr(self, name) for name in _READS[self.experiment]},
+            )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "solver", solver)
@@ -141,29 +158,15 @@ class ExperimentConfig:
         return MemoryPolicy(kind, None if kind is PolicyKind.FULL else self.memory_length)
 
     def as_header(self) -> dict:
-        out = {
-            "experiment": self.experiment,
-            "policy": self.policy,
-            "alpha": ",".join(_fmt(a) for a in self.alpha),
-            "dt": ",".join(_fmt(d) for d in self.dt),
-            "memory_length": _fmt(self.memory_length),
-            "t_end": _fmt(self.t_end),
-        }
-        if self.experiment == "diffusion":
-            out.update(length=_fmt(self.length), dx=_fmt(self.dx), mu=_fmt(self.resolved_mu()))
-        if self.experiment == "kelvin-voigt":
-            out.update(eta=_fmt(self.eta), k=_fmt(self.k), load=_fmt(self.load))
-        if self.experiment == "cost-model":
-            out.update(m=str(self.m), levels=",".join(str(l) for l in self.levels))
-        return out
-
-    def resolved_mu(self) -> float:
-        return (self.length / math.pi) ** 2 if self.mu is None else self.mu
+        """The shared settings and those the experiment reads, formatted."""
+        return {name: _fmt(getattr(self, name)) for name in _SHARED + _READS[self.experiment]}
 
 
 def _fmt(x) -> str:
     if isinstance(x, str):
         return x
+    if isinstance(x, (tuple, list)):
+        return ",".join(_fmt(v) for v in x)
     if isinstance(x, int):
         return str(x)
     return f"{float(x):.17g}"
@@ -173,20 +176,11 @@ def emit_csv(records, path, config: dict | None = None) -> None:
     """Write records with a config-echo comment header; 17 significant
     digits, LF newlines.  The file is written in one shot so a failed run
     leaves no partial CSV."""
-    if records and isinstance(records[0], SimulationRecord):
-        fieldnames = SimulationRecord.FIELDS
-        rows = [[_fmt(getattr(r, name)) for name in fieldnames] for r in records]
-    elif records:
-        fieldnames = tuple(records[0].keys())
-        rows = [[_fmt(row[k]) for k in fieldnames] for row in records]
-    else:
-        fieldnames = SimulationRecord.FIELDS
-        rows = []
-    lines = []
-    for key, value in (config or {}).items():
-        lines.append(f"# {key}={value}")
+    rows = [getattr(r, "__dict__", r) for r in records]  # a record's fields or a dict row
+    fieldnames = tuple(rows[0]) if rows else SimulationRecord.FIELDS
+    lines = [f"# {key}={value}" for key, value in (config or {}).items()]
     lines.append(",".join(fieldnames))
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(",".join(_fmt(row[k]) for k in fieldnames) for row in rows)
     text = "\n".join(lines) + "\n"
     try:
         Path(path).write_text(text, newline="\n")
@@ -233,6 +227,8 @@ def _parse_config_file(path: str) -> dict:
 
 
 _SETTINGS = {f.name: f for f in fields(ExperimentConfig) if f.metadata}
+# checked positive and finite in ``ExperimentConfig.__post_init__``
+_FLOATS = tuple(name for name, f in _SETTINGS.items() if f.metadata["parse"] is float)
 
 
 def _build_parser() -> argparse.ArgumentParser:

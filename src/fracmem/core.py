@@ -244,16 +244,22 @@ def l1_history(
         return c, 0.0 if values.ndim == 1 else np.zeros(values.shape[1:])
     # one power per stored point: the weight of [t_k, t_(k+1)] is
     # (p_k - p_(k+1)) / (1-a); coeff_k is that weight over the interval,
-    # computed in place inside z, which pads it with a zero at each end
-    p = (t_n - times) ** (1.0 - a)
+    # computed in place inside z, which pads it with a zero at each end.
+    # ``**=`` keeps numpy's square-root path at a = 0.5, which a power with
+    # ``out=`` would not; once the weights are formed, p's first entries
+    # hold the interval lengths and then the scalar differences
+    p = t_n - times
+    p **= 1.0 - a
     z = np.zeros(times.size + 1)
     coeff = z[1:-1]
     np.subtract(p[:-1], p[1:], out=coeff)
     coeff /= 1.0 - a
-    coeff /= times[1:] - times[:-1]
+    work = p[:-1]
+    coeff /= np.subtract(times[1:], times[:-1], out=work)
     if values.ndim == 1:
         # this order of operations is what the frozen creep output repeats
-        return c, float(weighted_rows(coeff, values[1:] - values[:-1])) / gamma
+        diffs = np.subtract(values[1:], values[:-1], out=work)
+        return c, float(weighted_rows(coeff, diffs)) / gamma
     # summation by parts, sum_j coeff_j (v_(j+1) - v_j) = g @ v with
     # g = (-coeff_0, coeff_0 - coeff_1, ..., coeff_last), the differences of
     # z: a matvec on the (possibly strided) rows, with no history-sized

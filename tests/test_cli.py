@@ -81,7 +81,7 @@ class TestConfig:
         cfg = ExperimentConfig(experiment="diffusion", length=10.0)
         import math
 
-        assert cfg.resolved_mu() == pytest.approx((10.0 / math.pi) ** 2)
+        assert cfg.mu == pytest.approx((10.0 / math.pi) ** 2)
 
     def test_config_file_parsing(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -203,6 +203,14 @@ class TestMainExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"configuration error: {name} must be positive and finite" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_length_whose_default_mu_overflows_is_two(self, tmp_path, capsys):
+        # (length/pi)^2 overflows a float: the default has no value to echo
+        rc = main(["diffusion", "--length", "1e200", "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error: length=1e+200 is too large for the default mu" in err
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("experiment", ["derivative-error", "kelvin-voigt"])
@@ -621,6 +629,32 @@ class TestDeterminism:
         wall = f1.index("wall_clock")
         assert (c1, f1) == (c2, f2)
         assert [row[:wall] for row in r1] == [row[:wall] for row in r2]
+
+
+RUN_COLUMNS = "t,value,analytic,abs_error,stored_points,conv_terms,wall_clock"
+
+
+class TestHeader:
+    # the six shared settings, then those the experiment reads, then the columns
+    @pytest.mark.parametrize("args, alpha, dt, read, columns", [
+        (["derivative-error"], "0.5", "0.01", [], RUN_COLUMNS),
+        (["order-study", "--alpha", "0.3,0.7", "--dt", "0.1,0.05,0.025"],
+         "0.29999999999999999,0.69999999999999996",
+         "0.10000000000000001,0.050000000000000003,0.025000000000000001", [], RUN_COLUMNS),
+        (["diffusion"], "0.5", "0.01",
+         ["length=10", "dx=0.10000000000000001", "mu=10.132118364233779"], RUN_COLUMNS),
+        (["kelvin-voigt", "--eta", "2", "--load", "0.3"], "0.5", "0.01",
+         ["eta=2", "k=1", "load=0.29999999999999999"], RUN_COLUMNS),
+        (["cost-model", "--m", "4", "--levels", "1,5"], "0.5", "0.01",
+         ["m=4", "levels=1,5"], "policy,m,L,op_count"),
+    ], ids=["derivative-error", "order-study", "diffusion", "kelvin-voigt", "cost-model"])
+    def test_header_lines_are_pinned(self, tmp_path, args, alpha, dt, read, columns):
+        out = tmp_path / "o.csv"
+        assert main([*args, "--t-end", "1", "--out", str(out)]) == 0
+        echoed = [f"experiment={args[0]}", "policy=adaptive-present", f"alpha={alpha}",
+                  f"dt={dt}", "memory_length=1", "t_end=1", *read]
+        lines = out.read_text().splitlines()
+        assert lines[:len(echoed) + 1] == [*("# " + line for line in echoed), columns]
 
 
 class TestGoldenFile:
