@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import check_count, check_positive, order_value, real
+from .core import check_count, check_finite, check_nonnegative, check_positive, order_value, real
 from .memory import PolicyKind
 
 __all__ = [
@@ -30,27 +30,12 @@ __all__ = [
 ]
 
 
-def _check_finite(name: str, value: float) -> float:
-    value = real(name, value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
-
-
-def _check_max(M: float) -> float:
-    # M is a maximum of |f'| or |f''|, so a bound from a negative M is no bound
-    M = _check_finite("M", M)
-    if M < 0.0:
-        raise ValueError(f"M must be non-negative, got {M}")
-    return M
-
-
 def fixed_memory_bound(M: float, t: float, T: float, alpha) -> float:
     """Truncation-error bound of the fixed memory method:
     M / Gamma(2-a) * (t^(1-a) - T^(1-a)), with M = max |f'| on [0, t]."""
     a = order_value(alpha)
-    M, t = _check_max(M), _check_finite("t", t)
-    T = check_positive("T", _check_finite("T", T))
+    # M is a maximum of |f'| or |f''|, so a bound from a negative M is no bound
+    M, t, T = check_nonnegative("M", M), check_finite("t", t), check_positive("T", T)
     if T > t:
         raise ValueError(f"memory length T={T} exceeds elapsed time t={t}")
     return M / math.gamma(2.0 - a) * (t ** (1.0 - a) - T ** (1.0 - a))
@@ -64,34 +49,38 @@ def _closed_order(alpha: float) -> float:
     return a
 
 
-def _ab_sum(base: np.ndarray, alpha: float) -> float:
-    # sum of x^(1-a){2(x-1)+a} - (x-1)^(1-a){2x-a} over the given bases,
-    # with the 0^(1-a) -> 0 convention so the alpha=1 identities hold
-    x = base.astype(float)
-    y = x - 1.0
-    xa = x ** (1.0 - alpha)
-    ya = np.where(y == 0.0, 0.0, y ** (1.0 - alpha))
-    return float(np.sum(xa * (2.0 * y + alpha) - ya * (2.0 * x - alpha)))
+def _interval_terms(left, right, h, a: float):
+    # left^(1-a) (2 right + h a) - right^(1-a) (2 left - h a) for intervals
+    # of length h at lags left > right >= 0 from t_n, with the
+    # 0^(1-a) -> 0 convention so the alpha=1 identities hold
+    right_a = np.where(right == 0.0, 0.0, right ** (1.0 - a))
+    return left ** (1.0 - a) * (2.0 * right + h * a) - right_a * (2.0 * left - h * a)
+
+
+def _unit_interval_sum(lags: np.ndarray, alpha: float) -> float:
+    # the terms summed over the unit intervals [x - 1, x] at the given lags x
+    x = lags.astype(float)
+    return float(np.sum(_interval_terms(x, x - 1.0, 1.0, alpha)))
 
 
 def a_func(m: int, alpha: float) -> float:
     """Coefficient sum of the U_0 contribution to the adaptive bound.
     Defined for alpha in [0, 1]; A(m, 0) = 0 and A(m, 1) = 1."""
     m = check_count("m", m, 1)
-    return _ab_sum(m - np.arange(m), _closed_order(alpha))
+    return _unit_interval_sum(m - np.arange(m), _closed_order(alpha))
 
 
 def b_func(m: int, alpha: float) -> float:
     """Coefficient sum of the per-subset U_l contribution to the adaptive
     bound.  Defined for alpha in [0, 1]; B(m, 0) = 0 and B(m, 1) = 0."""
     m = check_count("m", m, 1)
-    return _ab_sum(2 * m - np.arange(m), _closed_order(alpha))
+    return _unit_interval_sum(2 * m - np.arange(m), _closed_order(alpha))
 
 
 def adaptive_bound_terms(M: float, dt: float, m: int, L: int, alpha) -> np.ndarray:
     """Per-subset contributions [U_0, U_1, .., U_L] to the adaptive bound."""
     a = order_value(alpha)
-    M, dt, L = _check_max(M), check_positive("dt", dt), check_count("L", L, 0)
+    M, dt, L = check_nonnegative("M", M), check_positive("dt", dt), check_count("L", L, 0)
     pref = M / (2.0 * math.gamma(3.0 - a))
     terms = [pref * dt ** (2.0 - a) * a_func(m, a)]
     if L > 0:
@@ -161,10 +150,7 @@ def interval_error_term(t_n: float, t_k: float, t_k1: float, alpha) -> float:
     positive for every admissible interval since that integrand is concave
     there."""
     a = order_value(alpha)
-    left, right, h = _check_interval(t_n, t_k, t_k1)
-    return left ** (1.0 - a) * (2.0 * right + h * a) - right ** (1.0 - a) * (
-        2.0 * left - h * a
-    )
+    return float(_interval_terms(*_check_interval(t_n, t_k, t_k1), a))
 
 
 def fit_loglog_slope(points) -> float:

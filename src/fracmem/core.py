@@ -69,6 +69,24 @@ def check_positive(name: str, value: float) -> float:
     return x
 
 
+def check_finite(name: str, value: float) -> float:
+    """Return ``value`` as a float (``real``, whose ``TypeError`` names
+    ``name``); raise ``ValueError`` naming ``name`` unless it is finite."""
+    x = real(name, value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
+def check_nonnegative(name: str, value: float) -> float:
+    """``check_finite``, and ``ValueError`` naming ``name`` below 0 (-0.0
+    passes)."""
+    x = check_finite(name, value)
+    if x < 0.0:
+        raise ValueError(f"{name} must be non-negative, got {x}")
+    return x
+
+
 def check_count(name: str, value: int, least: int, most: int | None = None) -> int:
     """Return ``value`` as a Python int; raise ``ValueError`` naming ``name``
     unless it is an integer that ``real``'s rule takes (so not a bool,

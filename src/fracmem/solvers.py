@@ -38,7 +38,7 @@ from importlib import machinery
 
 import numpy as np
 
-from .core import check_positive, grid_steps, order_value, real
+from .core import _shown, check_nonnegative, check_positive, grid_steps, order_value, real
 from .memory import HistoryBuffer, MemoryPolicy
 from .special import _mpmath, mittag_leffler
 
@@ -183,6 +183,11 @@ class _ImplicitStepper:
         return state
 
 
+# the most float64 entries one numpy array can hold: its size in bytes must
+# fit an intp
+_MAX_NODES = np.iinfo(np.intp).max // 8
+
+
 @dataclass(frozen=True)
 class DiffusionConfig:
     """Sub-diffusion problem setup: half-sine initial condition, zero
@@ -203,6 +208,11 @@ class DiffusionConfig:
         _store_checked(self, ("length", "dx", "dt", "mu"))
         if grid_steps(self.length, self.dx) is None:
             raise ValueError(f"domain length {self.length} must be a multiple of dx={self.dx}")
+        if self.n_nodes > _MAX_NODES:
+            raise ValueError(
+                f"domain length {self.length} with dx={self.dx} makes {_shown(self.n_nodes)} "
+                f"nodes, more than a float64 array can hold ({_MAX_NODES})"
+            )
         if self.n_nodes < 3:
             raise ValueError(
                 f"domain length {self.length} with dx={self.dx} leaves no interior node"
@@ -228,16 +238,9 @@ class DiffusionConfig:
         return np.sin(np.pi * self.grid() / self.length)
 
 
-def _check_time(t: float) -> float:
-    t = real("t", t)
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be non-negative and finite, got {t}")
-    return t
-
-
 def analytic_diffusion(x: float | np.ndarray, t: float, config: DiffusionConfig):
     """Separable analytic solution sin(pi x / L) * E_a(-mu (pi/L)^2 t^a)."""
-    t = _check_time(t)
+    t = check_nonnegative("t", t)
     rate = config.mu * (math.pi / config.length) ** 2
     amp = mittag_leffler(config.alpha, -rate * t**config.alpha) if t > 0.0 else 1.0
     return np.sin(np.pi * np.asarray(x) / config.length) * amp
@@ -312,7 +315,7 @@ class KelvinVoigtConfig:
 
 def analytic_creep(t: float, config: KelvinVoigtConfig) -> float:
     """Creep response f/k * [1 - E_a(-(t/tau)^a)]."""
-    t = _check_time(t)
+    t = check_nonnegative("t", t)
     if t == 0.0:
         return 0.0
     z = -(t**config.alpha) / config.tau_alpha

@@ -55,7 +55,7 @@ import math
 
 import numpy as np
 
-from .core import real
+from .core import check_finite, real
 
 __all__ = ["mittag_leffler"]
 
@@ -187,12 +187,11 @@ def mittag_leffler(alpha: float, z: float) -> float:
     """One-parameter Mittag-Leffler function E_alpha(z) for alpha in (0, 1]
     and finite real z: the real axis z <= 0, plus the small positive
     arguments the series reaches.  ``alpha`` and ``z`` are real numbers
-    (``core.real``, whose ``TypeError`` names them)."""
-    alpha, z = real("alpha", alpha), real("z", z)
+    (``core.real``, whose ``TypeError`` names them), and ``z`` must be
+    finite (``core.check_finite``'s ``ValueError`` "z must be finite")."""
+    alpha, z = real("alpha", alpha), check_finite("z", z)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"Mittag-Leffler order must lie in (0, 1], got {alpha}")
-    if not math.isfinite(z):
-        raise ValueError(f"argument must be finite, got {z}")
     if z == 0.0:
         return 1.0
     if alpha == 1.0:

@@ -222,14 +222,17 @@ class TestMainExitCodes:
         assert "configuration error: fixed memory_length=0.001 is shorter than dt=0.01" in err
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("dx, message", [
-        ("0.3", "domain length 10.0 must be a multiple of dx=0.3"),
-        ("20", "domain length 10.0 must be a multiple of dx=20.0"),
-        ("10", "domain length 10.0 with dx=10.0 leaves no interior node"),
-        ("2", "domain length 10.0 with dx=2.0 is an odd number of intervals"),
-    ], ids=["off-grid", "coarser-than-domain", "no-interior-node", "odd-intervals"])
-    def test_grid_the_solver_rejects_is_two(self, tmp_path, capsys, dx, message):
-        rc = main(["diffusion", "--dx", dx, "--t-end", "1", "--out", str(tmp_path / "o.csv")])
+    @pytest.mark.parametrize("args, message", [
+        (["--dx", "0.3"], "domain length 10.0 must be a multiple of dx=0.3"),
+        (["--dx", "20"], "domain length 10.0 must be a multiple of dx=20.0"),
+        (["--dx", "10"], "domain length 10.0 with dx=10.0 leaves no interior node"),
+        (["--dx", "2"], "domain length 10.0 with dx=2.0 is an odd number of intervals"),
+        # more nodes than numpy can size, rejected before anything is
+        # allocated (it once failed at the first allocation, exit 1)
+        (["--length", "1e100"], "domain length 1e+100 with dx=0.1 makes 999... (101 digits) nodes"),
+    ], ids=["off-grid", "coarser-than-domain", "no-interior-node", "odd-intervals", "too-many-nodes"])
+    def test_grid_the_solver_rejects_is_two(self, tmp_path, capsys, args, message):
+        rc = main(["diffusion", *args, "--t-end", "1", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert f"configuration error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
@@ -563,7 +566,7 @@ diffusion = dict(length=10.0, dx=0.1, dt=0.01, mu=1.0, alpha=0.5, policy=MemoryP
 creep = dict(eta=1.0, k=1.0, load=1.0, alpha=0.5, dt=0.01, policy=MemoryPolicy.full())
 cases = [(DiffusionConfig, dict(diffusion, alpha=1.5)), (DiffusionConfig, dict(diffusion, dx=0.3)),
          (DiffusionConfig, dict(diffusion, policy=MemoryPolicy.fixed(0.005))),
-         (KelvinVoigtConfig, dict(creep, load=0))]
+         (DiffusionConfig, dict(diffusion, length=1e100)), (KelvinVoigtConfig, dict(creep, load=0))]
 raised = []
 for cls, kwargs in cases:
     try:
@@ -573,7 +576,7 @@ for cls, kwargs in cases:
         raised.append(type(exc).__name__)
 print(json.dumps([raised, {LOADED_MPMATH}, "scipy.linalg._flapack" in sys.modules]))
 """
-        assert run_python(code) == [["ValueError"] * 4, [], False]
+        assert run_python(code) == [["ValueError"] * 5, [], False]
 
     def test_series_loads_mpmath_on_demand(self):
         # both arguments take the series route: -1 <= z < 0, and alpha > 0.999

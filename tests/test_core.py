@@ -18,6 +18,8 @@ from fracmem.core import (
     caputo_weight,
     caputo_weights,
     check_count,
+    check_finite,
+    check_nonnegative,
     check_positive,
     grid_steps,
     l1_history,
@@ -96,6 +98,27 @@ class TestValidation:
     def test_check_positive_accepts_positive_finite_numbers(self, value):
         check_positive("width", value)
 
+    @pytest.mark.parametrize("check, value, rule", [
+        (check_finite, math.nan, "finite"),
+        (check_finite, math.inf, "finite"),
+        (check_finite, -math.inf, "finite"),
+        (check_nonnegative, math.nan, "finite"),
+        (check_nonnegative, math.inf, "finite"),
+        (check_nonnegative, -math.inf, "finite"),
+        (check_nonnegative, -1e-300, "non-negative"),
+        (check_finite, 0.0, None),
+        (check_finite, -0.0, None),
+        (check_nonnegative, 0.0, None),
+        (check_nonnegative, -0.0, None),
+    ])
+    def test_finite_rules_name_the_parameter(self, check, value, rule):
+        if rule is None:
+            # a zero passes with its sign
+            assert check("width", value).hex() == value.hex()
+            return
+        with pytest.raises(ValueError, match=re.escape(f"width must be {rule}, got {value}")):
+            check("width", value)
+
     @pytest.mark.parametrize("name, call", [
         ("width", lambda v: check_positive("width", v)),
         ("T", MemoryPolicy.fixed),
@@ -115,6 +138,8 @@ class TestValidation:
         "order_value": ("fractional order", order_value),
         "closed_order": ("fractional order", lambda v: a_func(10, v)),
         "check_positive": ("width", lambda v: check_positive("width", v)),
+        "check_finite": ("width", lambda v: check_finite("width", v)),
+        "check_nonnegative": ("width", lambda v: check_nonnegative("width", v)),
         "policy": ("T", MemoryPolicy.fixed),
         "time_grid-dt": ("dt", lambda v: time_grid(3.0, v)),
         "time_grid-t_end": ("t_end", lambda v: time_grid(v, 0.5)),
@@ -138,6 +163,8 @@ class TestValidation:
         pytest.param(*REAL_DOORS["ml-z"], b"-1", id="ml-z-bytes"),
         pytest.param(*REAL_DOORS["bound-M"], "1", id="bound-M-str"),
         pytest.param(*REAL_DOORS["creep"], "1", id="creep-str"),
+        pytest.param(*REAL_DOORS["check_finite"], "1", id="check_finite-str"),
+        pytest.param(*REAL_DOORS["check_nonnegative"], b"1", id="check_nonnegative-bytes"),
         # a fixed window compared its T with the string dt before any check
         pytest.param(*REAL_DOORS["derivative-dt"], "0.1", id="derivative-dt-str"),
     ]
@@ -159,8 +186,10 @@ class TestValidation:
         (analytic_creep, (np.float32(0.75), CREEP)),
         (lambda t, dt: gl_history(GL_TIMES, GL_VALUES, t, 0.5, dt), (0.375, np.float32(0.125))),
         (lambda dt: evaluate_gl([0.0, 0.5, 1.0], [0.0, 1.0, 4.0], np.float32(0.5), dt), (np.float32(0.5),)),
+        (lambda v: check_finite("width", v), (np.float32(-0.1),)),
+        (lambda v: check_nonnegative("width", v), (np.float32(0.1),)),
     ], ids=["time_grid-f32", "time_grid-f64", "ml-f32-order", "ml-f32-arg", "fixed-bound", "adaptive-bound",
-            "interval", "creep", "gl_history-dt", "evaluate_gl"])
+            "interval", "creep", "gl_history-dt", "evaluate_gl", "check_finite", "check_nonnegative"])
     def test_numpy_scalars_pass_real_as_their_floats(self, call, args):
         def bits(result):
             if isinstance(result, list):

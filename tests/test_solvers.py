@@ -104,6 +104,16 @@ class TestDiffusionSetup:
             DiffusionConfig(length=length, dx=dx, dt=0.01, mu=1.0, alpha=0.5,
                             policy=MemoryPolicy.full())
 
+    def test_rejects_a_grid_no_array_can_hold(self):
+        # 2^60 + 1 nodes need 2^63 + 8 bytes, beyond numpy's largest array;
+        # 2^60 - 255 nodes can be sized (and are never allocated here)
+        message = "domain length 1.152921504606847e+18 with dx=1.0 makes 1152921504606846977 nodes"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DiffusionConfig(length=2.0**60, dx=1.0, dt=0.01, mu=1.0, alpha=0.5, policy=MemoryPolicy.full())
+        config = DiffusionConfig(length=2.0**60 - 256, dx=1.0, dt=0.01, mu=1.0, alpha=0.5,
+                                 policy=MemoryPolicy.full())
+        assert config.n_nodes == 2**60 - 255
+
     def test_rejects_grid_without_interior_node(self):
         with pytest.raises(ValueError, match="length 10.0 with dx=10.0 leaves no interior node"):
             DiffusionConfig(length=10.0, dx=10.0, dt=0.01, mu=1.0, alpha=0.5,
@@ -587,7 +597,8 @@ class TestParameterChecks:
                                     policy=MemoryPolicy.full())
         creep = KelvinVoigtConfig(eta=1.0, k=1.0, load=1.0, alpha=0.5, dt=0.01,
                                   policy=MemoryPolicy.full())
-        message = re.escape(f"t must be non-negative and finite, got {t}")
+        rule = "non-negative" if math.isfinite(t) else "finite"
+        message = re.escape(f"t must be {rule}, got {t}")
         with pytest.raises(ValueError, match=message):
             analytic_diffusion(5.0, t, diffusion)
         with pytest.raises(ValueError, match=message):

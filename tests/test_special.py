@@ -41,7 +41,7 @@ class TestQueryValidation:
 
     def test_rejects_non_finite_argument(self):
         for bad in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError, match="argument must be finite"):
+            with pytest.raises(ValueError, match="z must be finite"):
                 mittag_leffler(0.5, bad)
 
     def test_large_positive_argument_unsupported_for_small_order(self):
