@@ -83,10 +83,8 @@ def adaptive_bound_terms(M: float, dt: float, m: int, L: int, alpha) -> np.ndarr
     M, dt, L = check_nonnegative("M", M), check_positive("dt", dt), check_count("L", L, 0)
     pref = M / (2.0 * math.gamma(3.0 - a))
     terms = [pref * dt ** (2.0 - a) * a_func(m, a)]
-    if L > 0:
-        b = b_func(m, a)
-        ls = np.arange(1, L + 1)
-        terms.extend(pref * (2.0 ** (ls - 1) * dt) ** (2.0 - a) * b)
+    ls = np.arange(1, L + 1)
+    terms.extend(pref * (2.0 ** (ls - 1) * dt) ** (2.0 - a) * b_func(m, a))
     return np.asarray(terms)
 
 

@@ -209,7 +209,7 @@ def _parse_config_file(path: str) -> dict:
     values, lines = {}, {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

@@ -15,9 +15,10 @@ state and pushes it.  The creep solve is a scalar formula.  The diffusion
 history holds the interior nodes, its unknowns, and each step solves one
 symmetric positive-definite tridiagonal system with LAPACK ``dptsv`` (an
 LDL^T elimination without pivoting).  ``dptsv`` is loaded from scipy's
-``_flapack`` extension alone, without the ``scipy.linalg`` package, when a
-``DiffusionConfig`` is built, at set-up, so that only diffusion runs load
-scipy, and each ``DiffusionSimulation`` binds it once.  The simulation also
+``_flapack`` extension alone, without the ``scipy.linalg`` package (an
+``ImportError`` where that file is missing), when a ``DiffusionConfig`` is
+built, at set-up, so that only diffusion runs load scipy, and each
+``DiffusionSimulation`` binds it once.  The simulation also
 allocates the system's diagonal and off-diagonal once and refills them every
 step, since ``dptsv`` overwrites them; their entries come from each step's
 own interval ``dt_n``.  The right-hand side, which ``dptsv`` overwrites
@@ -92,34 +93,26 @@ def thomas_solve(
     return x
 
 
-def _flapack_spec():
-    """The spec of scipy's LAPACK extension ``scipy/linalg/_flapack*``, found
-    without importing scipy, or None where there is no such file."""
-    scipy_spec = importlib.util.find_spec("scipy")
-    if scipy_spec is None:
-        return None
-    linalg = [os.path.join(root, "linalg") for root in scipy_spec.submodule_search_locations or ()]
-    return machinery.PathFinder.find_spec("scipy.linalg._flapack", linalg)
-
-
 def _lapack_dptsv():
     """LAPACK ``dptsv``, loaded only when a diffusion problem asks for it:
     the other runs load no scipy module.
 
-    It comes from scipy's ``_flapack`` extension, loaded on its own, which
-    skips the ``scipy.linalg`` package init (~0.2 s).  The extension puts
-    itself in ``sys.modules`` as ``scipy.linalg._flapack``, so a later
-    ``import scipy.linalg`` reuses it and hands back this same ``dptsv``;
-    one already there is used as it is.  Where the file is not found,
-    ``dptsv`` is imported from ``scipy.linalg.lapack``.
+    It comes from scipy's ``_flapack`` extension, loaded on its own from the
+    file beside scipy, without importing scipy, which skips the
+    ``scipy.linalg`` package init (~0.2 s).  The extension puts itself in
+    ``sys.modules`` as ``scipy.linalg._flapack``, so a later ``import
+    scipy.linalg`` reuses it and hands back this same ``dptsv``; one already
+    there is used as it is.  Where scipy or the file is missing it raises
+    ``ImportError``.
     """
     flapack = sys.modules.get("scipy.linalg._flapack")
     if flapack is None:
-        spec = _flapack_spec()
+        # scipy's package directories, none where scipy is missing
+        roots = getattr(importlib.util.find_spec("scipy"), "submodule_search_locations", None) or ()
+        linalg = [os.path.join(root, "linalg") for root in roots]
+        spec = machinery.PathFinder.find_spec("scipy.linalg._flapack", linalg)
         if spec is None:
-            from scipy.linalg.lapack import dptsv
-
-            return dptsv
+            raise ImportError("cannot load LAPACK dptsv: scipy/linalg/_flapack is not found")
         flapack = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(flapack)
     return flapack.dptsv
@@ -222,6 +215,10 @@ class DiffusionConfig:
                 f"domain length {self.length} with dx={self.dx} is an odd number of "
                 "intervals, so no node sits at the midpoint the benchmark records"
             )
+        # q * q has the bits of q ** 2, but overflows to inf instead of raising
+        q = math.pi / self.length
+        if not math.isfinite(self.mu * (q * q)):
+            raise ValueError(f"mu={self.mu} with length={self.length} overflows mu*(pi/length)^2")
         # the imports of the solver and of the reference's series belong to
         # set-up, not to the run
         _lapack_dptsv()
@@ -242,7 +239,7 @@ def analytic_diffusion(x: float | np.ndarray, t: float, config: DiffusionConfig)
     """Separable analytic solution sin(pi x / L) * E_a(-mu (pi/L)^2 t^a)."""
     t = check_nonnegative("t", t)
     rate = config.mu * (math.pi / config.length) ** 2
-    amp = mittag_leffler(config.alpha, -rate * t**config.alpha) if t > 0.0 else 1.0
+    amp = mittag_leffler(config.alpha, -rate * t**config.alpha)
     return np.sin(np.pi * np.asarray(x) / config.length) * amp
 
 
@@ -304,6 +301,8 @@ class KelvinVoigtConfig:
 
     def __post_init__(self) -> None:
         _store_checked(self, ("eta", "k", "load", "dt"))
+        if self.tau_alpha == 0.0:
+            raise ValueError(f"relaxation scale eta/k underflows to 0: eta={self.eta}, k={self.k}")
         # the reference's series import belongs to set-up, not to the run
         _mpmath()
 
@@ -316,8 +315,6 @@ class KelvinVoigtConfig:
 def analytic_creep(t: float, config: KelvinVoigtConfig) -> float:
     """Creep response f/k * [1 - E_a(-(t/tau)^a)]."""
     t = check_nonnegative("t", t)
-    if t == 0.0:
-        return 0.0
     z = -(t**config.alpha) / config.tau_alpha
     return config.load / config.k * (1.0 - mittag_leffler(config.alpha, z))
 

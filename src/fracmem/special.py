@@ -34,6 +34,7 @@ Route rule:
   z = -1) the spectral integral, within an ulp of it, takes over.
 * z > 0: the series, while the index of its largest term stays below
   ``_SERIES_PEAK_LIMIT``; larger positive arguments are unsupported.
+* alpha = 1: exp(z) while it is finite; z past ~709.78 is unsupported.
 * alpha > 0.999: the series, because the peak grows too narrow and too tall
   for the fixed rule (its error estimate passes 1e-10 near z = -1 from
   alpha = 1 - 1e-6 on, and the peak height 1/sin(a*pi)^2 is ~1e23 at
@@ -195,8 +196,11 @@ def mittag_leffler(alpha: float, z: float) -> float:
     if z == 0.0:
         return 1.0
     if alpha == 1.0:
-        return math.exp(z)
-    if z < 0.0 and alpha <= _SPECTRAL_MAX_ALPHA and (z < -1.0 or _series_is_long(alpha, -z)):
+        try:
+            return math.exp(z)
+        except OverflowError:
+            pass  # z > ~709.78: past the series' reach too, so unsupported below
+    elif z < 0.0 and alpha <= _SPECTRAL_MAX_ALPHA and (z < -1.0 or _series_is_long(alpha, -z)):
         return _spectral(alpha, -z)
     if _series_peak(alpha, abs(z)) <= _SERIES_PEAK_LIMIT:
         return _series(alpha, z)
@@ -204,5 +208,5 @@ def mittag_leffler(alpha: float, z: float) -> float:
         return _spectral(alpha, -z)
     raise ValueError(
         f"Mittag-Leffler evaluation unsupported for alpha={alpha}, z={z}: "
-        "positive arguments are only reachable by the series"
+        "positive arguments are only reachable by the series, or by exp(z) at alpha = 1"
     )

@@ -230,7 +230,14 @@ class TestMainExitCodes:
         # more nodes than numpy can size, rejected before anything is
         # allocated (it once failed at the first allocation, exit 1)
         (["--length", "1e100"], "domain length 1e+100 with dx=0.1 makes 999... (101 digits) nodes"),
-    ], ids=["off-grid", "coarser-than-domain", "no-interior-node", "odd-intervals", "too-many-nodes"])
+        # the reference's decay rate mu (pi/length)^2 overflows: pi/length
+        # squared, or mu times it (each once failed in the run, exit 1)
+        (["--length", "2e-160", "--dx", "1e-160"],
+         "mu=4.05e-321 with length=2e-160 overflows mu*(pi/length)^2"),
+        (["--length", "2e-5", "--dx", "1e-5", "--mu", "1e300"],
+         "mu=1e+300 with length=2e-05 overflows mu*(pi/length)^2"),
+    ], ids=["off-grid", "coarser-than-domain", "no-interior-node", "odd-intervals", "too-many-nodes",
+            "rate-wave-overflows", "rate-overflows"])
     def test_grid_the_solver_rejects_is_two(self, tmp_path, capsys, args, message):
         rc = main(["diffusion", *args, "--t-end", "1", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
@@ -251,6 +258,16 @@ class TestMainExitCodes:
         rc = main(["derivative-error", "--policy", "adaptive-present", "--memory-length",
                    "0.001", "--dt", "0.01", "--t-end", "1", "--out", str(tmp_path / "o.csv")])
         assert rc == 0
+
+    def test_creep_scale_that_underflows_is_two(self, tmp_path, capsys):
+        # tau^alpha = eta / k underflows to 0, which the reference divides by
+        # (it once failed in the run with "float division by zero", exit 1)
+        rc = main(["kelvin-voigt", "--eta", "1e-308", "--k", "1e308", "--t-end", "0.05",
+                   "--dt", "0.01", "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error: relaxation scale eta/k underflows to 0: eta=1e-308, k=1e+308" in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_non_finite_result_is_one(self, tmp_path, capsys):
         rc = main(["kelvin-voigt", "--eta", "1e300", "--k", "1e-300", "--load", "1e300",
@@ -396,9 +413,13 @@ class TestMainExitCodes:
         assert f"configuration error: {cfgfile}:3: {key!r} is already set on line 1" in err
         assert not (tmp_path / "o.csv").exists()
 
-    def test_missing_config_file_is_two(self, tmp_path):
-        rc = main(["diffusion", "--config", str(tmp_path / "nope.cfg")])
-        assert rc == 2
+    def test_missing_config_file_is_two(self, tmp_path, capsys):
+        # a file that is not there, and one that is not UTF-8
+        (tmp_path / "bytes.cfg").write_bytes(b"\xff\xfe")
+        for cfgfile in (tmp_path / "nope.cfg", tmp_path / "bytes.cfg"):
+            rc = main(["diffusion", "--config", str(cfgfile)])
+            assert rc == 2
+            assert f"configuration error: cannot read config file {cfgfile}" in capsys.readouterr().err
 
     def test_unwritable_output_is_one(self, tmp_path):
         rc = main(["kelvin-voigt", "--t-end", "1",
@@ -498,29 +519,6 @@ print(json.dumps([dptsv is solvers._lapack_dptsv(),
 """
         assert run_python(code, str(tmp_path / "o.csv")) == [True, True]
 
-    def test_fallback_to_scipy_linalg_gives_identical_records(self, tmp_path):
-        # the extension's file is not found: dptsv comes from scipy.linalg.lapack
-        config = ExperimentConfig(experiment="diffusion", policy="full", t_end=2.0,
-                                  n_records=8, out=str(tmp_path / "o.csv"))
-        records, _ = run_experiment(config)
-        code = f"""
-import dataclasses, json, sys
-from fracmem import solvers
-solvers._flapack_spec = lambda: None
-from fracmem.cli import ExperimentConfig, run_experiment
-config = ExperimentConfig(experiment="diffusion", policy="full", t_end=2.0, n_records=8,
-                          out=sys.argv[1])
-records, _ = run_experiment(config)
-loaded = [m in sys.modules for m in ("scipy.linalg", "scipy.linalg.lapack")]
-from scipy.linalg.lapack import dptsv
-print(json.dumps([loaded, dptsv is solvers._lapack_dptsv(),
-                  [dataclasses.astuple(r)[:-1] for r in records]]))
-"""
-        loaded, same, rows = run_python(code, str(tmp_path / "o.csv"))
-        assert loaded == [True, True]
-        assert same
-        assert rows == [list(dataclasses.astuple(r)[:-1]) for r in records]
-
 
 LOADED_MPMATH = "sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath')"
 
@@ -566,7 +564,10 @@ diffusion = dict(length=10.0, dx=0.1, dt=0.01, mu=1.0, alpha=0.5, policy=MemoryP
 creep = dict(eta=1.0, k=1.0, load=1.0, alpha=0.5, dt=0.01, policy=MemoryPolicy.full())
 cases = [(DiffusionConfig, dict(diffusion, alpha=1.5)), (DiffusionConfig, dict(diffusion, dx=0.3)),
          (DiffusionConfig, dict(diffusion, policy=MemoryPolicy.fixed(0.005))),
-         (DiffusionConfig, dict(diffusion, length=1e100)), (KelvinVoigtConfig, dict(creep, load=0))]
+         (DiffusionConfig, dict(diffusion, length=1e100)), (KelvinVoigtConfig, dict(creep, load=0)),
+         (DiffusionConfig, dict(diffusion, length=2e-160, dx=1e-160)),
+         (DiffusionConfig, dict(diffusion, length=2e-5, dx=1e-5, mu=1e300)),
+         (KelvinVoigtConfig, dict(creep, eta=1e-308, k=1e308))]
 raised = []
 for cls, kwargs in cases:
     try:
@@ -576,7 +577,7 @@ for cls, kwargs in cases:
         raised.append(type(exc).__name__)
 print(json.dumps([raised, {LOADED_MPMATH}, "scipy.linalg._flapack" in sys.modules]))
 """
-        assert run_python(code) == [["ValueError"] * 5, [], False]
+        assert run_python(code) == [["ValueError"] * 8, [], False]
 
     def test_series_loads_mpmath_on_demand(self):
         # both arguments take the series route: -1 <= z < 0, and alpha > 0.999

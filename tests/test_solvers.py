@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -303,11 +304,18 @@ class TestDiffusionAgainstReference:
     def test_dptsv_of_an_imported_scipy_linalg_is_used_as_it_is(self, monkeypatch):
         from scipy.linalg.lapack import dptsv
 
-        def no_second_load():
+        def no_second_load(*args, **kwargs):
             raise AssertionError("searched for the LAPACK extension again")
 
-        monkeypatch.setattr(solvers, "_flapack_spec", no_second_load)
+        monkeypatch.setattr(solvers.machinery.PathFinder, "find_spec", no_second_load)
         assert solvers._lapack_dptsv() is dptsv
+
+    def test_missing_lapack_extension_is_named(self, monkeypatch):
+        # neither a loaded extension nor its file beside scipy
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        monkeypatch.setattr(solvers.machinery.PathFinder, "find_spec", lambda *args, **kwargs: None)
+        with pytest.raises(ImportError, match="scipy/linalg/_flapack"):
+            solvers._lapack_dptsv()
 
     def test_failed_solve_names_step_and_time(self, monkeypatch):
         # a negated diagonal is not positive definite, so LAPACK rejects it
@@ -603,3 +611,18 @@ class TestParameterChecks:
             analytic_diffusion(5.0, t, diffusion)
         with pytest.raises(ValueError, match=message):
             analytic_creep(t, creep)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 0.9995])
+    @pytest.mark.parametrize("t", [0.0, -0.0])
+    def test_analytic_solutions_at_time_zero(self, t, alpha):
+        # the general formula at t = 0: E_a(-0.0) is 1, so the profile is the
+        # initial sine and the elongation is +0.0
+        diffusion = DiffusionConfig(length=10.0, dx=0.1, dt=0.01, mu=1.0, alpha=alpha,
+                                    policy=MemoryPolicy.full())
+        creep = KelvinVoigtConfig(eta=1.0, k=2.0, load=3.0, alpha=alpha, dt=0.01,
+                                  policy=MemoryPolicy.full())
+        x = diffusion.grid()
+        want = np.sin(np.pi * x / diffusion.length)
+        assert analytic_diffusion(x, t, diffusion).tobytes() == want.tobytes()
+        assert math.copysign(1.0, analytic_creep(t, creep)) == 1.0
+        assert analytic_creep(t, creep) == 0.0

@@ -44,11 +44,13 @@ class TestQueryValidation:
             with pytest.raises(ValueError, match="z must be finite"):
                 mittag_leffler(0.5, bad)
 
-    def test_large_positive_argument_unsupported_for_small_order(self):
-        # the second one overflows the peak-index power |z|^(1/alpha)
-        for alpha, z in ((0.2, 1e12), (0.0005, 2.0)):
-            with pytest.raises(ValueError, match="unsupported"):
+    def test_large_positive_argument_unsupported(self):
+        # the second one overflows the peak-index power |z|^(1/alpha), the
+        # third exp(z)
+        for alpha, z in ((0.2, 1e12), (0.0005, 2.0), (1.0, 710.0)):
+            with pytest.raises(ValueError, match=rf"unsupported for alpha={alpha}, z={z}"):
                 mittag_leffler(alpha, z)
+        assert mittag_leffler(1.0, 709.0) == math.exp(709.0)
 
 
 class TestKnownValues:
