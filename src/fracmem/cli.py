@@ -177,7 +177,7 @@ def emit_csv(records, path, config: dict | None = None) -> None:
     digits, LF newlines.  The file is written in one shot so a failed run
     leaves no partial CSV."""
     rows = [getattr(r, "__dict__", r) for r in records]  # a record's fields or a dict row
-    fieldnames = tuple(rows[0]) if rows else SimulationRecord.FIELDS
+    fieldnames = tuple(rows[0]) if rows else tuple(f.name for f in fields(SimulationRecord))
     lines = [f"# {key}={value}" for key, value in (config or {}).items()]
     lines.append(",".join(fieldnames))
     lines.extend(",".join(_fmt(row[k]) for k in fieldnames) for row in rows)

@@ -248,9 +248,13 @@ def l1_history(
     ``times`` is strictly increasing with ``times[-1] < t_n``; ``values`` is
     an array with one row per time, 1-D for scalar rows, 2-D for vector
     rows.  ``h`` is a float for scalar rows and an array for vector rows.
+    ``t_n`` is taken as its Python float by ``real``'s rule, which a Python
+    float skips, as ``order_value`` does for the order.
     """
     a = order_value(alpha)
     gamma = math.gamma(1.0 - a)
+    if t_n.__class__ is not float:
+        t_n = real("t_n", t_n)
     if not times[-1] < t_n < math.inf:
         raise ValueError(f"t_n={t_n} must be finite and after the last history time {times[-1]}")
     # the newest interval's weight is (t_n - t_last)^(1-a) / (1-a), taken as

@@ -64,8 +64,6 @@ class SimulationRecord:
     conv_terms: int
     wall_clock: float
 
-    FIELDS = ("t", "value", "analytic", "abs_error", "stored_points", "conv_terms", "wall_clock")
-
     def __post_init__(self) -> None:
         for name in ("value", "analytic", "abs_error"):
             if not math.isfinite(getattr(self, name)):

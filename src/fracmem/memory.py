@@ -21,14 +21,15 @@ fewer than ``_LEVELWISE_MIN`` rows.  ``HistoryBuffer._maintain_levelwise``
 runs it on a longer block one subset level at a time in numpy.  There U_0
 is a sliding window: after arrival q its oldest point is the running max
 over arrivals of the first point p with ``not s[q] - s[p] > T + tol_q``.
-That predicate is monotone in p, so ``searchsorted`` and a fix-up by one
-step either way find it.  What leaves U_0 arrives at U_1, each point with
-the tolerance of the push that moved it, and each coarser level takes its
-arrivals in pairs (``_level_triggers``).  The tolerance, and so a coarser
-level's rule, need not be monotone in q, so every level's schedule is
-checked against the rule at every arrival before anything changes; on
-adversarial grids (clusters a few ulps apart, then far pushes) a check can
-fail, and the loop maintains the block.
+That predicate is monotone in p, so ``searchsorted`` finds it up to
+rounding; a block where rounding moved it fails the check and goes through
+the loop.  What leaves U_0 arrives at U_1, each point with the tolerance of
+the push that moved it, and each coarser level takes its arrivals in pairs
+(``_level_triggers``).  The tolerance, and so a coarser level's rule, need
+not be monotone in q, so every level's schedule is checked against the rule
+at every arrival before anything changes; on adversarial grids (clusters a
+few ulps apart, then far pushes) a check can fail, and the loop maintains
+the block.
 
 ``HistoryBuffer`` copies each block of rows, a push being a block of one,
 into array arenas once and drops the rows that maintenance removed before
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_count, check_history, check_positive, check_samples, grid_steps
-from .core import l1_history, newest_derivative, order_value, weighted_rows
+from .core import l1_history, newest_derivative, order_value, real, weighted_rows
 
 __all__ = [
     "PolicyKind",
@@ -351,10 +352,9 @@ class HistoryBuffer:
             np.subtract(block, s.take(at, out=gap), out=gap)
             return gap > limit
 
-        # start[i]: the first point of s that arrival m + i keeps in U_0
+        # start[i]: the first point of s that arrival m + i keeps in U_0, up
+        # to a rounding that the check refuses
         start = s.searchsorted(gap)
-        np.add(start, 1, out=start, where=moves(start))
-        np.subtract(start, 1, out=start, where=(start > 0) & ~moves(start - 1))
         if moves(start).any() or not ((start == 0) | moves(start - 1)).all():
             return False
         del gap, limit
@@ -419,9 +419,8 @@ class HistoryBuffer:
             idx.append(n)
             for j in range(n - m):
                 lo, hi = idx[j] + 1, idx[j + 1]
-                if lo < hi:
-                    times[lo - j - 1 : hi - j - 1] = times[lo:hi]
-                    values[lo - j - 1 : hi - j - 1] = values[lo:hi]
+                times[lo - j - 1 : hi - j - 1] = times[lo:hi]
+                values[lo - j - 1 : hi - j - 1] = values[lo:hi]
         else:
             lo = int(idx.min())
             keep = np.ones(n - lo, dtype=bool)
@@ -446,11 +445,11 @@ def _level_triggers(s: np.ndarray, m: int, tol: np.ndarray, threshold: float) ->
 
     Trigger j, at the first arrival q after trigger j - 1 with
     s[q] - s[2j] > threshold + tol, moves s[2j] and removes s[2j + 1].
-    Where that rule is monotone in q, q_j = j + max(m, max_{i<=j} (F(2i) - i)),
-    F(p) being the first arrival with s[q] - (threshold + tol) > s[p], which
+    Where that rule is monotone in q, q_j = j + max_{i<=j} (F(2i) - i), F(p)
+    being the first arrival with s[q] - (threshold + tol) > s[p], which
     ``searchsorted`` finds in the running max of the left side.  The left
-    side is at most s[q], so F(p) > p and q_j > 2j.  The schedule is then
-    checked against the rule at every arrival.
+    side is at most s[q], so F(p) > p and q_j > 2j; F(0) >= m, so q_j >= m.
+    The schedule is then checked against the rule at every arrival.
     """
     n = s.size
     limit = tol + threshold
@@ -461,7 +460,6 @@ def _level_triggers(s: np.ndarray, m: int, tol: np.ndarray, threshold: float) ->
     i = np.arange(f.size)
     f -= i
     np.maximum.accumulate(f, out=f)
-    np.maximum(f, 0, out=f)
     f += i
     f += m
     jumps = f[: f.searchsorted(n)]
@@ -494,7 +492,12 @@ def _gl_table(jmax: int, a: float) -> np.ndarray:
 
     The cached table is computed by the recurrence c_j = c_(j-1) *
     (j - 1 - a) / j with c_0 = 1 in Python floats, which avoids Gamma
-    evaluations at negative arguments, and grows by doubling.
+    evaluations at negative arguments, and grows by doubling.  It keeps one
+    float per lag up to the largest ``jmax`` asked for, per order, for the
+    life of the process, so a GL history holds weights for every base step
+    from its first point to ``t_n`` however few points it stores; a growth
+    goes through a Python list of the whole table (8 MB kept and ~40 MB at
+    the peak per million weights, by tracemalloc).
     """
     w = _GL_CACHE.get(a)
     if w is None or w.shape[0] <= jmax:
@@ -528,7 +531,8 @@ def gl_history(
     ``times[0]`` is the initial time, whose value the GL sum subtracts.  A
     stored point k carries the weight of its lag, rescaled by the grid steps
     its interval spans; the new point's interval is counted in whole steps,
-    and a ``t_n`` off the grid raises ``ValueError``.  ``dt`` is checked by
+    and a ``t_n`` off the grid raises ``ValueError``; ``t_n`` is taken as its
+    Python float by ``core.real``'s rule.  ``dt`` is checked by
     ``check_positive``'s rule (``ValueError`` naming it, ``TypeError`` when
     it is not a real number) after one chained comparison passes a positive,
     finite Python float.  The weights are read from the lag-descending table
@@ -537,6 +541,8 @@ def gl_history(
     float for scalar (1-D) rows and an array for vector rows.
     """
     a = order_value(alpha)
+    if t_n.__class__ is not float:
+        t_n = real("t_n", t_n)
     if not times[-1] < t_n < math.inf:
         raise ValueError(f"t_n={t_n} must be finite and after the last history time {times[-1]}")
     if dt.__class__ is not float or not 0.0 < dt < math.inf:

@@ -144,7 +144,7 @@ class TestEmitCsv:
         emit_csv([], path, {"experiment": "diffusion"})
         comments, fieldnames, rows = read_csv(path)
         assert comments == ["experiment=diffusion"]
-        assert fieldnames == list(SimulationRecord.FIELDS)
+        assert fieldnames == [f.name for f in dataclasses.fields(SimulationRecord)]
         assert rows == []
 
     def test_floats_roundtrip_exactly(self, tmp_path):

@@ -11,7 +11,7 @@ after every block as one written row by row through ``push``.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracmem import HistoryBuffer, MemoryPolicy
@@ -71,6 +71,14 @@ common = dict(
     **common,
 )
 @settings(max_examples=16, deadline=None)
+# windows longer than a block but shorter than the run (2048 rows at seed 1,
+# 3072 at seed 0): a block moves only U_0's oldest points out and keeps the
+# rest, the partial cut of U_0
+@example(dt=0.01, first=0, steps=1100, kind="fixed", block=_LEVELWISE_MIN, width=None, seed=1)
+@example(dt=0.01, first=0, steps=1500, kind="adaptive-present", block=_LEVELWISE_MIN + 1, width=2, seed=0)
+@example(dt=0.01, first=0, steps=1900, kind="full", block=_LEVELWISE_MIN, width=None, seed=0)
+@example(dt=0.01, first=0, steps=1900, kind="fixed", block=_LEVELWISE_MIN + 1, width=2, seed=0)
+@example(dt=0.01, first=0, steps=1100, kind="adaptive-present", block=_LEVELWISE_MIN, width=None, seed=1)
 def test_uniform_grid_with_whole_step_memory(dt, first, steps, kind, block, width, seed):
     # t = i * dt and T a whole number of steps: spans land on T to rounding,
     # and the 1e-12 tolerance decides every tie

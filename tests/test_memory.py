@@ -710,6 +710,26 @@ class TestEvaluateGL:
         with pytest.raises(ValueError, match=message):
             gl_history(times, values, t_n, 0.5, 0.1)
 
+    @pytest.mark.parametrize("t_n", [True, "2"], ids=["bool", "numeric-str"])
+    @pytest.mark.parametrize("operator", ["l1", "gl"])
+    def test_history_operators_reject_a_new_time_not_real(self, operator, t_n):
+        # unchecked, True steps as 1.0 and "2" fails inside numpy's comparison
+        times, values = np.array([0.0, 0.1, 0.2]), np.array([0.0, 1.0, 2.0])
+        args = (0.5,) if operator == "l1" else (0.5, 0.1)
+        history = l1_history if operator == "l1" else gl_history
+        with pytest.raises(TypeError, match=re.escape(f"t_n must be a real number, got {t_n!r}")):
+            history(times, values, t_n, *args)
+
+    @pytest.mark.parametrize("operator", ["l1", "gl"])
+    def test_history_operators_take_a_float32_new_time_as_its_float(self, operator):
+        # unchecked, a float32 t_n makes l1_history's c a float32
+        times, values = np.array([0.0, 0.5, 1.0, 1.5]), np.array([0.0, 1.0, 0.5, 2.0])
+        args = (0.5,) if operator == "l1" else (0.5, 0.5)
+        history = l1_history if operator == "l1" else gl_history
+        got, want = history(times, values, np.float32(2.0), *args), history(times, values, 2.0, *args)
+        assert got[0].__class__ is float
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
     @pytest.mark.parametrize("t_n", [0.25, 0.2 + 1e-6, 3.0 + 1e-7])
     def test_history_operator_rejects_a_new_time_off_the_grid(self, t_n):
         times, values = np.array([0.0, 0.1, 0.2]), np.array([0.0, 1.0, 2.0])
