@@ -128,6 +128,9 @@ class ExperimentConfig:
                     object.__setattr__(self, "mu", (self.length / math.pi) ** 2)
                 except OverflowError:
                     raise ValueError(f"length={self.length} is too large for the default mu") from None
+                # (length/pi)^2 underflows to 0.0 without raising
+                if self.mu == 0.0:
+                    raise ValueError(f"length={self.length} is too small for the default mu")
             if self.experiment == "order-study":
                 check_sweep(self.alpha, self.dt)
             else:

@@ -160,11 +160,12 @@ def run_derivative_error(
     orders = [order_value(a) for a in alphas]
     if not orders:
         raise ValueError("alphas must hold at least one order, got none")
+    # the buffer checks the policy before _test_function reads its kind
+    buf = HistoryBuffer(policy)
     f, exact_derivative = _test_function(policy)
     # the grid first: check_step compares dt, which it does not check
     segments = _grid_blocks(t_end, dt, n_records)
     policy.check_step(dt)
-    buf = HistoryBuffer(policy)
     buf.push(0.0, f(0.0))
     runs: list[list[SimulationRecord]] = [[] for _ in orders]
     elapsed = 0.0

@@ -128,6 +128,13 @@ class MemoryPolicy:
         return l1_history(times, values, t_n, alpha)
 
 
+def check_policy(policy) -> MemoryPolicy:
+    """Return ``policy``; raise ``TypeError`` naming it unless it is a ``MemoryPolicy``."""
+    if not isinstance(policy, MemoryPolicy):
+        raise TypeError(f"policy must be a MemoryPolicy, got {policy!r}")
+    return policy
+
+
 _FLOAT = np.dtype(float)
 
 # removals one call drops by shifting the rows after each one; more than
@@ -177,18 +184,20 @@ class HistoryBuffer:
     """
 
     def __init__(self, policy: MemoryPolicy):
-        self.policy = policy
+        self.policy = check_policy(policy)
         # the policy as plain attributes (an enum lookup costs more than a
         # push's bookkeeping); full memory is a window of infinite length
         self._fixed = policy.kind is PolicyKind.FIXED
         self._T = math.inf if policy.kind is PolicyKind.FULL else policy.T
         # subsets[l] = U_l, each deque of times ordered oldest-first
         self._subsets: list[deque] = [deque()]
+        # U_0's newest time, also kept here: a push that read subsets[0][-1]
+        # instead measured slower (BENCH_2026-10-22-onerecord.json)
         self._newest = -math.inf
-        self._shape: tuple | None = None  # row shape, fixed by the first push
-        # rows in the arenas, all of them stored, and the arenas' length
+        # rows in the arenas, all of them stored; the arenas' length is the
+        # capacity, and the values arena's shape[1:] the row shape, fixed
+        # once the times arena is not empty
         self._n = 0
-        self._cap = 0
         self._bind(np.empty(0), np.empty(0))
 
     def _bind(self, times: np.ndarray, values: np.ndarray) -> None:
@@ -225,19 +234,16 @@ class HistoryBuffer:
     # -- maintenance ------------------------------------------------------
 
     def push(self, t: float, value) -> None:
-        """Append one sample as a one-row ``extend``, with its checks and
-        exception types, after one chained comparison rejects a NaN,
-        infinite or not later time.  A Python float time with the solvers'
-        rows, a Python float or a float64 array of the stored shape, goes
-        straight into arenas with room."""
-        newest = self._newest
-        if not newest < t < math.inf:
-            raise ValueError(f"pushed time {t} is not finite or not after newest stored {newest}")
+        """Append one sample as a one-row ``extend``, with its checks,
+        exception types and messages.  A finite Python float time after the
+        newest stored one, with the solvers' rows, a Python float or a
+        float64 array of the stored shape, goes straight into arenas with
+        room."""
         n = self._n
-        if n < self._cap and t.__class__ is float and (
-            self._shape == ()
+        if n < len(self._times) and t.__class__ is float and self._newest < t < math.inf and (
+            self._values.ndim == 1
             if value.__class__ is float
-            else value.__class__ is np.ndarray and value.dtype is _FLOAT and value.shape == self._shape
+            else value.__class__ is np.ndarray and value.dtype is _FLOAT and value.shape == self._values.shape[1:]
         ):
             self._values[n] = value
             self._times[n] = t
@@ -259,18 +265,16 @@ class HistoryBuffer:
         if k == 0:
             return
         shape = rows.shape[1:]
-        if shape != self._shape:
-            if self._shape is not None:
-                raise ValueError(f"row of shape {shape}, expected the stored rows' shape {self._shape}")
-            self._shape = shape
+        if shape != self._values.shape[1:]:
+            if len(self._times):
+                raise ValueError(f"row of shape {shape}, expected the stored rows' shape {self._values.shape[1:]}")
             self._bind(self._times, np.empty((0,) + shape))
         n = self._n
-        if n + k > self._cap:
-            cap = max(16, 2 * self._cap, n + k)
+        if n + k > len(self._times):
+            cap = max(16, 2 * len(self._times), n + k)
             grown_times, grown_values = np.empty(cap), np.empty((cap,) + shape)
             grown_times[:n], grown_values[:n] = self._times[:n], self._values[:n]
             self._bind(grown_times, grown_values)
-            self._cap = cap
         self._times[n : n + k] = times
         self._values[n : n + k] = rows
         self._n = n + k

@@ -40,7 +40,7 @@ from importlib import machinery
 import numpy as np
 
 from .core import _shown, check_nonnegative, check_positive, grid_steps, order_value, real
-from .memory import HistoryBuffer, MemoryPolicy
+from .memory import HistoryBuffer, MemoryPolicy, check_policy
 from .special import _mpmath, mittag_leffler
 
 __all__ = [
@@ -121,12 +121,13 @@ def _lapack_dptsv():
 def _store_checked(config, positive: tuple[str, ...]) -> None:
     """Check a frozen problem config's order and ``positive`` parameters and
     store them as the Python floats the checks return, so that a numpy
-    scalar steps as its float does; then check its step against its memory
-    policy."""
+    scalar steps as its float does; then check its memory policy
+    (``TypeError`` when it is not a ``MemoryPolicy``) and its step against
+    it."""
     object.__setattr__(config, "alpha", order_value(config.alpha))
     for name in positive:
         object.__setattr__(config, name, check_positive(name, getattr(config, name)))
-    config.policy.check_step(config.dt)
+    check_policy(config.policy).check_step(config.dt)
 
 
 class _ImplicitStepper:

@@ -206,12 +206,15 @@ class TestMainExitCodes:
         assert not (tmp_path / "o.csv").exists()
 
     def test_length_whose_default_mu_overflows_is_two(self, tmp_path, capsys):
-        # (length/pi)^2 overflows a float: the default has no value to echo
-        rc = main(["diffusion", "--length", "1e200", "--out", str(tmp_path / "o.csv")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "configuration error: length=1e+200 is too large for the default mu" in err
-        assert not (tmp_path / "o.csv").exists()
+        # (length/pi)^2 overflows a float, or underflows to 0.0: the default
+        # has no value to echo
+        for length, dx, words in (("1e200", "0.1", "length=1e+200 is too large"),
+                                  ("1e-300", "5e-301", "length=1e-300 is too small")):
+            rc = main(["diffusion", "--length", length, "--dx", dx, "--t-end", "1", "--out", str(tmp_path / "o.csv")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert f"configuration error: {words} for the default mu" in err
+            assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("experiment", ["derivative-error", "kelvin-voigt"])
     def test_fixed_window_shorter_than_step_is_two(self, tmp_path, capsys, experiment):

@@ -201,6 +201,22 @@ def test_derivative_error_rejects_fixed_window_shorter_than_step():
         run_derivative_error(MemoryPolicy.fixed(0.001), (0.5,), 0.01, 1.0)
 
 
+@pytest.mark.parametrize("policy", ["full", None, PolicyKind.FULL])
+@pytest.mark.parametrize("door", [
+    HistoryBuffer,
+    lambda p: DiffusionConfig(length=10.0, dx=1.0, dt=0.01, mu=1.0, alpha=0.5, policy=p),
+    lambda p: KelvinVoigtConfig(eta=1.0, k=1.0, load=1.0, alpha=0.5, dt=0.01, policy=p),
+    lambda p: run_derivative_error(p, [0.5], 0.01, 1.0),
+    lambda p: run_order_study(p, [0.5], [0.01, 0.005, 0.0025], 1.0),
+    lambda p: retention_count(p, 0.01, 1.0),
+    lambda p: accumulated_conv_terms(p, 0.01, 1.0),
+], ids=["buffer", "diffusion", "kelvin-voigt", "derivative-error", "order-study", "retention",
+        "conv-terms"])
+def test_a_policy_that_is_not_a_memory_policy_is_named(door, policy):
+    with pytest.raises(TypeError, match=re.escape(f"policy must be a MemoryPolicy, got {policy!r}")):
+        door(policy)
+
+
 def grid_peak(policy, dt, n_steps):
     # the most points a buffer holds over the pushes of the whole time grid
     buf, peak = HistoryBuffer(policy), 0

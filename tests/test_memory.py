@@ -115,6 +115,9 @@ class TestPolicyContract:
         policy.check_step(0.01)
 
 
+BAD_TIMES = (math.nan, math.inf, -math.inf, None, "1.0")
+
+
 class TestBufferBasics:
     def test_push_requires_increasing_time(self):
         buf = HistoryBuffer(MemoryPolicy.full())
@@ -133,11 +136,29 @@ class TestBufferBasics:
         buf = HistoryBuffer(policy)
         buf.push(0.0, 0.0)
         for t in (math.nan, math.inf):
-            with pytest.raises(ValueError, match=f"pushed time {t} is not finite or not after"):
+            with pytest.raises(ValueError, match="history times must be finite"):
                 buf.push(t, 1.0)
         buf.push(0.5, 2.0)
         assert list(buf.times()) == [0.0, 0.5]
         assert list(buf.values()) == [0.0, 2.0]
+
+    @pytest.mark.parametrize("stored, t", [
+        *(pytest.param((), t, id=f"empty-{t}") for t in BAD_TIMES),
+        # an earlier time and the newest time again
+        *(pytest.param((0.0, 0.5), t, id=f"rows-{t}") for t in (*BAD_TIMES, 0.25, 0.5)),
+    ])
+    @pytest.mark.parametrize("row", [1.0, np.ones(3)], ids=["scalar", "vector"])
+    def test_push_raises_as_a_one_row_extend(self, stored, t, row):
+        def raised(write):
+            buf = HistoryBuffer(MemoryPolicy.full())
+            for s in stored:
+                buf.push(s, row)
+            with pytest.raises((TypeError, ValueError)) as info:
+                write(buf)
+            assert buf.times().tolist() == list(stored)
+            return type(info.value), str(info.value)
+
+        assert raised(lambda buf: buf.push(t, row)) == raised(lambda buf: buf.extend([t], [row]))
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_first_push_requires_finite_time(self, t):
@@ -450,7 +471,7 @@ class TestBufferBasics:
             buf.push(i * 0.01, np.full(shape, float(i)) if shape else float(i))
         n = buf.count_stored()
         # 16 rows fill the first arenas; T = 0.05 removes points by t = 0.39
-        assert {"empty": n == 0, "first-push": buf._cap == 16, "grown": n == 17 and buf._cap == 32,
+        assert {"empty": n == 0, "first-push": len(buf._times) == 16, "grown": n == 17 and len(buf._times) == 32,
                 "dropped": n < pushes}[state]
         times, values = buf.times(), buf.values()
         assert times.shape == (n,)
