@@ -93,8 +93,9 @@ def time_grid(t_end: float, dt: float, n_records: int = 1) -> list[Iterator[floa
 # read in between; bounds the block arrays a run holds at once.  The
 # level-wise plan pays a fixed cost per subset level and block, and holds
 # ~100 B of temporaries per block row: on the derivative-push grid 8192 rows
-# run 21% faster than 4096 for +0.6 MB peak RSS, 16384 another 5% faster
-# for +0.8 MB more (BENCH_2026-10-20-pushblock.json)
+# run 17% faster than 4096 (best of 11 runs) for +0.5 MB peak RSS, and
+# 16384 no faster beyond the noise for +0.8 MB more
+# (BENCH_2026-10-22-predict.json)
 _PUSH_BLOCK = 8192
 
 

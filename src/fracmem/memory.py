@@ -21,15 +21,20 @@ fewer than ``_LEVELWISE_MIN`` rows.  ``HistoryBuffer._maintain_levelwise``
 runs it on a longer block one subset level at a time in numpy.  There U_0
 is a sliding window: after arrival q its oldest point is the running max
 over arrivals of the first point p with ``not s[q] - s[p] > T + tol_q``.
-That predicate is monotone in p, so ``searchsorted`` finds it up to
-rounding; a block where rounding moved it fails the check and goes through
-the loop.  What leaves U_0 arrives at U_1, each point with the tolerance of
-the push that moved it, and each coarser level takes its arrivals in pairs
-(``_level_triggers``).  The tolerance, and so a coarser level's rule, need
-not be monotone in q, so every level's schedule is checked against the rule
-at every arrival before anything changes; on adversarial grids (clusters a
-few ulps apart, then far pushes) a check can fail, and the loop maintains
-the block.
+What leaves U_0 arrives at U_1, each point with the tolerance of the push
+that moved it, and each coarser level takes its arrivals in pairs
+(``_level_triggers``).  On a uniform grid t = i * dt every such schedule
+is an arithmetic sequence: once U_0 is full each arrival moves one point
+out of it, and a coarser level triggers at every second arrival.  So each
+schedule is first predicted from one ``searchsorted`` probe; other grids
+fail the prediction's spot checks, and their schedule is searched over all
+arrivals (U_0's predicate is monotone in p, so ``searchsorted`` finds it up
+to rounding).  The tolerance, and so a coarser level's rule, need not be
+monotone in q, so every schedule, predicted or searched, is checked against
+the rule at every arrival, with the loop's float expressions, before
+anything changes: one that passes is the loop's.  A refused prediction is
+searched; on adversarial grids (clusters a few ulps apart, then far pushes)
+a searched schedule can fail too, and the loop maintains the block.
 
 ``HistoryBuffer`` copies each block of rows, a push being a block of one,
 into array arenas once and drops the rows that maintenance removed before
@@ -143,10 +148,10 @@ _SHIFT_LIMIT = 16
 
 # blocks of at least this many rows are maintained one subset level at a
 # time, smaller ones by the loop over their times; on the derivative-push
-# grid the two break even at ~770 rows under the adaptive policies, with 13
-# subsets as with 20, ~500 under full memory and below 256 under the fixed
-# window (BENCH_2026-10-19-positions.json, re-measured with the running
-# trigger count in BENCH_2026-10-20-pushblock.json)
+# grid, with 13 subsets, the two break even between 512 and 768 rows under
+# the adaptive policies, at ~350 under full memory and below 256 under the
+# fixed window (BENCH_2026-10-22-predict.json); a lower bound would serve
+# only blocks that the runners do not push
 _LEVELWISE_MIN = 1024
 
 
@@ -326,7 +331,8 @@ class HistoryBuffer:
     def _maintain_levelwise(self, k: int) -> bool:
         """``_maintain`` on the ``k`` newest stored times, one subset level
         at a time in numpy, with the same layout and bits; returns False,
-        having changed nothing, when a level fails its check.
+        having changed nothing, when a level's searched schedule fails its
+        check.
 
         The plan reads the times arena, which holds U_L, ..., U_0, each
         oldest first, then the block.  For each level from U_0 on that the
@@ -336,7 +342,9 @@ class HistoryBuffer:
         level has passed its check are the removed rows dropped by their
         positions; the arenas then again hold U_L, ..., U_0 in order, so
         each level's kept arrivals are read from the times arena as its
-        newest rows.
+        newest rows.  Each schedule, U_0's window edges (``_u0_starts``) and
+        each coarser level's triggers (``_level_triggers``), is predicted
+        as a uniform grid's, or searched where that fails, and checked.
         """
         stored = self._times[: self._n]
         subsets = self._subsets
@@ -347,22 +355,10 @@ class HistoryBuffer:
         # s is U_0's points then the block, in place
         s = stored[end:]
         block = stored[n - k :]
-        limit = _tolerance(block, T)
-        limit += T
-        gap = block - limit
-
-        def moves(at):
-            # whether each arrival moves the point s[at] out of U_0
-            np.subtract(block, s.take(at, out=gap), out=gap)
-            return gap > limit
-
-        # start[i]: the first point of s that arrival m + i keeps in U_0, up
-        # to a rounding that the check refuses
-        start = s.searchsorted(gap)
-        if moves(start).any() or not ((start == 0) | moves(start - 1)).all():
+        tol = _tolerance(block, T)
+        start = _u0_starts(s, block, tol + T)
+        if start is None:
             return False
-        del gap, limit
-        np.maximum.accumulate(start, out=start)
         cut = int(start[-1])
         changes = [(min(cut, m), m + k - cut)]
         # at: the positions of the points that leave U_0
@@ -372,7 +368,7 @@ class HistoryBuffer:
         else:
             removed = []
             # each moved point with the tolerance of the push that moved it
-            tol = _tolerance(np.repeat(block, np.ediff1d(start, to_begin=start[:1])), T)
+            tol = np.repeat(tol, np.ediff1d(start, to_begin=start[:1]))
             del start
             threshold = T
             l = 1
@@ -442,21 +438,95 @@ def _tolerance(t: np.ndarray, T: float) -> np.ndarray:
     return tol
 
 
+def _u0_starts(s: np.ndarray, block: np.ndarray, limit: np.ndarray) -> np.ndarray | None:
+    """start[i], U_0's oldest point after arrival ``block[i]``, as an index
+    into ``s``, U_0's points then the block; None when the searched
+    schedule fails its check.
+
+    Arrival i moves s[p] iff block[i] - s[p] > limit[i], a predicate
+    monotone in p, so start is the running max of each arrival's first kept
+    point.  On a uniform grid each arrival moves one point once U_0 is full,
+    so the k arrivals' edges are predicted to be ``max(0, e - (k - 1 - i))``
+    from the last one's, e, which one ``searchsorted`` finds up to rounding.
+    A prediction that fails a spot check of the first arrival's edge, or
+    the check of every arrival (``_starts_refused``), is replaced by the
+    searched edges (``_searched_starts``), checked the same way.
+    """
+    end = int(s.searchsorted(block[-1] - limit[-1])) + 1
+    # the first arrival's predicted edge, spot-checked
+    p, t, lim = max(end - block.size, 0), block[0], limit[0]
+    if not t - s[p] > lim and (p == 0 or t - s[p - 1] > lim):
+        start = np.arange(end - block.size, end)
+        np.maximum(start, 0, out=start)
+        if not _starts_refused(s, block, limit, start):
+            return start
+    start = _searched_starts(s, block, limit)
+    if _starts_refused(s, block, limit, start):
+        return None
+    np.maximum.accumulate(start, out=start)
+    return start
+
+
+def _searched_starts(s: np.ndarray, block: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Each arrival's first kept point of ``s`` by ``searchsorted``, up to
+    rounding (see ``_u0_starts``)."""
+    return s.searchsorted(block - limit)
+
+
+def _starts_refused(s: np.ndarray, block: np.ndarray, limit: np.ndarray, start: np.ndarray) -> bool:
+    """Whether some arrival i keeps s[start[i] - 1] (start[i] > 0) or moves
+    s[start[i]]: the check of a U_0 schedule (see ``_u0_starts``)."""
+    span = s.take(start)
+    np.subtract(block, span, out=span)
+    if (span > limit).any():
+        return True
+    np.subtract(block, s.take(start - 1, out=span), out=span)
+    return not ((start == 0) | (span > limit)).all()
+
+
 def _level_triggers(s: np.ndarray, m: int, tol: np.ndarray, threshold: float) -> np.ndarray | None:
     """The arrivals that trigger a coarser level, as indices into ``s``: its
     ``m`` first stored points then its arrivals, each arrival s[m + i] with
-    the tolerance ``tol[i]``; None when the schedule fails its check.
+    the tolerance ``tol[i]``; None when the searched schedule fails its
+    check.
 
     Trigger j, at the first arrival q after trigger j - 1 with
-    s[q] - s[2j] > threshold + tol, moves s[2j] and removes s[2j + 1].
-    Where that rule is monotone in q, q_j = j + max_{i<=j} (F(2i) - i), F(p)
-    being the first arrival with s[q] - (threshold + tol) > s[p], which
-    ``searchsorted`` finds in the running max of the left side.  The left
-    side is at most s[q], so F(p) > p and q_j > 2j; F(0) >= m, so q_j >= m.
-    The schedule is then checked against the rule at every arrival.
+    s[q] - s[2j] > threshold + tol, moves s[2j] and removes s[2j + 1].  A
+    level whose stored points and arrivals share one spacing triggers first
+    at the first arrival past s[0] + threshold + tol[0], which one
+    ``searchsorted`` finds up to rounding, and then at every second
+    arrival.  That prediction is spot-checked at its last and middle
+    triggers, and other grids are searched (``_searched_triggers``).  Either
+    schedule is checked against the rule at every arrival
+    (``_triggers_refused``).
     """
     n = s.size
     limit = tol + threshold
+    q0 = m + int(s[m:].searchsorted(s[0] + limit[0], "right"))
+    # the last predicted trigger, negative with none
+    last = (n - 1 - q0) // 2
+    for j in (last, last // 2) if last >= 0 else ():
+        # trigger j moves s[2j] at q, and the arrival before it, after
+        # trigger j - 1, does not
+        q = q0 + 2 * j
+        if not s[q] - s[2 * j] > limit[q - m] or (q > m and s[q - 1] - s[2 * j] > limit[q - 1 - m]):
+            break
+    else:
+        jumps = np.arange(q0, n, 2)
+        if not _triggers_refused(s, m, jumps, limit):
+            return jumps
+    jumps = _searched_triggers(s, m, limit)
+    return None if _triggers_refused(s, m, jumps, limit) else jumps
+
+
+def _searched_triggers(s: np.ndarray, m: int, limit: np.ndarray) -> np.ndarray:
+    """The triggers of ``_level_triggers`` by ``searchsorted``.
+
+    Where the rule is monotone in q, q_j = j + max_{i<=j} (F(2i) - i), F(p)
+    being the first arrival with s[q] - limit > s[p], which ``searchsorted``
+    finds in the running max of the left side.  The left side is at most
+    s[q], so F(p) > p and q_j > 2j; F(0) >= m, so q_j >= m.
+    """
     key = s[m:] - limit
     np.maximum.accumulate(key, out=key)
     f = key.searchsorted(s[::2], "right")
@@ -466,11 +536,15 @@ def _level_triggers(s: np.ndarray, m: int, tol: np.ndarray, threshold: float) ->
     np.maximum.accumulate(f, out=f)
     f += i
     f += m
-    jumps = f[: f.searchsorted(n)]
-    # the check: arrival q triggers iff s[q] - s[2j] > limit, j counting
-    # the triggers before it (a running sum; np.cumsum, the same sum, costs
-    # ~1 us more a call)
-    fired = np.zeros(n - m, dtype=bool)
+    return f[: f.searchsorted(s.size)]
+
+
+def _triggers_refused(s: np.ndarray, m: int, jumps: np.ndarray, limit: np.ndarray) -> bool:
+    """Whether some arrival q of ``_level_triggers``' ``s`` breaks the rule
+    under the schedule ``jumps``: q triggers iff s[q] - s[2j] > limit, j
+    counting the triggers before it."""
+    # a running sum (np.cumsum, the same sum, costs ~1 us more a call)
+    fired = np.zeros(s.size - m, dtype=bool)
     fired[jumps - m] = True
     oldest = np.add.accumulate(fired, dtype=np.intp)
     oldest -= fired
@@ -478,9 +552,7 @@ def _level_triggers(s: np.ndarray, m: int, tol: np.ndarray, threshold: float) ->
     span = s[oldest]
     del oldest
     np.subtract(s[m:], span, out=span)
-    if ((span > limit) != fired).any():
-        return None
-    return jumps
+    return ((span > limit) != fired).any()
 
 
 # -- Grunwald-Letnikov weights ------------------------------------------------
